@@ -31,6 +31,7 @@ import numpy as np
 from .core import (
     LogLikMatrix,
     StatMatrix,
+    _check_paired,
     _readonly,
     posterior_cov_grid,
     third_cumulant_grid,
@@ -168,14 +169,6 @@ def _eta_matrix(resamples, n: int) -> np.ndarray:
             )
         h[r] = draw.eta
     return h
-
-
-def _check_paired(stats: StatMatrix, loglik: LogLikMatrix) -> None:
-    if stats.n_draws != loglik.n_draws:
-        raise InvalidInput(
-            f"statistics have {stats.n_draws} draws, log-likelihoods have "
-            f"{loglik.n_draws}"
-        )
 
 
 def boot_first(

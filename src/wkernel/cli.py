@@ -2,8 +2,10 @@
 
 Commands: eigen, freqcov, boot, rep, diag, zmat, demo.  Inputs are CSV
 matrices; outputs are CSV files (plus a scree SVG) in the output
-directory.  A flat ``key = value`` config file can supply any option;
-explicit command-line flags win over the file.
+directory.  Every option is declared once, in ``_OPTIONS``; a flat
+``key = value`` config file can supply any option under its name, with
+the same checks as the flag.  A value comes from the flag, else the
+config file, else the default.
 
 Determinism: all stochastic commands take a 64-bit seed (counter-based
 generator), and ``--threads 1`` pins the numerical thread pools before
@@ -31,24 +33,95 @@ _THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-# per-command option names and defaults; config-file keys use the same names
-_DEFAULTS = {
-    "eigen": {
-        "kind": "raw",
-        "rel_tol": 1e-8,
-        "max_rank": None,
-        "log_scree": False,
-        "matrix": "loglik",
-    },
-    "freqcov": {"estimator": "plain", "logprior": None, "rank": None},
-    "boot": {"method": "first", "n_b": 1000, "rank": None, "seed": 0},
-    "rep": {"kind": "raw", "rel_tol": 1e-8, "max_rank": None, "matrix": "loglik"},
-    "diag": {"logprior": None, "scores": None, "hessian": None},
-    "zmat": {},
-    "demo": {"seed": 0},
+# option name -> (type, or tuple of allowed values; default; help).  The flag
+# is --name with "_" written "-", and the config-file key is the name itself.
+_OPTIONS = {
+    "kind": (("raw", "double_centered"), "raw", "W variant"),
+    "rel_tol": (float, 1e-8, "relative residual-trace tolerance of the Cholesky"),
+    "max_rank": (int, None, "Cholesky rank cap"),
+    "log_scree": (bool, False, "log10 scale for scree.svg"),
+    "matrix": (
+        ("loglik", "w"),
+        "loglik",
+        "input layout: draws x observations, or a precomputed covariance",
+    ),
+    "estimator": (("plain", "centered", "prior_adjusted", "projected"), "plain", None),
+    "logprior": (str, None, "CSV vector, log prior at draws"),
+    "rank": (int, None, "retained rank (projected estimator, first/second_projected)"),
+    "method": (
+        ("first", "second_direct", "second_efficient", "second_projected", "importance"),
+        "first",
+        None,
+    ),
+    "n_b": (int, 1000, "replicates"),
+    "seed": (int, 0, "64-bit seed"),
+    "scores": (str, None, "CSV, observations x parameters"),
+    "hessian": (str, None, "CSV, k x k averaged neg. Hessian"),
 }
 
-_DEMO_MODELS = ("weibull", "betabinom", "normal_mean", "regression")
+# demo model -> (config class in wkernel.models, the scalar fields a config
+# file may override with their bundled defaults, McmcConfig arguments or None)
+_DEMO = {
+    "weibull": (
+        "WeibullConfig",
+        {"gamma": 2.0, "lam": 50.0, "n": 59},
+        {"iters": 4500, "burn_in": 1500},
+    ),
+    "betabinom": (
+        "BetaBinomialConfig",
+        {"N": 5, "n": 20, "q0": 0.25, "rho": 0.65, "alpha": 1.0, "beta": 1.0,
+         "prior_weight": 0.0, "m_draws": 5000},
+        None,
+    ),
+    "normal_mean": ("NormalMeanConfig", {"n": 200, "m_draws": 20000}, None),
+    "regression": (
+        "RegressionConfig",
+        {"n": 30, "sigma_true": 0.3, "likelihood": "normal_known_sigma",
+         "sigma_lik": 0.1},
+        {"chains": 4, "iters": 14000, "burn_in": 2000},
+    ),
+}
+
+# positional input -> (allowed values or None, help)
+_INPUTS = {
+    "loglik": (None, "CSV, draws x observations (or a covariance matrix)"),
+    "stats": (None, "CSV, draws x statistics"),
+    "model": (tuple(_DEMO), "bundled model"),
+}
+
+# command -> (help, positional inputs, option names)
+_COMMANDS = {
+    "eigen": (
+        "spectrum of the observation covariance matrix",
+        ("loglik",),
+        ("kind", "rel_tol", "max_rank", "log_scree", "matrix"),
+    ),
+    "freqcov": (
+        "frequentist covariance of posterior means",
+        ("loglik", "stats"),
+        ("estimator", "logprior", "rank"),
+    ),
+    "boot": (
+        "approximate bootstrap of posterior means",
+        ("loglik", "stats"),
+        ("method", "n_b", "rank", "seed"),
+    ),
+    "rep": (
+        "representative observation subset",
+        ("loglik",),
+        ("kind", "rel_tol", "max_rank", "matrix"),
+    ),
+    "diag": (
+        "penalties and centering diagnostics",
+        ("loglik", "stats"),
+        ("logprior", "scores", "hessian"),
+    ),
+    "zmat": ("dual covariance matrix and duality check", ("loglik",), ()),
+    "demo": ("run a bundled model end to end", ("model",), ("seed",)),
+}
+
+# boot methods that project onto the leading directions of W
+_PROJECTING_METHODS = ("first", "second_projected")
 
 
 @dataclass
@@ -77,102 +150,69 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     sub = parser.add_subparsers(dest="command")
-
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    p = add_parser("eigen", help="spectrum of the observation covariance matrix")
-    p.add_argument("loglik", help="CSV, draws x observations (or a covariance matrix)")
-    p.add_argument("--kind", choices=["raw", "double_centered"], default=None)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p.add_argument("--max-rank", dest="max_rank", type=int, default=None)
-    p.add_argument("--log-scree", dest="log_scree", action="store_true", default=None)
-    p.add_argument(
-        "--matrix",
-        choices=["loglik", "w"],
-        default=None,
-        help="input layout: draws x observations, or a precomputed covariance",
-    )
-
-    p = add_parser("freqcov", help="frequentist covariance of posterior means")
-    p.add_argument("loglik")
-    p.add_argument("stats", help="CSV, draws x statistics")
-    p.add_argument(
-        "--estimator",
-        choices=["plain", "centered", "prior_adjusted", "projected"],
-        default=None,
-    )
-    p.add_argument("--logprior", default=None, help="CSV vector, log prior at draws")
-    p.add_argument("--rank", type=int, default=None, help="retained rank (projected)")
-
-    p = add_parser("boot", help="approximate bootstrap of posterior means")
-    p.add_argument("loglik")
-    p.add_argument("stats")
-    p.add_argument(
-        "--method",
-        choices=[
-            "first",
-            "second_direct",
-            "second_efficient",
-            "second_projected",
-            "importance",
-        ],
-        default=None,
-    )
-    p.add_argument("--n-b", dest="n_b", type=int, default=None, help="replicates")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-
-    p = add_parser("rep", help="representative observation subset")
-    p.add_argument("loglik")
-    p.add_argument("--kind", choices=["raw", "double_centered"], default=None)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p.add_argument("--max-rank", dest="max_rank", type=int, default=None)
-    p.add_argument("--matrix", choices=["loglik", "w"], default=None)
-
-    p = add_parser("diag", help="penalties and centering diagnostics")
-    p.add_argument("loglik")
-    p.add_argument("stats")
-    p.add_argument("--logprior", default=None)
-    p.add_argument("--scores", default=None, help="CSV, observations x parameters")
-    p.add_argument("--hessian", default=None, help="CSV, k x k averaged neg. Hessian")
-
-    p = add_parser("zmat", help="dual covariance matrix and duality check")
-    p.add_argument("loglik")
-
-    p = add_parser("demo", help="run a bundled model end to end")
-    p.add_argument("model", choices=_DEMO_MODELS)
-    p.add_argument("--seed", type=int, default=None)
-
+    for command, (help_text, inputs, options) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        for name in inputs:
+            choices, text = _INPUTS[name]
+            p.add_argument(name, choices=choices, help=text)
+        for name in options:
+            kind, _, text = _OPTIONS[name]
+            if kind is bool:
+                how = {"action": "store_true"}
+            elif isinstance(kind, tuple):
+                how = {"choices": kind}
+            else:
+                how = {"type": kind}
+            flag = "--" + name.replace("_", "-")
+            p.add_argument(flag, dest=name, default=None, help=text, **how)
     return parser
 
 
-def _coerce(value: str, like):
-    if isinstance(like, bool):
-        return value.strip().lower() in ("1", "true", "yes", "on")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
-    return value
+def _convert(key: str, text: str, kind):
+    """A config-file value as ``kind`` (a type or a tuple of allowed values)."""
+    from .errors import UsageError
+
+    if isinstance(kind, tuple):
+        if text in kind:
+            return text
+        expected = "one of " + ", ".join(kind)
+    elif kind is bool:
+        if text.lower() in ("1", "true", "yes", "on"):
+            return True
+        if text.lower() in ("0", "false", "no", "off"):
+            return False
+        expected = "true or false"
+    else:
+        try:
+            return kind(text)
+        except ValueError:
+            expected = kind.__name__
+    raise UsageError(f"config key {key}: expected {expected}, got {text!r}")
 
 
-def _merge_options(command: str, args, file_cfg: dict) -> dict:
-    opts = dict(_DEFAULTS[command])
-    for key, default in opts.items():
-        if key in file_cfg:
-            like = default if default is not None else ""
-            if key in ("max_rank", "rank", "seed", "n_b"):
-                opts[key] = int(file_cfg[key])
-            elif key == "rel_tol":
-                opts[key] = float(file_cfg[key])
-            else:
-                opts[key] = _coerce(file_cfg[key], like)
-    for key in opts:
-        given = getattr(args, key, None)
-        if given is not None:
-            opts[key] = given
+def _resolve_options(command: str, args, file_cfg: dict) -> dict:
+    """Every option of the command: the flag, else the config file, else the default."""
+    opts = {}
+    for name in _COMMANDS[command][2]:
+        kind, default, _ = _OPTIONS[name]
+        value = getattr(args, name)
+        if value is None and name in file_cfg:
+            value = _convert(name, file_cfg[name], kind)
+        opts[name] = default if value is None else value
     return opts
+
+
+def _run_config(args) -> RunConfig:
+    from .matio import load_config
+
+    file_cfg = load_config(args.config) if args.config else {}
+    return RunConfig(
+        command=args.command,
+        inputs=[getattr(args, name) for name in _COMMANDS[args.command][1]],
+        options=_resolve_options(args.command, args, file_cfg),
+        outdir=args.out or os.environ.get(ENV_OUTDIR) or file_cfg.get("out") or ".",
+        file_cfg=file_cfg,
+    )
 
 
 def main(argv=None) -> int:
@@ -193,9 +233,10 @@ def main(argv=None) -> int:
         if threads < 1:
             print("wkernel: --threads must be >= 1", file=sys.stderr)
             return 2
-        # must happen before numpy is imported anywhere in this process
+        # must happen before numpy is imported anywhere in this process; an
+        # explicit count beats thread variables inherited from the environment
         for var in _THREAD_VARS:
-            os.environ.setdefault(var, str(threads))
+            os.environ[var] = str(threads)
 
     from .errors import (
         InvalidInput,
@@ -206,25 +247,9 @@ def main(argv=None) -> int:
         UsageError,
         WkernelError,
     )
-    from .matio import load_config
 
     try:
-        file_cfg = load_config(args.config) if args.config else {}
-        outdir = args.out or os.environ.get(ENV_OUTDIR) or file_cfg.get("out") or "."
-        options = _merge_options(args.command, args, file_cfg)
-        inputs = [
-            getattr(args, name)
-            for name in ("loglik", "stats", "model")
-            if hasattr(args, name)
-        ]
-        config = RunConfig(
-            command=args.command,
-            inputs=inputs,
-            options=options,
-            outdir=outdir,
-            file_cfg=file_cfg,
-        )
-        run_command(config)
+        run_command(_run_config(args))
         return 0
     except ParseError as exc:
         print(f"wkernel: parse error: {exc}", file=sys.stderr)
@@ -282,73 +307,88 @@ def _load_stats(path):
     return StatMatrix(values=arr, names=tuple(header) if header else ())
 
 
-def _load_w(path, kind):
-    from .kernels import WMatrix
+def _load_logprior(path):
+    """The log prior at the draws, or None when no file is given."""
+    if not path:
+        return None
+    from .core import LogPriorVector
+    from .matio import load_vector
+
+    vec, _ = load_vector(path)
+    return LogPriorVector(values=vec)
+
+
+def _load_w(path, opts):
+    """W built from a log-likelihood file, or read as is with matrix = w."""
+    from .kernels import WMatrix, build_w
     from .matio import load_matrix
 
-    arr, _ = load_matrix(path)
-    return WMatrix(values=arr, kind=kind, source_M=0)
+    if opts["matrix"] == "w":
+        arr, _ = load_matrix(path)
+        return WMatrix(values=arr, kind=opts["kind"], source_M=0)
+    return build_w(_load_loglik(path), kind=opts["kind"])
 
 
-def _spectrum(loglik, kind, rel_tol, max_rank):
-    from .kernels import build_w
+def _spectrum(w, rel_tol, max_rank):
+    """Pivoted Cholesky of W and the spectrum from its dual problem."""
     from .spectral import dual_eigen, incomplete_cholesky
 
-    w = build_w(loglik, kind=kind)
     chol = incomplete_cholesky(w, rel_tol=rel_tol, max_rank=max_rank)
-    return w, chol, dual_eigen(chol)
+    return chol, dual_eigen(chol)
 
 
-def _spectrum_from_file(path, opts):
-    from .spectral import dual_eigen, incomplete_cholesky
+def _projection(loglik, rank):
+    """Projection onto the leading ``rank`` directions of the raw W, or onto
+    all retained ones when rank is None; more than that is a usage error."""
+    from .errors import UsageError
+    from .kernels import build_w
+    from .spectral import project_loglik
 
-    if opts.get("matrix") == "w":
-        w = _load_w(path, opts["kind"])
-        chol = incomplete_cholesky(w, rel_tol=opts["rel_tol"], max_rank=opts["max_rank"])
-        return w, chol, dual_eigen(chol)
-    loglik = _load_loglik(path)
-    return _spectrum(loglik, opts["kind"], opts["rel_tol"], opts["max_rank"])
+    _, basis = _spectrum(build_w(loglik, kind="raw"), 1e-10, loglik.n_obs)
+    if rank is not None and rank > basis.rank_retained:
+        raise UsageError(
+            f"--rank {rank} exceeds the retained rank {basis.rank_retained}"
+        )
+    return project_loglik(loglik, basis, rank)
+
+
+def _save_indexed(path, values, header, start=0) -> None:
+    """Write ``values`` (rows) after an index column start, start + 1, ..."""
+    import numpy as np
+
+    from .matio import save_matrix
+
+    index = np.arange(start, start + len(values), dtype=float)
+    save_matrix(path, np.column_stack([index, values]), header)
 
 
 def _cmd_eigen(config: RunConfig, outdir: str) -> None:
-    import numpy as np
-
     from .matio import save_matrix, write_scree_svg
 
     opts = config.options
-    _, chol, basis = _spectrum_from_file(config.inputs[0], opts)
+    w = _load_w(config.inputs[0], opts)
+    chol, basis = _spectrum(w, opts["rel_tol"], opts["max_rank"])
 
-    idx = np.arange(basis.rank_retained, dtype=float)
-    save_matrix(
+    _save_indexed(
         os.path.join(outdir, "eigenvalues.csv"),
-        np.column_stack([idx, basis.eigenvalues]) if idx.size else np.zeros((0, 2)),
-        header=["index", "eigenvalue"],
+        basis.eigenvalues,
+        ["index", "eigenvalue"],
     )
     save_matrix(
         os.path.join(outdir, "eigenvectors.csv"),
         basis.vectors,
         header=[f"v{a}" for a in range(basis.rank_retained)],
     )
-    save_matrix(
+    _save_indexed(
         os.path.join(outdir, "cholesky_pivots.csv"),
-        np.column_stack(
-            [np.arange(chol.a_M, dtype=float), chol.pivots.astype(float)]
-        )
-        if chol.a_M
-        else np.zeros((0, 2)),
-        header=["pivot_rank", "observation"],
+        chol.pivots,
+        ["pivot_rank", "observation"],
     )
-    save_matrix(
+    _save_indexed(
         os.path.join(outdir, "residual_trace.csv"),
-        np.column_stack(
-            [
-                np.arange(1, chol.a_M + 1, dtype=float),
-                chol.residual_trace_history,
-            ]
-        )
-        if chol.a_M
-        else np.zeros((0, 2)),
-        header=["rank", "residual_trace"],
+        chol.residual_trace_history,
+        ["rank", "residual_trace"],
+        start=1,
     )
     write_scree_svg(
         os.path.join(outdir, "scree.svg"), basis.eigenvalues, opts["log_scree"]
@@ -356,27 +396,20 @@ def _cmd_eigen(config: RunConfig, outdir: str) -> None:
 
 
 def _cmd_freqcov(config: RunConfig, outdir: str) -> None:
-    from .core import LogPriorVector
+    from .errors import UsageError
     from .freq_eval import freq_cov
-    from .matio import load_vector, save_keyvalue, save_matrix
-    from .spectral import project_loglik
+    from .matio import save_keyvalue, save_matrix
 
-    loglik = _load_loglik(config.inputs[0])
-    stats = _load_stats(config.inputs[1])
     opts = config.options
     estimator = opts["estimator"]
-
-    logprior = None
-    if opts["logprior"]:
-        vec, _ = load_vector(opts["logprior"])
-        logprior = LogPriorVector(values=vec)
-
-    projection = None
-    if estimator == "projected":
-        _, _, basis = _spectrum(loglik, "raw", 1e-10, loglik.n_obs)
-        a_m = basis.rank_retained if opts["rank"] is None else opts["rank"]
-        a_m = min(a_m, basis.rank_retained)
-        projection = project_loglik(loglik, basis, a_m)
+    if opts["rank"] is not None and estimator != "projected":
+        raise UsageError(
+            f"--rank applies only to the projected estimator, not {estimator}"
+        )
+    loglik = _load_loglik(config.inputs[0])
+    stats = _load_stats(config.inputs[1])
+    logprior = _load_logprior(opts["logprior"])
+    projection = _projection(loglik, opts["rank"]) if estimator == "projected" else None
 
     est = freq_cov(
         stats, loglik, estimator=estimator, logprior=logprior, projection=projection
@@ -406,42 +439,32 @@ def _cmd_boot(config: RunConfig, outdir: str) -> None:
     )
     from .errors import UsageError
     from .matio import save_matrix
-    from .spectral import project_loglik
 
+    opts = config.options
+    method, rank, seed = opts["method"], opts["rank"], opts["seed"]
+    if rank is not None and method not in _PROJECTING_METHODS:
+        raise UsageError(
+            f"--rank applies only to methods {_PROJECTING_METHODS}, not {method}"
+        )
     loglik = _load_loglik(config.inputs[0])
     stats = _load_stats(config.inputs[1])
-    opts = config.options
     if opts["n_b"] < 1:
         raise UsageError("boot needs n_b >= 1 replicates")
-    resamples = draw_resamples(loglik.n_obs, opts["n_b"], opts["seed"])
+    resamples = draw_resamples(loglik.n_obs, opts["n_b"], seed)
 
-    method = opts["method"]
+    projection = None
+    if method == "second_projected" or rank is not None:
+        projection = _projection(loglik, rank)
     diags = None
-    if method in ("second_projected",) or (
-        method == "first" and opts["rank"] is not None
-    ):
-        _, _, basis = _spectrum(loglik, "raw", 1e-10, loglik.n_obs)
-        a_m = basis.rank_retained if opts["rank"] is None else opts["rank"]
-        projection = project_loglik(loglik, basis, min(a_m, basis.rank_retained))
-    else:
-        projection = None
-
     if method == "first":
-        run = boot_first(stats, loglik, resamples, projection=projection, seed=opts["seed"])
+        run = boot_first(stats, loglik, resamples, projection=projection, seed=seed)
     elif method == "importance":
-        run, diags = boot_importance(stats, loglik, resamples, seed=opts["seed"])
+        run, diags = boot_importance(stats, loglik, resamples, seed=seed)
     elif method == "second_projected":
-        run = boot_second(
-            stats, loglik, resamples, projection=projection, seed=opts["seed"]
-        )
+        run = boot_second(stats, loglik, resamples, projection=projection, seed=seed)
     else:
-        run = boot_second(
-            stats,
-            loglik,
-            resamples,
-            mode=method.removeprefix("second_"),
-            seed=opts["seed"],
-        )
+        mode = method.removeprefix("second_")
+        run = boot_second(stats, loglik, resamples, mode=mode, seed=seed)
 
     save_matrix(
         os.path.join(outdir, "estimates.csv"),
@@ -450,72 +473,46 @@ def _cmd_boot(config: RunConfig, outdir: str) -> None:
     )
     exclude = diags.degenerate if diags is not None else None
     summary = summarize_bootstrap(run, exclude=exclude)
-    rows = np.column_stack(
-        [
-            summary["mean"],
-            summary["var"],
-            summary["q10"],
-            summary["q25"],
-            summary["q75"],
-            summary["q90"],
-        ]
+    columns = ("mean", "var", "q10", "q25", "q75", "q90")
+    save_matrix(
+        os.path.join(outdir, "summary.csv"),
+        np.column_stack([summary[c] for c in columns]),
+        header=["statistic", *columns],
+        row_names=stats.names,
     )
-    with open(
-        os.path.join(outdir, "summary.csv"), "w", encoding="utf-8", newline="\n"
-    ) as fh:
-        fh.write("statistic,mean,var,q10,q25,q75,q90\n")
-        for name, row in zip(stats.names, rows):
-            fh.write(name + "," + ",".join(repr(float(v)) for v in row) + "\n")
     if diags is not None:
-        save_matrix(
+        _save_indexed(
             os.path.join(outdir, "is_diagnostics.csv"),
-            np.column_stack(
-                [
-                    np.arange(run.n_replicates, dtype=float),
-                    diags.max_weight,
-                    diags.ess,
-                    diags.degenerate.astype(float),
-                ]
-            ),
-            header=["replicate", "max_weight", "ess", "degenerate"],
+            np.column_stack([diags.max_weight, diags.ess, diags.degenerate]),
+            ["replicate", "max_weight", "ess", "degenerate"],
         )
 
 
 def _cmd_rep(config: RunConfig, outdir: str) -> None:
-    import numpy as np
-
-    from .matio import save_matrix
     from .spectral import representative_set
 
     opts = config.options
-    _, chol, basis = _spectrum_from_file(config.inputs[0], opts)
-    rset = representative_set(chol, basis)
-    save_matrix(
+    w = _load_w(config.inputs[0], opts)
+    rset = representative_set(*_spectrum(w, opts["rel_tol"], opts["max_rank"]))
+    _save_indexed(
         os.path.join(outdir, "representative_indices.csv"),
-        np.column_stack(
-            [np.arange(rset.indices.size, dtype=float), rset.indices.astype(float)]
-        )
-        if rset.indices.size
-        else np.zeros((0, 2)),
-        header=["pivot_rank", "observation"],
+        rset.indices,
+        ["pivot_rank", "observation"],
     )
 
 
 def _cmd_diag(config: RunConfig, outdir: str) -> None:
-    from .core import LogPriorVector
+    import numpy as np
+
     from .errors import UsageError
     from .freq_eval import centering_diagnostic, penalties
     from .kernels import ScoreMatrix, build_info_matrices
-    from .matio import load_matrix, load_vector, save_keyvalue
+    from .matio import load_matrix, save_keyvalue, save_matrix
 
     loglik = _load_loglik(config.inputs[0])
     stats = _load_stats(config.inputs[1])
     opts = config.options
-
-    logprior = None
-    if opts["logprior"]:
-        vec, _ = load_vector(opts["logprior"])
-        logprior = LogPriorVector(values=vec)
+    logprior = _load_logprior(opts["logprior"])
 
     info = None
     if opts["scores"]:
@@ -534,19 +531,19 @@ def _cmd_diag(config: RunConfig, outdir: str) -> None:
     save_keyvalue(os.path.join(outdir, "penalties.csv"), pairs)
 
     diag = centering_diagnostic(stats, loglik, logprior=logprior)
-    with open(
-        os.path.join(outdir, "centering.csv"), "w", encoding="utf-8", newline="\n"
-    ) as fh:
-        fh.write("statistic,value,scale\n")
-        for name, val, scale in zip(stats.names, diag.values, diag.scale):
-            fh.write(f"{name},{repr(float(val))},{repr(float(scale))}\n")
+    save_matrix(
+        os.path.join(outdir, "centering.csv"),
+        np.column_stack([diag.values, diag.scale]),
+        header=["statistic", "value", "scale"],
+        row_names=stats.names,
+    )
 
 
 def _cmd_zmat(config: RunConfig, outdir: str) -> None:
     import numpy as np
 
     from .kernels import build_deviation, build_w, build_z
-    from .matio import save_keyvalue, save_matrix
+    from .matio import save_keyvalue
 
     loglik = _load_loglik(config.inputs[0])
     z = build_z(loglik)
@@ -555,10 +552,8 @@ def _cmd_zmat(config: RunConfig, outdir: str) -> None:
     n, m = loglik.n_obs, loglik.n_draws
 
     z_eigs = np.linalg.eigvalsh(z.values)[::-1]
-    save_matrix(
-        os.path.join(outdir, "z_eigenvalues.csv"),
-        np.column_stack([np.arange(z_eigs.size, dtype=float), z_eigs]),
-        header=["index", "eigenvalue"],
+    _save_indexed(
+        os.path.join(outdir, "z_eigenvalues.csv"), z_eigs, ["index", "eigenvalue"]
     )
 
     wc_eigs = np.linalg.eigvalsh(wc.values)[::-1]
@@ -566,8 +561,10 @@ def _cmd_zmat(config: RunConfig, outdir: str) -> None:
     shared = max(shared, 0)
     lhs = z_eigs[:shared] / m
     rhs = wc_eigs[:shared] / n
-    denom = np.maximum(np.abs(rhs), 1e-300)
-    max_rel = float(np.max(np.abs(lhs - rhs) / denom)) if shared else 0.0
+    # relative to the largest shared eigenvalue: eigenvalues at rounding
+    # level differ by rounding noise, which is no departure from duality
+    scale = max(float(np.max(np.abs(rhs))), 1e-300) if shared else 1.0
+    max_rel = float(np.max(np.abs(lhs - rhs)) / scale) if shared else 0.0
     gap_z = float(np.max(np.abs(z.values / m - dev.T @ dev / (n * m))))
     gap_wc = float(np.max(np.abs(wc.values / n - dev @ dev.T / (n * m))))
     save_keyvalue(
@@ -584,54 +581,18 @@ def _cmd_zmat(config: RunConfig, outdir: str) -> None:
 
 
 def _demo_config(model: str, seed: int, file_cfg: dict):
-    from .models import (
-        BetaBinomialConfig,
-        McmcConfig,
-        NormalMeanConfig,
-        RegressionConfig,
-        WeibullConfig,
-    )
+    """The model's config: bundled defaults, with config-file overrides of its
+    scalar fields converted like option values; ``seed`` is the option's."""
+    from . import models
 
-    def pick(cls, **kwargs):
-        # allow config-file overrides of simple scalar fields
-        for key in list(kwargs):
-            if key in file_cfg:
-                if isinstance(kwargs[key], float):
-                    kwargs[key] = float(file_cfg[key])
-                elif isinstance(kwargs[key], int):
-                    kwargs[key] = int(file_cfg[key])
-                else:
-                    kwargs[key] = file_cfg[key]
-        return cls(**kwargs)
-
-    if model == "weibull":
-        mcmc = McmcConfig(iters=4500, burn_in=1500, seed=seed)
-        return pick(WeibullConfig, gamma=2.0, lam=50.0, n=59, seed=seed, mcmc=mcmc)
-    if model == "betabinom":
-        return pick(
-            BetaBinomialConfig,
-            N=5,
-            n=20,
-            q0=0.25,
-            rho=0.65,
-            alpha=1.0,
-            beta=1.0,
-            prior_weight=0.0,
-            m_draws=5000,
-            seed=seed,
-        )
-    if model == "normal_mean":
-        return pick(NormalMeanConfig, n=200, m_draws=20000, seed=seed)
-    mcmc = McmcConfig(chains=4, iters=14000, burn_in=2000, seed=seed)
-    return pick(
-        RegressionConfig,
-        n=30,
-        sigma_true=0.3,
-        likelihood="normal_known_sigma",
-        sigma_lik=0.1,
-        seed=seed,
-        mcmc=mcmc,
-    )
+    cls_name, fields, mcmc = _DEMO[model]
+    kwargs = {
+        key: _convert(key, file_cfg[key], type(value)) if key in file_cfg else value
+        for key, value in fields.items()
+    }
+    if mcmc is not None:
+        kwargs["mcmc"] = models.McmcConfig(**mcmc, seed=seed)
+    return getattr(models, cls_name)(**kwargs, seed=seed)
 
 
 def _cmd_demo(config: RunConfig, outdir: str) -> None:
@@ -642,55 +603,38 @@ def _cmd_demo(config: RunConfig, outdir: str) -> None:
     from .kernels import build_w
     from .matio import save_keyvalue, save_matrix, write_scree_svg
     from .models import run_model
-    from .spectral import dual_eigen, incomplete_cholesky
 
     model = config.inputs[0]
-    opts = config.options
-    bundle = run_model(_demo_config(model, opts["seed"], config.file_cfg))
+    seed = config.options["seed"]
+    bundle = run_model(_demo_config(model, seed, config.file_cfg))
     stats = bundle.default_stats()
 
-    save_matrix(os.path.join(outdir, "data.csv"), bundle.data, header=["x"])
-    save_matrix(
-        os.path.join(outdir, "draws.csv"), bundle.draws, header=list(bundle.param_names)
-    )
-    save_matrix(
-        os.path.join(outdir, "loglik.csv"),
-        bundle.loglik.values,
-        header=[f"obs_{i}" for i in range(bundle.n_obs)],
-    )
-    save_matrix(
-        os.path.join(outdir, "stats.csv"), stats.values, header=list(stats.names)
-    )
-    save_matrix(
-        os.path.join(outdir, "logprior.csv"),
-        bundle.logprior.values,
-        header=["logprior"],
-    )
-    save_matrix(
-        os.path.join(outdir, "theta_hat.csv"),
-        np.asarray(bundle.theta_hat, dtype=float).reshape(1, -1),
-        header=list(bundle.param_names),
-    )
+    params = list(bundle.param_names)
+    theta_hat = np.asarray(bundle.theta_hat, dtype=float).reshape(1, -1)
+    for name, arr, header in (
+        ("data.csv", bundle.data, ["x"]),
+        ("draws.csv", bundle.draws, params),
+        ("loglik.csv", bundle.loglik.values, [f"obs_{i}" for i in range(bundle.n_obs)]),
+        ("stats.csv", stats.values, list(stats.names)),
+        ("logprior.csv", bundle.logprior.values, ["logprior"]),
+        ("theta_hat.csv", theta_hat, params),
+    ):
+        save_matrix(os.path.join(outdir, name), arr, header=header)
 
     w = build_w(bundle.loglik, kind="raw")
-    chol = incomplete_cholesky(w, rel_tol=1e-10, max_rank=w.n)
-    basis = dual_eigen(chol)
-    save_matrix(
+    _, basis = _spectrum(w, 1e-10, w.n)
+    _save_indexed(
         os.path.join(outdir, "eigenvalues.csv"),
-        np.column_stack(
-            [np.arange(basis.rank_retained, dtype=float), basis.eigenvalues]
-        )
-        if basis.rank_retained
-        else np.zeros((0, 2)),
-        header=["index", "eigenvalue"],
+        basis.eigenvalues,
+        ["index", "eigenvalue"],
     )
     write_scree_svg(os.path.join(outdir, "scree.svg"), basis.eigenvalues, False)
 
     sigma = freq_cov(stats, bundle.loglik, estimator="centered")
     save_matrix(os.path.join(outdir, "sigma.csv"), sigma.values, header=list(stats.names))
 
-    resamples = draw_resamples(bundle.n_obs, 200, opts["seed"])
-    run = boot_first(stats, bundle.loglik, resamples, seed=opts["seed"])
+    resamples = draw_resamples(bundle.n_obs, 200, seed)
+    run = boot_first(stats, bundle.loglik, resamples, seed=seed)
     save_matrix(
         os.path.join(outdir, "estimates.csv"), run.estimates, header=list(stats.names)
     )

@@ -37,6 +37,14 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise InvalidInput(f"{what} contains non-finite entries")
 
 
+def _check_paired(stats: StatMatrix, loglik: LogLikMatrix) -> None:
+    if stats.n_draws != loglik.n_draws:
+        raise InvalidInput(
+            f"statistics have {stats.n_draws} draws, log-likelihoods have "
+            f"{loglik.n_draws}"
+        )
+
+
 @dataclass(frozen=True)
 class LogLikMatrix:
     """M x n matrix of per-observation log-likelihoods at posterior draws.

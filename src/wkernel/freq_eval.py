@@ -28,6 +28,7 @@ from .core import (
     LogPriorVector,
     StatMatrix,
     ThirdCumulantTensor,
+    _check_paired,
     _readonly,
     posterior_cov_grid,
     third_cumulant_grid,
@@ -96,14 +97,6 @@ class CenteringDiagnostic:
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
         object.__setattr__(self, "scale", _readonly(self.scale))
-
-
-def _check_paired(stats: StatMatrix, loglik: LogLikMatrix) -> None:
-    if stats.n_draws != loglik.n_draws:
-        raise InvalidInput(
-            f"statistics have {stats.n_draws} draws, log-likelihoods have "
-            f"{loglik.n_draws}"
-        )
 
 
 def sensitivity_first(stats: StatMatrix, loglik: LogLikMatrix) -> SensitivityReport:

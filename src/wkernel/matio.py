@@ -97,21 +97,32 @@ def load_vector(path):
     raise ParseError(f"expected a vector, got shape {arr.shape}", path=path)
 
 
-def save_matrix(path, arr, header=None) -> None:
-    """Write a matrix (or vector as one column) with a header row."""
+def save_matrix(path, arr, header=None, row_names=None) -> None:
+    """Write a matrix (or vector as one column) with a header row.
+
+    With ``row_names``, each row starts with its name in a text column,
+    which ``header`` names too.
+    """
     arr = np.asarray(arr, dtype=float)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise InvalidInput(f"can only save 1-D or 2-D arrays, got {arr.ndim}-D")
+    width = arr.shape[1] + (row_names is not None)
     if header is None:
-        header = [f"col_{j}" for j in range(arr.shape[1])]
-    if len(header) != arr.shape[1]:
-        raise InvalidInput(f"{len(header)} header names for {arr.shape[1]} columns")
+        header = [f"col_{j}" for j in range(width)]
+    if len(header) != width:
+        raise InvalidInput(f"{len(header)} header names for {width} columns")
+    if row_names is None:
+        leads = [""] * arr.shape[0]
+    elif len(row_names) == arr.shape[0]:
+        leads = [f"{name}," for name in row_names]
+    else:
+        raise InvalidInput(f"{len(row_names)} row names for {arr.shape[0]} rows")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(str(h) for h in header) + "\n")
-        for row in arr:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lead, row in zip(leads, arr):
+            fh.write(lead + ",".join(_fmt(v) for v in row) + "\n")
 
 
 def save_keyvalue(path, pairs) -> None:

@@ -186,15 +186,13 @@ def _as_eta(eta, n: int) -> np.ndarray:
     return eta
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Sign convention: the largest-magnitude component of each column is
-    positive; among ties, the first such component decides."""
-    if vectors.size == 0:
-        return vectors
+def _signs(vectors: np.ndarray) -> np.ndarray:
+    """Column signs of the convention: the largest-magnitude component of
+    each column is positive; among ties, the first such component decides."""
     idx = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return vectors * signs
+    return signs
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +318,7 @@ def dual_eigen(chol: PivotedCholesky) -> SpectralBasis:
     vectors[chol.order, :] = lifted
     # one sign convention for the lifted vectors and the dual vectors, so
     # the representative-set reconstruction reproduces the same coordinates
-    idx = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
+    signs = _signs(vectors)
     return SpectralBasis(
         eigenvalues=evals, vectors=vectors * signs, dual_vectors=evecs * signs
     )
@@ -345,7 +341,7 @@ def full_eigen(w: WMatrix, cap: int = FULL_EIGEN_CAP) -> SpectralBasis:
     if evals.size and evals[0] <= 0.0:
         return SpectralBasis(eigenvalues=np.zeros(0), vectors=np.zeros((w.n, 0)))
     np.clip(evals, 0.0, None, out=evals)
-    return SpectralBasis(eigenvalues=evals, vectors=_fix_signs(evecs))
+    return SpectralBasis(eigenvalues=evals, vectors=evecs * _signs(evecs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """CSV round trips, config parsing, command artifacts, determinism."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from wkernel import cli
 from wkernel.cli import main
 from wkernel.errors import InvalidInput, ParseError
 from wkernel.matio import (
@@ -86,6 +89,13 @@ class TestMatrixIO:
         write(path, "1,inf\n")
         with pytest.raises(ParseError):
             load_matrix(path)
+
+    def test_row_names_column(self, tmp_path):
+        path = tmp_path / "m.csv"
+        save_matrix(path, [[1.0, 0.5]], header=["name", "a", "b"], row_names=["x"])
+        assert path.read_text() == "name,a,b\nx,1.0,0.5\n"
+        with pytest.raises(InvalidInput):
+            save_matrix(path, [[1.0, 0.5]], header=["a", "b"], row_names=["x"])
 
     def test_load_vector(self, tmp_path):
         path = tmp_path / "v.csv"
@@ -343,6 +353,21 @@ class TestCommands:
         assert float(report["max_rel_eigenvalue_diff"]) < 1e-10
         assert float(report["factorization_gap_z"]) < 1e-12
 
+    def test_zmat_duality_on_low_rank_input(self, tmp_path):
+        # 30 draws x 50 observations of rank 3: most shared eigenvalues are
+        # rounding noise, which must not read as a duality gap
+        rng = np.random.default_rng(3)
+        ll = tmp_path / "ll.csv"
+        save_matrix(ll, rng.standard_normal((30, 3)) @ rng.standard_normal((3, 50)))
+        out = tmp_path / "out"
+        assert main(["zmat", str(ll), "--out", str(out)]) == 0
+        report = dict(
+            line.split(",")
+            for line in (out / "duality_report.csv").read_text().splitlines()[1:]
+        )
+        assert int(report["shared_rank_checked"]) == 29
+        assert float(report["max_rel_eigenvalue_diff"]) < 1e-10
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         write(bad, "1,2\n3\n")
@@ -429,3 +454,125 @@ class TestDeterminism:
             outs.append(self.read_all(out))
         assert outs[0] == outs[1]
         assert "report.csv" in outs[0] and "loglik.csv" in outs[0]
+
+
+SAMPLE_INPUTS = {"loglik": "ll.csv", "stats": "st.csv", "model": "betabinom"}
+
+
+def sample_value(kind, default):
+    """A config-file spelling of a non-default value of an option."""
+    if isinstance(kind, tuple):
+        return next(v for v in kind if v != default)
+    return {bool: "true", int: "7", float: "0.001", str: "extra.csv"}[kind]
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_flag_and_config_key_resolve_alike(self, tmp_path, command):
+        _, inputs, options = cli._COMMANDS[command]
+        base = [command] + [SAMPLE_INPUTS[name] for name in inputs]
+        parser = cli._build_parser()
+        for name in options:
+            kind, default, _ = cli._OPTIONS[name]
+            value = sample_value(kind, default)
+            flag = ["--" + name.replace("_", "-")] + ([] if kind is bool else [value])
+            cfg = tmp_path / f"{name}.cfg"
+            write(cfg, f"{name} = {value}\n")
+            by_flag = cli._run_config(parser.parse_args(base + flag))
+            by_file = cli._run_config(parser.parse_args(base + ["--config", str(cfg)]))
+            assert by_flag.options == by_file.options, name
+            assert by_flag.options[name] != default, name
+
+    @pytest.mark.parametrize(
+        "argv, text, key",
+        [
+            (["boot", "{ll}", "{st}"], "n_b = abc", "n_b"),
+            (["eigen", "{ll}"], "matrix = bogus", "matrix"),
+            (["eigen", "{ll}"], "log_scree = maybe", "log_scree"),
+            (["demo", "betabinom"], "n = abc", "n"),
+        ],
+    )
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, argv, text, key):
+        ll, st, cfg = tmp_path / "ll.csv", tmp_path / "st.csv", tmp_path / "run.cfg"
+        make_loglik_csv(ll)
+        make_stats_csv(st)
+        write(cfg, text + "\n")
+        argv = [a.format(ll=ll, st=st) for a in argv]
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key}:" in err and "Traceback" not in err
+
+    def test_demo_seed_flag_beats_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        write(cfg, "seed = 9\n")
+        outs = []
+        for tag, extra in (("file", ["--config", str(cfg)]), ("alone", [])):
+            out = tmp_path / tag
+            argv = ["demo", "betabinom", "--seed", "5", "--threads", "1", "--out", str(out)]
+            assert main(argv + extra) == 0
+            outs.append(TestDeterminism().read_all(out))
+        assert outs[0] == outs[1]
+
+
+class TestRank:
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        ll, st = tmp_path / "ll.csv", tmp_path / "st.csv"
+        make_loglik_csv(ll)  # 60 draws x 8 observations: retained rank 8
+        make_stats_csv(st)
+        return [str(ll), str(st)]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["freqcov", "--estimator", "projected"],
+            ["boot", "--method", "first", "--n-b", "5"],
+            ["boot", "--method", "second_projected", "--n-b", "5"],
+        ],
+    )
+    def test_rank_above_retained_is_usage_error(self, tmp_path, capsys, inputs, argv):
+        argv = argv[:1] + inputs + argv[1:] + ["--rank", "99", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--rank 99" in err and "retained rank 8" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["freqcov"],
+            ["freqcov", "--estimator", "centered"],
+            ["boot", "--method", "importance", "--n-b", "5"],
+            ["boot", "--method", "second_direct", "--n-b", "5"],
+            ["boot", "--method", "second_efficient", "--n-b", "5"],
+        ],
+    )
+    def test_rank_without_projection_is_usage_error(self, tmp_path, capsys, inputs, argv):
+        argv = argv[:1] + inputs + argv[1:] + ["--rank", "2", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "--rank applies only" in capsys.readouterr().err
+
+    def test_rank_from_config_file_is_checked_too(self, tmp_path, inputs):
+        cfg = tmp_path / "run.cfg"
+        write(cfg, "rank = 2\n")
+        assert main(["freqcov", *inputs, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_threads_flag_beats_inherited_thread_variables(tmp_path):
+    ll = tmp_path / "ll.csv"
+    make_loglik_csv(ll)
+    script = (
+        "import os, sys\n"
+        "import wkernel.cli as cli\n"
+        "assert 'numpy' not in sys.modules, 'import wkernel.cli loaded numpy'\n"
+        "rc = cli.main(sys.argv[1:])\n"
+        "print(rc, *(os.environ[v] for v in cli._THREAD_VARS))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="4")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["eigen", str(ll), "--threads", "1", "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"] + ["1"] * 5
