@@ -248,8 +248,12 @@ def main(argv=None) -> int:
         WkernelError,
     )
 
+    import numpy as np
+
     try:
-        run_command(_run_config(args))
+        # an overflow anywhere is a numerical failure, not an inf in the output
+        with np.errstate(over="raise"):
+            run_command(_run_config(args))
         return 0
     except ParseError as exc:
         print(f"wkernel: parse error: {exc}", file=sys.stderr)
@@ -257,7 +261,7 @@ def main(argv=None) -> int:
     except (UsageError, InvalidInput) as exc:
         print(f"wkernel: {exc}", file=sys.stderr)
         return 2
-    except (NotPSD, SingularInformation, NumericalFailure) as exc:
+    except (NotPSD, SingularInformation, NumericalFailure, FloatingPointError) as exc:
         print(f"wkernel: numerical failure: {exc}", file=sys.stderr)
         return 4
     except WkernelError as exc:
@@ -337,6 +341,12 @@ def _spectrum(w, rel_tol, max_rank):
     return chol, dual_eigen(chol)
 
 
+def _full_spectrum(w):
+    """W's whole retained spectrum, as the projected paths and ``demo`` use
+    it: pivoted Cholesky to relative tolerance 1e-10, with no rank cap."""
+    return _spectrum(w, 1e-10, w.n)[1]
+
+
 def _projection(loglik, rank):
     """Projection onto the leading ``rank`` directions of the raw W, or onto
     all retained ones when rank is None; more than that is a usage error."""
@@ -344,7 +354,7 @@ def _projection(loglik, rank):
     from .kernels import build_w
     from .spectral import project_loglik
 
-    _, basis = _spectrum(build_w(loglik, kind="raw"), 1e-10, loglik.n_obs)
+    basis = _full_spectrum(build_w(loglik, kind="raw"))
     if rank is not None and rank > basis.rank_retained:
         raise UsageError(
             f"--rank {rank} exceeds the retained rank {basis.rank_retained}"
@@ -622,7 +632,7 @@ def _cmd_demo(config: RunConfig, outdir: str) -> None:
         save_matrix(os.path.join(outdir, name), arr, header=header)
 
     w = build_w(bundle.loglik, kind="raw")
-    _, basis = _spectrum(w, 1e-10, w.n)
+    basis = _full_spectrum(w)
     _save_indexed(
         os.path.join(outdir, "eigenvalues.csv"),
         basis.eigenvalues,

@@ -3,9 +3,10 @@
 The leading eigenvectors of the W matrix span the directions of
 observation space that posterior means actually respond to.  This module
 computes that space two ways: an incomplete pivoted Cholesky
-factorization with greedy diagonal pivoting (cost O(rank^2 * n), and the
-pivots double as a representative subset of observations), whose small
-dual eigenproblem recovers the nonzero spectrum; and a full dense
+factorization with greedy diagonal pivoting, kept in observation order
+(left-looking: O(n * rank^2) plus one W column per step, and the pivots
+double as a representative subset of observations), whose small dual
+eigenproblem recovers the nonzero spectrum; and a full dense
 eigendecomposition used as oracle and fallback.  Projection helpers map
 log-likelihoods and perturbation vectors onto the retained directions.
 """
@@ -27,7 +28,7 @@ FULL_EIGEN_CAP = 2000
 # eigenvalues this far below the largest are treated as zero rank
 _RANK_DROP = 1e-14
 # pivot candidates within this absolute slack of the max diagonal tie-break
-# to the lowest original index, for deterministic output
+# to the lowest observation index, for deterministic output
 _PIVOT_TIE = 1e-14
 
 
@@ -35,23 +36,25 @@ _PIVOT_TIE = 1e-14
 class PivotedCholesky:
     """Incomplete pivoted Cholesky factorization of a PSD matrix.
 
-    W = P (L L^T + R) P^T with L lower trapezoidal in pivoted order.
-    ``order`` is the full permutation (original index of each pivoted
-    row); ``pivots`` are its first a_M entries, the observations chosen
-    greedily by largest residual diagonal.  ``residual_trace_history``
-    records tr R after each accepted column, so entry a-1 is the
-    reconstruction error trace of the rank-a truncation.
+    W = L L^T + R with L (n x a_M) in observation order: column k is
+    zero on the rows pivoted before step k, so L[pivots] is lower
+    triangular.  ``pivots`` are the observations chosen greedily by
+    largest residual diagonal, in the order they were taken.
+    ``residual_trace_history`` records tr R after each accepted column,
+    so entry a-1 is the reconstruction error trace of the rank-a
+    truncation.  The factorization costs O(n * a_M^2) plus one W column
+    per step.
     """
 
     L: np.ndarray
-    order: np.ndarray
+    pivots: np.ndarray
     residual_trace_history: np.ndarray
     trace_w: float
     n: int
 
     def __post_init__(self):
         object.__setattr__(self, "L", _readonly(self.L))
-        object.__setattr__(self, "order", _readonly(self.order, dtype=int))
+        object.__setattr__(self, "pivots", _readonly(self.pivots, dtype=int))
         object.__setattr__(
             self, "residual_trace_history", _readonly(self.residual_trace_history)
         )
@@ -61,19 +64,13 @@ class PivotedCholesky:
         return self.L.shape[1]
 
     @property
-    def pivots(self) -> np.ndarray:
-        return self.order[: self.a_M]
-
-    @property
     def residual_trace(self) -> float:
         hist = self.residual_trace_history
         return float(hist[-1]) if hist.size else self.trace_w
 
     def reconstruct(self) -> np.ndarray:
-        """Rank-a_M approximation P (L L^T) P^T in the original ordering."""
-        inv = np.argsort(self.order)
-        lo = self.L[inv, :]
-        return lo @ lo.T
+        """Rank-a_M approximation L L^T."""
+        return self.L @ self.L.T
 
 
 @dataclass(frozen=True)
@@ -149,27 +146,24 @@ class RepresentativeSet:
 
     Perturbations restricted to these a_M observations can reproduce the
     first-order effect of any perturbation on posterior means: project
-    eta through L to the pivot set, then through the dual eigenvectors
-    back to principal coordinates.
+    eta through L (``eta_map``, observation order) to the pivot set, then
+    through the dual eigenvectors back to principal coordinates.
     """
 
     indices: np.ndarray
     eta_map: np.ndarray
     eigen_link: np.ndarray
     eigenvalues: np.ndarray
-    order: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "indices", _readonly(self.indices, dtype=int))
         object.__setattr__(self, "eta_map", _readonly(self.eta_map))
         object.__setattr__(self, "eigen_link", _readonly(self.eigen_link))
         object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
-        object.__setattr__(self, "order", _readonly(self.order, dtype=int))
 
     def pivot_projection(self, eta) -> np.ndarray:
         """Map a full perturbation vector to values on the pivot set."""
-        eta = _as_eta(eta, self.order.shape[0])
-        return self.eta_map.T @ eta[self.order]
+        return self.eta_map.T @ _as_eta(eta, self.eta_map.shape[0])
 
     def principal_projection(self, eta) -> np.ndarray:
         """Reconstruct the principal-space projection from pivot values."""
@@ -205,11 +199,13 @@ def incomplete_cholesky(
 ) -> PivotedCholesky:
     """Greedy pivoted Cholesky of W, stopped on the residual trace.
 
-    At each step the observation with the largest residual diagonal is
-    pivoted to the front (ties go to the lowest original index) and one
-    column of L is computed.  Stops when tr R <= rel_tol * tr W or when
-    max_rank columns have been taken.  A residual diagonal below
-    -1e-10 * tr W means the input was not PSD.
+    Left-looking: only the residual diagonal d is kept up to date.  Each
+    step pivots on the largest d (ties go to the lowest index), reads
+    that one column of W and subtracts the columns of L taken so far,
+    so the cost is O(n * rank^2) and W is never copied or permuted.
+    Stops when tr R <= rel_tol * tr W or when max_rank columns have been
+    taken.  A residual diagonal below -1e-10 * tr W means the input was
+    not PSD.
     """
     if not 0.0 < rel_tol < 1.0:
         raise InvalidInput(f"rel_tol must be in (0, 1), got {rel_tol}")
@@ -219,66 +215,48 @@ def incomplete_cholesky(
     if not 0 < max_rank <= n:
         raise InvalidInput(f"max_rank must be in [1, {n}], got {max_rank}")
 
-    a = np.array(w.values, dtype=float)
-    order = np.arange(n)
-    trace_w = float(np.trace(a))
-    big_l = np.zeros((n, max_rank))
+    values = w.values
+    trace_w = float(np.trace(values))
+    if trace_w < -1e-10 * max(abs(trace_w), 1.0):
+        raise NotPSD("matrix has negative trace")
+    # residual diagonal; pivoted entries are held at exactly zero
+    d = np.diagonal(values).copy()
+    free = np.ones(n, dtype=bool)
+    # columns of L, grown by doubling so a low rank never costs n x max_rank
+    big_l = np.zeros((n, min(max_rank, 64)))
+    pivots = []
     history = []
 
-    if trace_w <= 0.0:
-        # degenerate zero matrix: empty factor rather than an error
-        if trace_w < -1e-10 * max(abs(trace_w), 1.0):
-            raise NotPSD("matrix has negative trace")
-        return PivotedCholesky(
-            L=np.zeros((n, 0)),
-            order=order,
-            residual_trace_history=np.zeros(0),
-            trace_w=trace_w,
-            n=n,
-        )
-
-    cols = 0
-    for col in range(max_rank):
-        diag = np.diagonal(a)[col:]
-        if np.min(diag) < -1e-10 * trace_w:
+    # a degenerate zero matrix gives an empty factor rather than an error
+    while trace_w > 0.0:
+        if np.min(d) < -1e-10 * trace_w:
             raise NotPSD(
-                f"residual diagonal fell to {np.min(diag):.3e} "
+                f"residual diagonal fell to {np.min(d):.3e} "
                 f"(limit {-1e-10 * trace_w:.3e}); input is not PSD"
             )
-        d_max = np.max(diag)
-        if d_max <= 0.0:
+        k = len(pivots)
+        d_max = np.max(d)
+        converged = bool(history) and history[-1] <= rel_tol * trace_w
+        if k == max_rank or d_max <= 0.0 or converged:
             break
-        candidates = np.nonzero(diag >= d_max - _PIVOT_TIE)[0] + col
-        j = candidates[np.argmin(order[candidates])]
+        p = int(np.argmax(free & (d >= d_max - _PIVOT_TIE)))
 
-        if j != col:
-            a[:, [col, j]] = a[:, [j, col]]
-            a[[col, j], :] = a[[j, col], :]
-            order[[col, j]] = order[[j, col]]
-            big_l[[col, j], :col] = big_l[[j, col], :col]
-
-        pivot = np.sqrt(a[col, col])
-        big_l[col, col] = pivot
-        if col + 1 < n:
-            big_l[col + 1 :, col] = a[col + 1 :, col] / pivot
-            a[col + 1 :, col + 1 :] -= np.outer(
-                big_l[col + 1 :, col], big_l[col + 1 :, col]
-            )
-        cols = col + 1
-        resid_diag = np.diagonal(a)[cols:]
-        if resid_diag.size and np.min(resid_diag) < -1e-10 * trace_w:
-            raise NotPSD(
-                f"residual diagonal fell to {np.min(resid_diag):.3e} "
-                f"(limit {-1e-10 * trace_w:.3e}); input is not PSD"
-            )
-        residual = float(np.sum(resid_diag))
-        history.append(residual)
-        if residual <= rel_tol * trace_w:
-            break
+        if k == big_l.shape[1]:
+            big_l = np.hstack([big_l, np.zeros((n, min(k, max_rank - k)))])
+        pivot = np.sqrt(d[p])
+        col = (values[:, p] - big_l[:, :k] @ big_l[p, :k]) / pivot
+        col[~free] = 0.0
+        col[p] = pivot
+        big_l[:, k] = col
+        d -= col * col
+        d[p] = 0.0
+        free[p] = False
+        pivots.append(p)
+        history.append(float(np.sum(d)))
 
     return PivotedCholesky(
-        L=big_l[:, :cols],
-        order=order,
+        L=big_l[:, : len(pivots)],
+        pivots=np.array(pivots, dtype=int),
         residual_trace_history=np.array(history),
         trace_w=trace_w,
         n=n,
@@ -290,8 +268,8 @@ def dual_eigen(chol: PivotedCholesky) -> SpectralBasis:
 
     Solves the a_M x a_M eigenproblem of L^T L, whose nonzero
     eigenvalues equal those of L L^T, and lifts each eigenvector V_a to
-    the unit eigenvector L V_a / sqrt(lambda_a) of W, mapped back
-    through the pivot permutation.  Directions with eigenvalues at
+    the unit eigenvector L V_a / sqrt(lambda_a) of W (already in
+    observation order).  Directions with eigenvalues at
     relative level 1e-14 or below are dropped.
     """
     if chol.a_M == 0:
@@ -312,10 +290,8 @@ def dual_eigen(chol: PivotedCholesky) -> SpectralBasis:
     evals = evals[keep]
     evecs = evecs[:, keep]
 
-    lifted = chol.L @ evecs
-    lifted /= np.sqrt(evals)
-    vectors = np.empty_like(lifted)
-    vectors[chol.order, :] = lifted
+    vectors = chol.L @ evecs
+    vectors /= np.sqrt(evals)
     # one sign convention for the lifted vectors and the dual vectors, so
     # the representative-set reconstruction reproduces the same coordinates
     signs = _signs(vectors)
@@ -413,7 +389,6 @@ def representative_set(chol: PivotedCholesky, basis: SpectralBasis) -> Represent
         eta_map=chol.L,
         eigen_link=basis.dual_vectors,
         eigenvalues=basis.eigenvalues,
-        order=chol.order,
     )
 
 

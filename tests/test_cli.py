@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -384,6 +385,44 @@ class TestCommands:
         w = tmp_path / "w.csv"
         write(w, "1,2\n2,1\n")  # indefinite
         assert main(["eigen", str(w), "--matrix", "w"]) == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["freqcov", "{ll}", "{st}"],
+            ["freqcov", "{ll}", "{st}", "--estimator", "projected"],
+            ["diag", "{ll}", "{st}"],
+            ["boot", "{ll}", "{st}", "--method", "first"],
+            ["boot", "{ll}", "{st}", "--method", "second_projected"],
+            ["boot", "{ll}", "{st}", "--method", "second_efficient"],
+            ["eigen", "{ll}"],
+            ["rep", "{ll}"],
+            ["zmat", "{ll}"],
+        ],
+    )
+    def test_overflow_is_numerical_failure(self, tmp_path, capsys, argv):
+        assert self._run_scaled(tmp_path, argv) == 4
+        assert "numerical failure: overflow" in capsys.readouterr().err
+
+    def test_importance_weights_survive_overflowing_scale(self, tmp_path):
+        # the importance weights are shifted by their maximum before exp
+        argv = ["boot", "{ll}", "{st}", "--method", "importance"]
+        assert self._run_scaled(tmp_path, argv) == 0
+
+    @staticmethod
+    def _run_scaled(tmp_path, argv):
+        """Run argv on a 20 x 5 log-likelihood scaled by 1e160; no
+        RuntimeWarning may escape."""
+        ll, st = tmp_path / "ll.csv", tmp_path / "st.csv"
+        arr = np.random.default_rng(0).standard_normal((20, 5)) * 1e160
+        save_matrix(ll, arr, header=[f"obs_{i}" for i in range(5)])
+        make_stats_csv(st, m=20)
+        argv = [a.format(ll=ll, st=st) for a in argv] + ["--out", str(tmp_path / "o")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        return rc
 
     def test_missing_command_usage(self):
         assert main([]) == 2

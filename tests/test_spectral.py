@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wkernel.core import LogLikMatrix, WeightVector, posterior_var, third_cumulant
 from wkernel.errors import InvalidInput, NotPSD
 from wkernel.kernels import WMatrix, build_w
 from wkernel.spectral import (
+    _PIVOT_TIE,
     dual_eigen,
     full_eigen,
     incomplete_cholesky,
@@ -86,6 +89,92 @@ class TestIncompleteCholesky:
     def test_bad_tolerance(self):
         with pytest.raises(InvalidInput):
             incomplete_cholesky(wmat(np.eye(2)), rel_tol=0.0)
+
+
+@st.composite
+def psd_cases(draw):
+    """Random PSD W, possibly rank-deficient, possibly with duplicated
+    observations (identical rows and columns, so exact diagonal ties),
+    scaled to unit largest diagonal."""
+    n_unique = draw(st.integers(1, 8))
+    rank = draw(st.integers(1, n_unique))
+    n_dup = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((n_unique, rank))
+    w0 = base @ base.T
+    w0 = (w0 + w0.T) / 2.0
+    dups = rng.integers(0, n_unique, n_dup)
+    idx = rng.permutation(np.concatenate([np.arange(n_unique), dups]))
+    w = w0[np.ix_(idx, idx)]
+    return w / np.max(np.diagonal(w))
+
+
+def schur_diagonals(w, pivots):
+    """Residual diagonal before each step, from explicit dense Schur complements."""
+    s = np.array(w, dtype=float)
+    out = []
+    for p in pivots:
+        out.append(np.diagonal(s).copy())
+        s = s - np.outer(s[:, p], s[:, p]) / s[p, p]
+    return out
+
+
+_PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+class TestCholeskyProperties:
+    @_PROPERTY
+    @given(psd_cases(), st.integers(1, 12))
+    def test_pivots_follow_the_schur_complement(self, w, max_rank):
+        n = w.shape[0]
+        chol = incomplete_cholesky(wmat(w), rel_tol=1e-10, max_rank=min(max_rank, n))
+        free = np.ones(n, dtype=bool)
+        slack = _PIVOT_TIE / 4
+        for k, (p, ref) in enumerate(zip(chol.pivots, schur_diagonals(w, chol.pivots))):
+            assert free[p]
+            top = np.max(ref[free])
+            # a largest residual diagonal, and no lower free index ties with it
+            assert ref[p] >= top - _PIVOT_TIE - slack
+            lower = free.copy()
+            lower[p:] = False
+            assert np.all(ref[lower] < top - _PIVOT_TIE + slack)
+            assert chol.L[p, k] == pytest.approx(np.sqrt(ref[p]), rel=1e-10)
+            free[p] = False
+
+    @_PROPERTY
+    @given(psd_cases(), st.integers(1, 12))
+    def test_factor_is_in_observation_order(self, w, max_rank):
+        n = w.shape[0]
+        chol = incomplete_cholesky(wmat(w), rel_tol=1e-10, max_rank=min(max_rank, n))
+        assert chol.L.shape == (n, chol.a_M)
+        assert len(set(chol.pivots.tolist())) == chol.a_M
+        # column k is zero on every row pivoted before step k
+        tri = chol.L[chol.pivots]
+        assert np.all(np.triu(tri, 1) == 0.0)
+        assert np.all(np.diagonal(tri) > 0.0)
+        assert np.trace(w - chol.reconstruct()) == pytest.approx(
+            chol.residual_trace, abs=1e-10 * chol.trace_w
+        )
+
+    @_PROPERTY
+    @given(psd_cases())
+    def test_dual_eigen_matches_full_eigen_at_full_rank(self, w):
+        n = w.shape[0]
+        basis_d = dual_eigen(incomplete_cholesky(wmat(w), rel_tol=1e-12, max_rank=n))
+        basis_f = full_eigen(wmat(w))
+        k = basis_d.rank_retained
+        lam = basis_f.eigenvalues
+        tol = 1e-10 * lam[0]
+        np.testing.assert_allclose(basis_d.eigenvalues, lam[:k], rtol=0, atol=tol)
+        assert np.all(lam[k:] <= tol)
+        # eigenvectors are unique (same sign convention) where the gap is wide
+        gaps = np.abs(lam[:k, None] - lam[None, :])
+        gaps[np.arange(k), np.arange(k)] = np.inf
+        wide = np.min(gaps, axis=1) > 1e-3 * lam[0]
+        vectors_f = basis_f.vectors[:, :k]
+        np.testing.assert_allclose(
+            basis_d.vectors[:, wide], vectors_f[:, wide], rtol=0, atol=1e-10
+        )
 
 
 class TestDualEigen:
