@@ -308,6 +308,10 @@ def third_cumulant_grid(stats: StatMatrix, funcs: np.ndarray) -> np.ndarray:
     ac = stats.values - stats.values.mean(axis=0)
     fc = f - f.mean(axis=0)
     tensor = np.einsum("up,ua,ub->pab", ac, fc, fc, optimize=True) / f.shape[0]
+    # einsum's BLAS contraction ignores np.errstate, so its overflow is
+    # reported here rather than as infs in the caller's estimates
+    if not np.isfinite(tensor).all() and np.isfinite(f).all():
+        raise FloatingPointError("overflow encountered in third cumulant tensor")
     return tensor
 
 

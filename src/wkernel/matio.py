@@ -3,6 +3,14 @@
 All numeric output uses shortest round-trip decimal formatting, so
 save -> load is the identity and repeated runs are byte-identical.
 Every CSV written by the package carries a header row.
+
+A matrix is read in two steps.  numpy's C text reader parses the data
+rows first; when it refuses them, or reads a value that is not finite,
+a cell-by-cell parser reads the same rows again.  That parser alone
+decides what a ParseError says and where it points, and it accepts the
+cells Python's ``float`` takes but numpy does not, such as ``1_0``.
+Both readers round through ``PyOS_string_to_double``, so they give the
+same bits for every cell both accept.
 """
 
 from __future__ import annotations
@@ -30,8 +38,11 @@ def load_matrix(path, min_rows: int = 1):
     """Load a CSV matrix; returns (array, header-or-None).
 
     The first row is treated as a header when any of its cells does not
-    parse as a number.  Ragged rows, non-numeric cells, and empty files
-    raise ParseError with the offending location (1-based).
+    parse as a number.  The data rows go to ``np.loadtxt`` first; if it
+    raises ValueError or yields a non-finite value, the cell-by-cell
+    parser reads them instead.  Ragged rows, non-numeric cells,
+    non-finite values, and empty files raise ParseError with the
+    offending location (1-based).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -50,9 +61,26 @@ def load_matrix(path, min_rows: int = 1):
         if not rows:
             raise ParseError("file has a header but no data rows", path=path)
 
+    try:
+        arr = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        arr = _parse_rows(rows, path, offset=2 if header is not None else 1)
+    if arr.shape[0] < min_rows:
+        raise ParseError(f"expected at least {min_rows} rows", path=path)
+    if header is not None and len(header) != arr.shape[1]:
+        raise ParseError(
+            f"header has {len(header)} names for {arr.shape[1]} columns", path=path
+        )
+    return arr, header
+
+
+def _parse_rows(rows, path, offset: int) -> np.ndarray:
+    """Parse data rows cell by cell with ``float``; ``rows[0]`` is row
+    ``offset`` (1-based, counting non-blank lines only)."""
     width = None
     data = []
-    offset = 2 if header is not None else 1
     for r, line in enumerate(rows):
         cells = line.split(",")
         if width is None:
@@ -79,14 +107,7 @@ def load_matrix(path, min_rows: int = 1):
                 )
             parsed.append(val)
         data.append(parsed)
-    arr = np.array(data, dtype=float)
-    if arr.shape[0] < min_rows:
-        raise ParseError(f"expected at least {min_rows} rows", path=path)
-    if header is not None and len(header) != arr.shape[1]:
-        raise ParseError(
-            f"header has {len(header)} names for {arr.shape[1]} columns", path=path
-        )
-    return arr, header
+    return np.array(data, dtype=float)
 
 
 def load_vector(path):
@@ -121,8 +142,9 @@ def save_matrix(path, arr, header=None, row_names=None) -> None:
         raise InvalidInput(f"{len(row_names)} row names for {arr.shape[0]} rows")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(str(h) for h in header) + "\n")
-        for lead, row in zip(leads, arr):
-            fh.write(lead + ",".join(_fmt(v) for v in row) + "\n")
+        # repr of a Python float is _fmt's shortest round-trip form
+        for lead, row in zip(leads, arr.tolist()):
+            fh.write(lead + ",".join(map(repr, row)) + "\n")
 
 
 def save_keyvalue(path, pairs) -> None:

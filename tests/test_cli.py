@@ -374,6 +374,33 @@ class TestCommands:
         write(bad, "1,2\n3\n")
         assert main(["eigen", str(bad)]) == 3
 
+    @pytest.mark.parametrize("cell", ["1e400", "nan"])
+    def test_non_finite_cell_is_parse_error(self, tmp_path, capsys, cell):
+        # numpy's reader takes these cells; the cell parser must still
+        # name them, and the CLI's np.errstate must not turn them into 4
+        ll = tmp_path / "ll.csv"
+        make_loglik_csv(ll, m=20, n=5)
+        lines = ll.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = cell
+        lines[2] = ",".join(cells)
+        write(ll, "\n".join(lines) + "\n")
+        assert main(["eigen", str(ll), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite value" in err and "row 3, col 2" in err
+        assert "Traceback" not in err
+
+    def test_cell_only_float_reads_still_runs(self, tmp_path):
+        # numpy's reader refuses "1_0"; the cell parser reads it as 10.0
+        ll = tmp_path / "ll.csv"
+        arr = make_loglik_csv(ll, m=20, n=5)
+        lines = ll.read_text().splitlines()
+        lines[1] = "1_0," + lines[1].split(",", 1)[1]
+        write(ll, "\n".join(lines) + "\n")
+        arr[0, 0] = 10.0
+        np.testing.assert_array_equal(load_matrix(ll)[0], arr)
+        assert main(["eigen", str(ll), "--out", str(tmp_path / "o")]) == 0
+
     def test_dimension_mismatch_exit_code(self, tmp_path):
         ll = tmp_path / "ll.csv"
         st = tmp_path / "st.csv"
@@ -395,6 +422,7 @@ class TestCommands:
             ["boot", "{ll}", "{st}", "--method", "first"],
             ["boot", "{ll}", "{st}", "--method", "second_projected"],
             ["boot", "{ll}", "{st}", "--method", "second_efficient"],
+            ["boot", "{ll}", "{st}", "--method", "second_direct", "--n-b", "20"],
             ["eigen", "{ll}"],
             ["rep", "{ll}"],
             ["zmat", "{ll}"],

@@ -1,0 +1,112 @@
+"""load_matrix against its cell-by-cell parser on generated CSV text.
+
+The reference is ``load_matrix`` with numpy's reader made to refuse
+every input, so only the cell parser runs.  Both must give the same
+array bytes and header, or the same ParseError message.
+"""
+
+import os
+import tempfile
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wkernel import matio
+from wkernel.errors import ParseError
+
+EDGE_VALUES = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.225073858507201e-308,
+    1e308,
+    -1e308,
+    1.7976931348623157e308,
+]
+DEFECTS = [
+    "nan",
+    "inf",
+    "1e400",
+    "empty",
+    "trailing_comma",
+    "ragged",
+    "word",
+    "underscore",
+    "full_width",
+    "comment",
+]
+FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_VALUES)
+)
+
+
+@st.composite
+def csv_text(draw):
+    """CSV text of a finite matrix, with optional formatting quirks and at
+    most one defect; returns (text, has_defect)."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 5))
+    fmt = draw(st.sampled_from([repr, lambda v: "%.17g" % v]))
+    pad = draw(st.sampled_from(["", " ", "  "]))
+    rows = [
+        [pad + fmt(draw(finite)) + pad for _ in range(n)] for _ in range(m)
+    ]
+    defect = draw(st.none() | st.sampled_from(DEFECTS))
+    if defect is not None:
+        r, c = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+        if defect == "empty":
+            rows[r][c] = ""
+        elif defect == "trailing_comma":
+            rows[r].append("")
+        elif defect == "ragged":
+            rows[r] = rows[r][:-1] if n > 1 else rows[r] + ["1.0"]
+        elif defect == "word":
+            rows[r][c] = "abc"
+        elif defect == "underscore":
+            rows[r][c] = "1_0"
+        elif defect == "full_width":
+            rows[r][c] = rows[r][c].translate(FULL_WIDTH)
+        elif defect == "comment":
+            rows[r][0] = "#" + rows[r][0].lstrip()
+        else:
+            rows[r][c] = defect
+    lines = [",".join(cells) for cells in rows]
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(f"c{j}" for j in range(n)))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + eol, defect is not None
+
+
+def _outcome(path):
+    try:
+        arr, header = matio.load_matrix(path)
+    except ParseError as exc:
+        return "error", str(exc)
+    return arr.shape, arr.tobytes(), header
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=csv_text())
+def test_load_matrix_matches_cell_parser(case):
+    text, has_defect = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with mock.patch.object(
+            matio, "_parse_rows", wraps=matio._parse_rows
+        ) as cell_parser:
+            got = _outcome(path)
+        with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+            want = _outcome(path)
+    assert got == want
+    if not has_defect:
+        # clean input never needs the slow parser
+        assert cell_parser.call_count == 0
