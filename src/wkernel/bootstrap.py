@@ -17,9 +17,11 @@ resample perturbation eta = counts - 1 around the original posterior:
                    exp(sum_i eta_i l_i), exact as M grows but prone to
                    weight collapse
 
-Replicate streams are counter-based (Philox) and derived from
-(seed, replicate index), so results are reproducible and independent of
-any execution schedule.
+All replicates live in one (n_b x n) count matrix, ``Resamples``.
+Replicate r is drawn from the counter-based Philox stream keyed by the
+seed and jumped r times, so results are reproducible and independent of
+any execution schedule; one generator is rewound to each replicate's
+counter.
 """
 
 from __future__ import annotations
@@ -50,27 +52,45 @@ _METHODS = (
 
 # p * n^2 scalars above which the second-order tensor is not precomputed
 DIRECT_TENSOR_BUDGET = 10**8
+# n_b * n above which resamples are refused: counts and eta take 1 GiB each
+MAX_RESAMPLE_CELLS = 2**27
 # replicate block size for the draw-by-replicate work matrices
 _BLOCK = 256
 
 
 @dataclass(frozen=True)
-class ResampleDraw:
-    """One multinomial resample: how many times each observation was drawn."""
+class Resamples:
+    """Multinomial resamples as a read-only (n_b x n) count matrix.
+
+    Row r holds how many times each observation was drawn in replicate r;
+    every row sums to n.
+    """
 
     counts: np.ndarray
 
     def __post_init__(self):
-        arr = _readonly(self.counts, dtype=int)
-        if arr.ndim != 1:
-            raise InvalidInput("resample counts must be 1-D")
-        if np.any(arr < 0):
-            raise InvalidInput("resample counts must be nonnegative")
-        if arr.sum() != arr.shape[0]:
+        arr = _readonly(self.counts, dtype=np.int64)
+        if arr.ndim != 2:
             raise InvalidInput(
-                f"resample counts must sum to n={arr.shape[0]}, got {arr.sum()}"
+                "resample counts must be 2-D (replicates x observations), "
+                f"got {arr.ndim}-D"
+            )
+        if arr.shape[0] < 1:
+            raise InvalidInput("need at least one replicate")
+        negative = np.flatnonzero((arr < 0).any(axis=1))
+        if negative.size:
+            raise InvalidInput(f"resample {negative[0]} has a negative count")
+        sums = arr.sum(axis=1)
+        off = np.flatnonzero(sums != arr.shape[1])
+        if off.size:
+            r = off[0]
+            raise InvalidInput(
+                f"resample {r} counts must sum to n={arr.shape[1]}, got {sums[r]}"
             )
         object.__setattr__(self, "counts", arr)
+
+    def __len__(self) -> int:
+        return self.counts.shape[0]
 
     @property
     def eta(self) -> np.ndarray:
@@ -78,7 +98,7 @@ class ResampleDraw:
 
     @property
     def n_obs(self) -> int:
-        return self.counts.shape[0]
+        return self.counts.shape[1]
 
 
 @dataclass(frozen=True)
@@ -139,42 +159,52 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(index))
 
 
-def draw_resamples(n: int, n_b: int, seed: int) -> list[ResampleDraw]:
+def draw_resamples(n: int, n_b: int, seed: int) -> Resamples:
     """n_b independent multinomial(n, uniform) resamples.
 
-    Each replicate draws n uniform category indices and aggregates them
-    to counts, which is exactly the multinomial distribution with equal
-    cell probabilities.
+    Replicate r draws n uniform category indices from
+    ``replicate_rng(seed, r)`` and counts them into row r, which is
+    exactly the multinomial distribution with equal cell probabilities.
+    One Philox generator serves every replicate: its state is set to the
+    counter and empty buffer that jumping r times produces, so each row
+    equals the per-replicate stream bit for bit.  Raises InvalidInput
+    when n_b x n exceeds MAX_RESAMPLE_CELLS.
     """
     if n < 1:
         raise InvalidInput("need at least one observation")
     if n_b < 1:
         raise InvalidInput("need at least one replicate")
-    out = []
+    if n_b * n > MAX_RESAMPLE_CELLS:
+        raise InvalidInput(
+            f"n_b x n = {n_b} x {n} resample counts exceed the limit of "
+            f"{MAX_RESAMPLE_CELLS}"
+        )
+    bitgen = np.random.Philox(key=seed)
+    rng = np.random.Generator(bitgen)
+    # a fresh state has counter 0 and an empty buffer; jumped(r) adds r
+    # to counter word 2 (one jump is 2**128 steps) and empties the buffer
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    counts = np.empty((n_b, n), dtype=np.int64)
     for r in range(n_b):
-        rng = replicate_rng(seed, r)
-        cats = rng.integers(0, n, size=n)
-        out.append(ResampleDraw(counts=np.bincount(cats, minlength=n)))
-    return out
+        counter[2] = r
+        bitgen.state = state
+        counts[r] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    return Resamples(counts=counts)
 
 
-def _eta_matrix(resamples, n: int) -> np.ndarray:
-    if not resamples:
-        raise InvalidInput("empty resample list")
-    h = np.empty((len(resamples), n))
-    for r, draw in enumerate(resamples):
-        if draw.n_obs != n:
-            raise InvalidInput(
-                f"resample {r} has {draw.n_obs} observations, expected {n}"
-            )
-        h[r] = draw.eta
-    return h
+def _eta(resamples: Resamples, n: int) -> np.ndarray:
+    if resamples.n_obs != n:
+        raise InvalidInput(
+            f"resamples have {resamples.n_obs} observations, expected {n}"
+        )
+    return resamples.eta
 
 
 def boot_first(
     stats: StatMatrix,
     loglik: LogLikMatrix,
-    resamples,
+    resamples: Resamples,
     projection: ProjectedLogLik | None = None,
     seed: int | None = None,
 ) -> BootstrapRun:
@@ -186,7 +216,7 @@ def boot_first(
     when the projection keeps the full rank.
     """
     _check_paired(stats, loglik)
-    h = _eta_matrix(resamples, loglik.n_obs)
+    h = _eta(resamples, loglik.n_obs)
     mean = stats.values.mean(axis=0)
     rank = None
     if projection is not None:
@@ -228,7 +258,7 @@ def _second_term_efficient(stats, loglik_values, h) -> np.ndarray:
 def boot_second(
     stats: StatMatrix,
     loglik: LogLikMatrix,
-    resamples,
+    resamples: Resamples,
     mode: str = "auto",
     projection: ProjectedLogLik | None = None,
     tensor_budget: int = DIRECT_TENSOR_BUDGET,
@@ -245,7 +275,7 @@ def boot_second(
     if mode not in ("auto", "direct", "efficient"):
         raise InvalidInput(f"mode must be auto/direct/efficient, got {mode!r}")
     _check_paired(stats, loglik)
-    h = _eta_matrix(resamples, loglik.n_obs)
+    h = _eta(resamples, loglik.n_obs)
     mean = stats.values.mean(axis=0)
     first_grid = posterior_cov_grid(stats.values, loglik.values)
     first_term = h @ first_grid.T
@@ -284,7 +314,7 @@ def boot_second(
 def boot_importance(
     stats: StatMatrix,
     loglik: LogLikMatrix,
-    resamples,
+    resamples: Resamples,
     seed: int | None = None,
 ):
     """Self-normalized importance-sampling replicate estimates.
@@ -295,7 +325,7 @@ def boot_importance(
     flagged as degenerate and their estimates left NaN.
     """
     _check_paired(stats, loglik)
-    h = _eta_matrix(resamples, loglik.n_obs)
+    h = _eta(resamples, loglik.n_obs)
     n_b = h.shape[0]
     m = loglik.n_draws
     estimates = np.full((n_b, stats.n_stats), np.nan)
@@ -331,21 +361,22 @@ def boot_importance(
     return run, diags
 
 
-def boot_gold(model_refitter, resamples, seed: int | None = None) -> BootstrapRun:
+def boot_gold(
+    model_refitter, resamples: Resamples, seed: int | None = None
+) -> BootstrapRun:
     """Gold-standard bootstrap: refit the model on every resample.
 
-    ``model_refitter`` maps a ResampleDraw to the vector of estimates for
-    that replicate (an exact reweighted posterior for conjugate models,
-    or a full sampler rerun).  Failures carry the replicate index.
+    ``model_refitter`` maps one row of ``resamples.counts`` to the vector
+    of estimates for that replicate (an exact reweighted posterior for
+    conjugate models, or a full sampler rerun).  Failures carry the
+    replicate index.
     """
     rows = []
-    for idx, draw in enumerate(resamples):
+    for idx, counts in enumerate(resamples.counts):
         try:
-            rows.append(np.atleast_1d(np.asarray(model_refitter(draw), dtype=float)))
+            rows.append(np.atleast_1d(np.asarray(model_refitter(counts), dtype=float)))
         except Exception as exc:
             raise RuntimeError(f"refit callback failed at replicate {idx}") from exc
-    if not rows:
-        raise InvalidInput("empty resample list")
     return BootstrapRun(estimates=np.vstack(rows), method="gold", seed=seed)
 
 

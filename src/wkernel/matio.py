@@ -37,12 +37,13 @@ def _parse_cell(cell: str):
 def load_matrix(path, min_rows: int = 1):
     """Load a CSV matrix; returns (array, header-or-None).
 
-    The first row is treated as a header when any of its cells does not
-    parse as a number.  The data rows go to ``np.loadtxt`` first; if it
-    raises ValueError or yields a non-finite value, the cell-by-cell
-    parser reads them instead.  Ragged rows, non-numeric cells,
-    non-finite values, and empty files raise ParseError with the
-    offending location (1-based).
+    The first row is treated as a header when none of its cells parses
+    as a number; a first row that mixes numbers and text is data, so its
+    bad cell raises ParseError at row 1.  The data rows go to
+    ``np.loadtxt`` first; if it raises ValueError or yields a non-finite
+    value, the cell-by-cell parser reads them instead.  Ragged rows,
+    non-numeric cells, non-finite values, and empty files raise
+    ParseError with the offending location (1-based).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -55,7 +56,7 @@ def load_matrix(path, min_rows: int = 1):
 
     header = None
     first = rows[0].split(",")
-    if any(_parse_cell(c.strip()) is None for c in first):
+    if all(_parse_cell(c.strip()) is None for c in first):
         header = [c.strip() for c in first]
         rows = rows[1:]
         if not rows:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from wkernel.bootstrap import (
-    ResampleDraw,
+    Resamples,
     boot_first,
     boot_gold,
     boot_importance,
@@ -470,7 +470,7 @@ def test_criterion_12_bound_suites():
 def test_criterion_13_importance_bootstrap(weibull_small_bundle):
     bundle = weibull_small_bundle
     stats = bundle.default_stats()
-    identity = [ResampleDraw(counts=np.ones(bundle.n_obs, dtype=int))]
+    identity = Resamples(counts=np.ones(bundle.n_obs, dtype=int)[None, :])
     mean = stats.values.mean(axis=0)
     run_is, _ = boot_importance(stats, bundle.loglik, identity)
     run_1 = boot_first(stats, bundle.loglik, identity)
@@ -488,8 +488,8 @@ def test_criterion_13_importance_bootstrap(weibull_small_bundle):
     bb_stats = bb.default_stats()
     bb_resamples = draw_resamples(bb.n_obs, 400, seed=113)
 
-    def refit(draw):
-        return [bb.exact_weighted_mean(WeightVector(draw.counts.astype(float)), "q_mean")]
+    def refit(counts):
+        return [bb.exact_weighted_mean(WeightVector(counts.astype(float)), "q_mean")]
 
     gold = boot_gold(refit, bb_resamples)
     first = boot_first(bb_stats, bb.loglik, bb_resamples)

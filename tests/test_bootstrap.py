@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wkernel.bootstrap import (
     BootstrapRun,
-    ResampleDraw,
+    Resamples,
     boot_first,
     boot_gold,
     boot_importance,
     boot_second,
     draw_resamples,
+    replicate_rng,
     summarize_bootstrap,
 )
 from wkernel.core import LogLikMatrix, StatMatrix, WeightVector
@@ -21,7 +24,7 @@ from wkernel.spectral import full_eigen, project_loglik
 
 
 def all_ones_resample(n):
-    return ResampleDraw(counts=np.ones(n, dtype=int))
+    return Resamples(counts=np.ones(n, dtype=int)[None, :])
 
 
 def random_case(seed, m=30, n=6, p=2):
@@ -31,52 +34,99 @@ def random_case(seed, m=30, n=6, p=2):
     return stats, ll
 
 
-class TestResampleDraw:
+class TestResamples:
     def test_counts_must_sum_to_n(self):
         with pytest.raises(InvalidInput):
-            ResampleDraw(counts=np.array([2, 0, 0, 0, 1]))
-        ResampleDraw(counts=np.array([2, 0, 0, 2, 1]))  # sums to 5
+            Resamples(counts=np.array([2, 0, 0, 0, 1])[None, :])
+        Resamples(counts=np.array([2, 0, 0, 2, 1])[None, :])  # sums to 5
 
     def test_eta(self):
-        draw = ResampleDraw(counts=np.array([3, 0, 0]))
-        np.testing.assert_allclose(draw.eta, [2.0, -1.0, -1.0])
+        resamples = Resamples(counts=np.array([3, 0, 0])[None, :])
+        np.testing.assert_allclose(resamples.eta[0], [2.0, -1.0, -1.0])
+
+    def test_counts_are_read_only(self):
+        resamples = Resamples(counts=np.ones((2, 3), dtype=int))
+        assert len(resamples) == 2 and resamples.n_obs == 3
+        with pytest.raises(ValueError):
+            resamples.counts[0, 0] = 5
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            (np.ones(4, dtype=int), "2-D"),
+            (np.ones((0, 4), dtype=int), "at least one replicate"),
+            ([[1, 1, 1], [3, -1, 1]], "resample 1 has a negative count"),
+            ([[1, 1, 1], [1, 1, 1], [2, 1, 1]], "resample 2 .* sum to n=3, got 4"),
+            ([[1, 1, 1], [1, 1, 0], [2, 1, 1]], "resample 1 .* sum to n=3, got 2"),
+        ],
+    )
+    def test_invalid_counts_name_the_replicate(self, counts, message):
+        with pytest.raises(InvalidInput, match=message):
+            Resamples(counts=counts)
+
+    def test_observation_count_must_match(self):
+        stats, ll = random_case(31)
+        with pytest.raises(InvalidInput, match="5 observations, expected 6"):
+            boot_first(stats, ll, draw_resamples(5, 3, seed=0))
 
 
 class TestDrawResamples:
     def test_single_observation(self):
-        for draw in draw_resamples(1, 5, seed=0):
-            assert draw.counts.tolist() == [1]
+        for counts in draw_resamples(1, 5, seed=0).counts:
+            assert counts.tolist() == [1]
 
     def test_counts_mean_near_one(self):
         n, n_b = 10, 100000
         resamples = draw_resamples(n, n_b, seed=1)
         totals = np.zeros(n)
-        for draw in resamples:
-            totals += draw.counts
+        for counts in resamples.counts:
+            totals += counts
         np.testing.assert_allclose(totals / n_b, 1.0, atol=0.02)
 
     def test_seed_reproducibility(self):
         a = draw_resamples(8, 50, seed=42)
         b = draw_resamples(8, 50, seed=42)
-        for da, db in zip(a, b):
-            np.testing.assert_array_equal(da.counts, db.counts)
+        for da, db in zip(a.counts, b.counts):
+            np.testing.assert_array_equal(da, db)
         c = draw_resamples(8, 50, seed=43)
         assert any(
-            not np.array_equal(da.counts, dc.counts) for da, dc in zip(a, c)
+            not np.array_equal(da, dc) for da, dc in zip(a.counts, c.counts)
         )
 
     def test_replicate_streams_independent_of_order(self):
         full = draw_resamples(6, 20, seed=9)
         # drawing fewer replicates reproduces the same leading draws
         head = draw_resamples(6, 5, seed=9)
-        for da, db in zip(head, full[:5]):
-            np.testing.assert_array_equal(da.counts, db.counts)
+        for da, db in zip(head.counts, full.counts[:5]):
+            np.testing.assert_array_equal(da, db)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 300),
+        n_b=st.integers(1, 40),
+        seed=st.one_of(
+            st.sampled_from([0, 1, 2**63 + 5, 2**64 - 1]),
+            st.integers(0, 2**64 - 1),
+        ),
+    )
+    def test_rows_are_the_jumped_streams(self, n, n_b, seed):
+        # replicate r is Philox(key=seed) jumped r times, bit for bit
+        counts = draw_resamples(n, n_b, seed).counts
+        assert counts.shape == (n_b, n)
+        for r in range(n_b):
+            cats = replicate_rng(seed, r).integers(0, n, size=n)
+            np.testing.assert_array_equal(counts[r], np.bincount(cats, minlength=n))
+
+    def test_size_limit(self):
+        # 2**27 cells is the ceiling
+        with pytest.raises(InvalidInput, match="exceed the limit of 134217728"):
+            draw_resamples(2**14, 2**13 + 1, seed=0)
 
 
 class TestBootFirst:
     def test_identity_resample_returns_posterior_mean(self):
         stats, ll = random_case(2)
-        run = boot_first(stats, ll, [all_ones_resample(ll.n_obs)])
+        run = boot_first(stats, ll, all_ones_resample(ll.n_obs))
         np.testing.assert_allclose(
             run.estimates[0], stats.values.mean(axis=0), atol=1e-12
         )
@@ -87,7 +137,7 @@ class TestBootFirst:
         ll = LogLikMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         grid = sensitivity_first(stats, ll).first_order
         np.testing.assert_allclose(grid, [[0.5, -0.5]])
-        run = boot_first(stats, ll, [ResampleDraw(counts=np.array([2, 0]))])
+        run = boot_first(stats, ll, Resamples(counts=np.array([2, 0])[None, :]))
         assert run.estimates[0, 0] == pytest.approx(2.0)
 
     def test_normal_substitution_recovers_covariance_estimator(self):
@@ -121,7 +171,7 @@ class TestBootSecond:
     def test_identity_resample_returns_posterior_mean(self):
         stats, ll = random_case(6)
         for mode in ("direct", "efficient"):
-            run = boot_second(stats, ll, [all_ones_resample(ll.n_obs)], mode=mode)
+            run = boot_second(stats, ll, all_ones_resample(ll.n_obs), mode=mode)
             np.testing.assert_allclose(
                 run.estimates[0], stats.values.mean(axis=0), atol=1e-12
             )
@@ -175,8 +225,8 @@ class TestBootSecond:
             )
         )
         pair_bound = sd_l[:, None] + sd_l[None, :]
-        for r, draw in enumerate(resamples):
-            eta = np.abs(draw.eta)
+        for r, eta in enumerate(resamples.eta):
+            eta = np.abs(eta)
             weight = eta @ pair_bound @ eta
             for j in range(stats.n_stats):
                 bound = 0.5 * sup_a[j] * weight * tail + 1e-9
@@ -198,7 +248,7 @@ class TestBootSecond:
 class TestBootImportance:
     def test_identity_resample_gives_uniform_weights(self):
         stats, ll = random_case(17)
-        run, diags = boot_importance(stats, ll, [all_ones_resample(ll.n_obs)])
+        run, diags = boot_importance(stats, ll, all_ones_resample(ll.n_obs))
         np.testing.assert_allclose(
             run.estimates[0], stats.values.mean(axis=0), atol=1e-12
         )
@@ -209,7 +259,8 @@ class TestBootImportance:
         # log-weights (0, log 3) normalize to (1/4, 3/4)
         ll = LogLikMatrix(np.array([[0.0, 0.0], [np.log(3.0), 0.0]]))
         stats = StatMatrix(np.array([[0.0], [1.0]]))
-        run, diags = boot_importance(stats, ll, [ResampleDraw(counts=np.array([2, 0]))])
+        resamples = Resamples(counts=np.array([2, 0])[None, :])
+        run, diags = boot_importance(stats, ll, resamples)
         assert run.estimates[0, 0] == pytest.approx(0.75)
         assert diags.max_weight[0] == pytest.approx(0.75)
 
@@ -255,12 +306,12 @@ class TestBootImportance:
 class TestBootGold:
     def test_constant_callback(self):
         resamples = draw_resamples(4, 6, seed=21)
-        run = boot_gold(lambda draw: [1.5, -2.0], resamples)
+        run = boot_gold(lambda counts: [1.5, -2.0], resamples)
         np.testing.assert_allclose(run.estimates, np.tile([1.5, -2.0], (6, 1)))
 
     def test_deterministic_under_fixed_resamples(self):
         resamples = draw_resamples(5, 10, seed=23)
-        refit = lambda draw: [float(draw.counts @ np.arange(5.0))]  # noqa: E731
+        refit = lambda counts: [float(counts @ np.arange(5.0))]  # noqa: E731
         a = boot_gold(refit, resamples)
         b = boot_gold(refit, resamples)
         np.testing.assert_array_equal(a.estimates, b.estimates)
@@ -268,7 +319,7 @@ class TestBootGold:
     def test_failure_carries_replicate_index(self):
         resamples = draw_resamples(3, 5, seed=22)
 
-        def refit(draw):
+        def refit(counts):
             if refit.calls == 3:
                 raise ValueError("boom")
             refit.calls += 1
@@ -285,8 +336,8 @@ class TestBootGold:
         stats = bundle.default_stats()
         resamples = draw_resamples(bundle.n_obs, 400, seed=25)
 
-        def refit(draw):
-            return [bundle.exact_weighted_mean(WeightVector(draw.counts.astype(float)), "q_mean")]
+        def refit(counts):
+            return [bundle.exact_weighted_mean(WeightVector(counts.astype(float)), "q_mean")]
 
         gold = boot_gold(refit, resamples)
         first = boot_first(stats, bundle.loglik, resamples)

@@ -374,6 +374,33 @@ class TestCommands:
         write(bad, "1,2\n3\n")
         assert main(["eigen", str(bad)]) == 3
 
+    def test_mixed_first_row_is_data_not_header(self, tmp_path, capsys):
+        # one numeric cell makes the first row data, so its bad cell is
+        # reported instead of the row being dropped as a header
+        ll = tmp_path / "ll.csv"
+        write(ll, "1,0x10\n3,4\n5,6\n")
+        assert main(["eigen", str(ll), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "non-numeric cell '0x10'" in err and "row 1, col 2" in err
+        assert "Traceback" not in err
+
+    def test_resample_size_limit_is_usage_error(self, tmp_path, capsys):
+        here = os.path.dirname(os.path.abspath(__file__))
+        inputs = os.path.join(here, "golden", "inputs")
+        argv = [
+            "boot",
+            os.path.join(inputs, "loglik.csv"),
+            os.path.join(inputs, "stats.csv"),
+            "--n-b",
+            str(10**12),
+            "--out",
+            str(tmp_path / "o"),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"n_b x n = {10**12} x" in err and str(2**27) in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("cell", ["1e400", "nan"])
     def test_non_finite_cell_is_parse_error(self, tmp_path, capsys, cell):
         # numpy's reader takes these cells; the cell parser must still

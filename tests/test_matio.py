@@ -10,6 +10,7 @@ import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,3 +111,11 @@ def test_load_matrix_matches_cell_parser(case):
     if not has_defect:
         # clean input never needs the slow parser
         assert cell_parser.call_count == 0
+
+
+def test_mixed_first_row_is_data_not_header(tmp_path):
+    # a header needs every cell non-numeric; "1" makes this row data
+    path = tmp_path / "m.csv"
+    path.write_text("1,0x10\n3,4\n5,6\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"non-numeric cell '0x10' \(.*row 1, col 2\)"):
+        matio.load_matrix(path)
