@@ -7,10 +7,10 @@ resample perturbation eta = counts - 1 around the original posterior:
 
 * first order      posterior mean + sum_i eta_i Cov[A, l_i]
 * second order     adds (1/2) sum_ij eta_i eta_j K3[A, l_i, l_j], computed
-                   either from the precomputed p x n x n cumulant tensor
-                   ("direct") or by collapsing eta against the
-                   log-likelihoods once per replicate ("efficient" --
-                   algebraically identical, different cost profile)
+                   either by collapsing eta against the log-likelihoods
+                   once per replicate ("efficient", the default) or from
+                   the precomputed p x n x n cumulant tensor ("direct" --
+                   algebraically identical, the paper's formula)
 * projected        the same expansions with the log-likelihoods replaced
                    by their principal-space projections
 * importance       self-normalized reweighting of the original draws by
@@ -50,7 +50,7 @@ _METHODS = (
     "gold",
 )
 
-# p * n^2 scalars above which the second-order tensor is not precomputed
+# p * n^2 scalars above which the second-order tensor is refused
 DIRECT_TENSOR_BUDGET = 10**8
 # n_b * n above which resamples are refused: counts and eta take 1 GiB each
 MAX_RESAMPLE_CELLS = 2**27
@@ -63,13 +63,18 @@ class Resamples:
     """Multinomial resamples as a read-only (n_b x n) count matrix.
 
     Row r holds how many times each observation was drawn in replicate r;
-    every row sums to n.
+    every row sums to n.  A read-only int64 array that owns its data, as
+    ``draw_resamples`` hands over, is kept without a copy; anything else is
+    copied, so a writable array of the caller's is never frozen.
     """
 
     counts: np.ndarray
 
     def __post_init__(self):
-        arr = _readonly(self.counts, dtype=np.int64)
+        arr = self.counts
+        frozen = isinstance(arr, np.ndarray) and not arr.flags.writeable
+        if not (frozen and arr.flags.owndata and arr.dtype == np.int64):
+            arr = _readonly(arr, dtype=np.int64)
         if arr.ndim != 2:
             raise InvalidInput(
                 "resample counts must be 2-D (replicates x observations), "
@@ -77,7 +82,7 @@ class Resamples:
             )
         if arr.shape[0] < 1:
             raise InvalidInput("need at least one replicate")
-        negative = np.flatnonzero((arr < 0).any(axis=1))
+        negative = np.flatnonzero(arr.min(axis=1, initial=0) < 0)
         if negative.size:
             raise InvalidInput(f"resample {negative[0]} has a negative count")
         sums = arr.sum(axis=1)
@@ -190,6 +195,7 @@ def draw_resamples(n: int, n_b: int, seed: int) -> Resamples:
         counter[2] = r
         bitgen.state = state
         counts[r] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    counts.setflags(write=False)
     return Resamples(counts=counts)
 
 
@@ -239,6 +245,12 @@ def boot_first(
 
 
 def _second_term_direct(stats, funcs, h_eff) -> np.ndarray:
+    p, n = stats.n_stats, funcs.shape[1]
+    if p * n**2 > DIRECT_TENSOR_BUDGET:
+        raise InvalidInput(
+            f"p x n^2 = {p} x {n}^2 second-order tensor entries exceed the "
+            f"limit of {DIRECT_TENSOR_BUDGET}"
+        )
     tensor = third_cumulant_grid(stats, funcs)
     return 0.5 * np.einsum("ra,pab,rb->rp", h_eff, tensor, h_eff, optimize=True)
 
@@ -259,21 +271,20 @@ def boot_second(
     stats: StatMatrix,
     loglik: LogLikMatrix,
     resamples: Resamples,
-    mode: str = "auto",
+    mode: str = "efficient",
     projection: ProjectedLogLik | None = None,
-    tensor_budget: int = DIRECT_TENSOR_BUDGET,
     seed: int | None = None,
 ) -> BootstrapRun:
     """Second-order replicate estimates.
 
     The first-order term is always computed directly; the quadratic term
-    comes from the cumulant tensor ("direct"), from per-replicate
-    collapsed log-likelihoods ("efficient"), or from the projected
-    tensor when a projection is supplied.  mode="auto" picks direct
-    while p * n^2 fits the tensor budget and efficient beyond it.
+    comes from per-replicate collapsed log-likelihoods ("efficient"),
+    from the cumulant tensor ("direct"), or from the projected tensor
+    when a projection is supplied.  A tensor of more than
+    DIRECT_TENSOR_BUDGET scalars raises InvalidInput before allocation.
     """
-    if mode not in ("auto", "direct", "efficient"):
-        raise InvalidInput(f"mode must be auto/direct/efficient, got {mode!r}")
+    if mode not in ("direct", "efficient"):
+        raise InvalidInput(f"mode must be direct/efficient, got {mode!r}")
     _check_paired(stats, loglik)
     h = _eta(resamples, loglik.n_obs)
     mean = stats.values.mean(axis=0)
@@ -288,12 +299,6 @@ def boot_second(
         method = "second_projected"
         rank = projection.a_M
     else:
-        if mode == "auto":
-            mode = (
-                "direct"
-                if stats.n_stats * loglik.n_obs**2 <= tensor_budget
-                else "efficient"
-            )
         if mode == "direct":
             second = _second_term_direct(stats, loglik.values, h)
         else:

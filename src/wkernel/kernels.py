@@ -10,7 +10,7 @@ Three families of objects live here:
   draw-centered log-likelihood rows.  Z is the exact PCA dual of the
   double-centered W: both are Gram matrices of the same doubly centered
   deviation matrix, so (1/M) Z and (1/n) W_centered share their nonzero
-  spectra.
+  spectra, which ``z_spectrum`` reads from the smaller Gram product.
 * Score-based kernels (Fisher, modified Fisher, plain) built from the
   per-observation score vectors at the MLE/MAP, together with the
   information matrices that act as their metrics and the sandwich
@@ -25,9 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LogLikMatrix, _readonly, _require_finite, posterior_cov
-from .errors import InvalidInput, SingularInformation
+from .errors import InvalidInput, NumericalFailure, SingularInformation
 
 _W_KINDS = ("raw", "double_centered")
+# eigenvalues this far below the largest are treated as zero rank
+_RANK_DROP = 1e-14
 
 
 @dataclass(frozen=True)
@@ -284,14 +286,44 @@ def build_z(loglik: LogLikMatrix) -> ZMatrix:
     deviation-matrix factorization Z = (1/n) A^T A, which makes the
     duality with the double-centered W exact rather than approximate.
     Only the double-centered form exists: the draw-centering term does
-    not vanish even for flat priors.
+    not vanish even for flat priors.  See ``z_spectrum`` for its spectrum.
     """
-    if loglik.n_obs < 2:
-        raise InvalidInput("Z matrix needs at least 2 observations")
     dev = build_deviation(loglik).values
     z = (dev.T @ dev) / loglik.n_obs
     z = (z + z.T) / 2.0
     return ZMatrix(values=z)
+
+
+def z_spectrum(loglik: LogLikMatrix) -> tuple[np.ndarray, float]:
+    """Z's M eigenvalues, descending, and the duality check, without Z.
+
+    Only the smaller Gram product small @ small.T is eigendecomposed, with
+    small = A or A^T for the deviation matrix A.  Its eigenvalues over n
+    are Z's leading min(n, M); the rest are exactly 0.  The check pairs
+    each of the min(n, M) - 1 shared eigenvalues with the larger product's
+    Rayleigh quotient |small v|^2 at the lifted unit vector v ~ small^T u
+    (0 at rank-drop level, where the lift can be the zero vector), and
+    returns the largest gap over the largest eigenvalue: the relative
+    max |lambda_Z / M - lambda_Wc / n| that ``zmat`` reports.
+    """
+    n, m = loglik.n_obs, loglik.n_draws
+    dev = build_deviation(loglik).values
+    small = dev if n <= m else dev.T
+    try:
+        evals, evecs = np.linalg.eigh(small @ small.T)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("Gram eigenproblem did not converge") from exc
+    evals = np.maximum(evals[::-1], 0.0)
+    shared = min(n, m) - 1
+    lift = evals[:shared] > _RANK_DROP * evals[0]
+    lifted = small.T @ evecs[:, ::-1][:, :shared][:, lift]
+    lifted /= np.linalg.norm(lifted, axis=0)
+    rayleigh = np.zeros(shared)
+    rayleigh[lift] = np.sum((small @ lifted) ** 2, axis=0)
+    diff = np.max(np.abs(evals[:shared] - rayleigh))
+    z_eigs = np.zeros(m)
+    z_eigs[: evals.size] = evals / n
+    return z_eigs, float(diff / evals[0]) if evals[0] > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

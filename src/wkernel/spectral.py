@@ -19,14 +19,12 @@ import numpy as np
 
 from .core import LogLikMatrix, WeightVector, _readonly
 from .errors import InvalidInput, NotPSD, NumericalFailure
-from .kernels import WMatrix
+from .kernels import _RANK_DROP, WMatrix
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_MAX_RANK = 500
 FULL_EIGEN_CAP = 2000
 
-# eigenvalues this far below the largest are treated as zero rank
-_RANK_DROP = 1e-14
 # pivot candidates within this absolute slack of the max diagonal tie-break
 # to the lowest observation index, for deterministic output
 _PIVOT_TIE = 1e-14

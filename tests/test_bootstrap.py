@@ -1,10 +1,13 @@
 """Resampling and the approximate-bootstrap estimators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wkernel import bootstrap
 from wkernel.bootstrap import (
     BootstrapRun,
     Resamples,
@@ -64,6 +67,13 @@ class TestResamples:
         with pytest.raises(InvalidInput, match=message):
             Resamples(counts=counts)
 
+    def test_caller_array_is_copied_not_frozen(self):
+        counts = np.ones((2, 3), dtype=np.int64)
+        resamples = Resamples(counts=counts)
+        assert counts.flags.writeable
+        counts[0, 0] = 5
+        assert resamples.counts[0, 0] == 1
+
     def test_observation_count_must_match(self):
         stats, ll = random_case(31)
         with pytest.raises(InvalidInput, match="5 observations, expected 6"):
@@ -116,6 +126,16 @@ class TestDrawResamples:
         for r in range(n_b):
             cats = replicate_rng(seed, r).integers(0, n, size=n)
             np.testing.assert_array_equal(counts[r], np.bincount(cats, minlength=n))
+
+    def test_counts_are_not_copied(self):
+        # the filled matrix is handed to Resamples, not duplicated
+        tracemalloc.start()
+        try:
+            resamples = draw_resamples(120, 10000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * resamples.counts.nbytes
 
     def test_size_limit(self):
         # 2**27 cells is the ceiling
@@ -197,13 +217,45 @@ class TestBootSecond:
         )
         assert projected.method == "second_projected"
 
-    def test_auto_mode_respects_budget(self):
+    def test_efficient_default_and_direct_size_limit(self, monkeypatch):
         stats, ll = random_case(11)
         resamples = draw_resamples(ll.n_obs, 10, seed=12)
-        small = boot_second(stats, ll, resamples, tensor_budget=1)
-        assert small.method == "second_efficient"
-        big = boot_second(stats, ll, resamples)
-        assert big.method == "second_direct"
+        assert boot_second(stats, ll, resamples).method == "second_efficient"
+        with pytest.raises(InvalidInput, match="mode must be"):
+            boot_second(stats, ll, resamples, mode="auto")
+        # the direct tensor holds p * n^2 = 2 * 6^2 = 72 scalars
+        monkeypatch.setattr(bootstrap, "DIRECT_TENSOR_BUDGET", 72)
+        direct = boot_second(stats, ll, resamples, mode="direct")
+        assert direct.method == "second_direct"
+        monkeypatch.setattr(bootstrap, "DIRECT_TENSOR_BUDGET", 71)
+        with pytest.raises(InvalidInput, match=r"2 x 6\^2 .* limit of 71"):
+            boot_second(stats, ll, resamples, mode="direct")
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 10),
+        extra=st.integers(2, 30),
+        p=st.integers(1, 4),
+        n_b=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_direct_efficient_and_full_rank_projected_agree(
+        self, n, extra, p, n_b, seed
+    ):
+        # more draws than observations, so W has full rank n
+        stats, ll = random_case(seed, m=n + extra, n=n, p=p)
+        resamples = draw_resamples(n, n_b, seed)
+        basis = full_eigen(build_w(ll))
+        proj = project_loglik(ll, basis, basis.rank_retained)
+        direct = boot_second(stats, ll, resamples, mode="direct").estimates
+        scale = np.max(np.abs(direct))
+        for other in (
+            boot_second(stats, ll, resamples, mode="efficient"),
+            boot_second(stats, ll, resamples, projection=proj),
+        ):
+            np.testing.assert_allclose(
+                other.estimates, direct, rtol=1e-9, atol=1e-9 * scale
+            )
 
     def test_projected_rank2_deviation_bounded(self, weibull_bundle):
         # truncating the quadratic term is controlled by the cumulant bound

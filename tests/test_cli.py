@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 
 from wkernel import cli
 from wkernel.cli import main
+from wkernel.core import LogLikMatrix
 from wkernel.errors import InvalidInput, ParseError
+from wkernel.kernels import build_z
 from wkernel.matio import (
     load_config,
     load_matrix,
@@ -342,32 +345,68 @@ class TestCommands:
         cen = (out / "centering.csv").read_text().splitlines()
         assert cen[0] == "statistic,value,scale"
 
-    def test_zmat_duality_report(self, tmp_path):
+    @staticmethod
+    def _zmat(tmp_path, arr):
+        """Run zmat on ``arr``; return the duality report and Z's eigenvalues."""
         ll = tmp_path / "ll.csv"
-        make_loglik_csv(ll, m=25, n=6)
+        save_matrix(ll, arr)
         out = tmp_path / "out"
         assert main(["zmat", str(ll), "--out", str(out)]) == 0
         report = dict(
             line.split(",")
             for line in (out / "duality_report.csv").read_text().splitlines()[1:]
         )
+        z_eigs, _ = load_matrix(out / "z_eigenvalues.csv")
+        return report, z_eigs[:, 1]
+
+    def test_zmat_duality_report(self, tmp_path):
+        arr = np.random.default_rng(0).standard_normal((25, 6))
+        report, _ = self._zmat(tmp_path, arr)
+        assert list(report) == [
+            "n_obs",
+            "n_draws",
+            "shared_rank_checked",
+            "max_rel_eigenvalue_diff",
+        ]
         assert float(report["max_rel_eigenvalue_diff"]) < 1e-10
-        assert float(report["factorization_gap_z"]) < 1e-12
+
+    @pytest.mark.parametrize("m, n", [(25, 6), (6, 25), (12, 12)])
+    def test_zmat_spectrum_matches_dense_z(self, tmp_path, m, n):
+        arr = np.random.default_rng(m * n).standard_normal((m, n))
+        report, z_eigs = self._zmat(tmp_path, arr)
+        want = np.linalg.eigvalsh(build_z(LogLikMatrix(arr)).values)[::-1]
+        assert z_eigs.shape == (m,)
+        np.testing.assert_allclose(z_eigs, want, rtol=0, atol=1e-10 * want[0])
+        assert np.all(z_eigs[min(m, n) :] == 0.0)
+        assert int(report["shared_rank_checked"]) == min(m, n) - 1
+        assert float(report["max_rel_eigenvalue_diff"]) < 1e-10
 
     def test_zmat_duality_on_low_rank_input(self, tmp_path):
         # 30 draws x 50 observations of rank 3: most shared eigenvalues are
         # rounding noise, which must not read as a duality gap
         rng = np.random.default_rng(3)
-        ll = tmp_path / "ll.csv"
-        save_matrix(ll, rng.standard_normal((30, 3)) @ rng.standard_normal((3, 50)))
-        out = tmp_path / "out"
-        assert main(["zmat", str(ll), "--out", str(out)]) == 0
-        report = dict(
-            line.split(",")
-            for line in (out / "duality_report.csv").read_text().splitlines()[1:]
-        )
+        arr = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 50))
+        report, _ = self._zmat(tmp_path, arr)
         assert int(report["shared_rank_checked"]) == 29
         assert float(report["max_rel_eigenvalue_diff"]) < 1e-10
+
+    def test_zmat_needs_two_observations(self, tmp_path, capsys):
+        ll = tmp_path / "ll.csv"
+        make_loglik_csv(ll, m=5, n=1)
+        assert main(["zmat", str(ll), "--out", str(tmp_path / "out")]) == 2
+        assert "at least 2 observations" in capsys.readouterr().err
+
+    def test_zmat_builds_no_draw_by_draw_matrix(self, tmp_path):
+        # Z for 4000 draws takes 128 MB; the smaller Gram product is 30 x 30
+        ll = tmp_path / "ll.csv"
+        make_loglik_csv(ll, m=4000, n=30)
+        tracemalloc.start()
+        try:
+            assert main(["zmat", str(ll), "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -382,6 +421,16 @@ class TestCommands:
         assert main(["eigen", str(ll), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "non-numeric cell '0x10'" in err and "row 1, col 2" in err
+        assert "Traceback" not in err
+
+    def test_direct_tensor_size_limit_is_usage_error(self, tmp_path, capsys):
+        ll, st = tmp_path / "ll.csv", tmp_path / "st.csv"
+        make_loglik_csv(ll, m=3, n=5001)
+        make_stats_csv(st, m=3, p=4)
+        argv = ["boot", str(ll), str(st), "--method", "second_direct", "--n-b", "1"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "4 x 5001^2" in err and str(10**8) in err
         assert "Traceback" not in err
 
     def test_resample_size_limit_is_usage_error(self, tmp_path, capsys):

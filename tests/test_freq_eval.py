@@ -8,6 +8,8 @@ formulas independently of the sampling machinery.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import psi
 
 from wkernel.core import (
@@ -204,6 +206,30 @@ class TestFreqCov:
             out = freq_cov(stats, ll, estimator=est, **kw).values
             np.testing.assert_allclose(out, out.T, atol=1e-14)
             assert np.linalg.eigvalsh(out)[0] >= -1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(3, 30),
+        n=st.integers(1, 12),
+        p=st.integers(1, 4),
+        scale=st.floats(0.01, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_estimator_is_psd(self, m, n, p, scale, seed):
+        rng = np.random.default_rng(seed)
+        ll = LogLikMatrix(rng.standard_normal((m, n)) * scale)
+        stats = StatMatrix(rng.standard_normal((m, p)))
+        logprior = LogPriorVector(rng.standard_normal(m) * scale)
+        basis = full_eigen(build_w(ll))
+        proj = project_loglik(ll, basis, int(rng.integers(1, basis.rank_retained + 1)))
+        for est, kw in [
+            ("plain", {}),
+            ("centered", {}),
+            ("prior_adjusted", {"logprior": logprior}),
+            ("projected", {"projection": proj}),
+        ]:
+            evals = np.linalg.eigvalsh(freq_cov(stats, ll, estimator=est, **kw).values)
+            assert evals[0] >= -1e-12 * max(evals[-1], 0.0), est
 
     def test_centered_invariant_under_column_shift(self):
         # adding a draw-dependent, observation-independent shift changes

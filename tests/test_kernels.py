@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wkernel.core import LogLikMatrix, posterior_cov
 from wkernel.errors import InvalidInput, SingularInformation
@@ -18,7 +20,32 @@ from wkernel.kernels import (
     mf_feature_matrix,
     sym_inv_sqrt,
     sym_sqrt,
+    z_spectrum,
 )
+
+_PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+_LOGLIK_KINDS = ("random", "dup_draws", "dup_obs", "constant")
+
+
+@st.composite
+def loglik_cases(draw, kinds=_LOGLIK_KINDS):
+    """Random M x n log-likelihoods with M < n, M > n or M = n; some are
+    rank deficient (duplicated draws or observations), some constant."""
+    m = draw(st.integers(2, 14))
+    n = draw(st.one_of(st.just(m), st.integers(2, 14)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "constant":
+        # a dyadic constant centers to exactly 0
+        return LogLikMatrix(np.full((m, n), draw(st.integers(-40, 40)) / 8.0))
+    arr = rng.standard_normal((m, n)) * rng.uniform(0.1, 10.0)
+    if kind == "dup_draws":
+        arr = arr[rng.integers(0, max(1, m // 2), m)]
+    elif kind == "dup_obs":
+        arr = arr[:, rng.integers(0, max(1, n // 2), n)]
+    return LogLikMatrix(arr)
 
 
 def normal_mean_setup(n, m, seed, sigma=1.0):
@@ -159,6 +186,42 @@ class TestDeviationAndZ:
             np.testing.assert_allclose(
                 z_eigs[:rank], w_eigs[:rank], rtol=1e-10, atol=1e-10 * scale
             )
+
+
+class TestZSpectrumProperties:
+    @_PROPERTY
+    @given(loglik_cases())
+    def test_matches_dense_z(self, ll):
+        z_eigs, max_rel = z_spectrum(ll)
+        want = np.linalg.eigvalsh(build_z(ll).values)[::-1]
+        assert z_eigs.shape == (ll.n_draws,)
+        np.testing.assert_allclose(
+            z_eigs, want, rtol=0, atol=1e-10 * np.max(np.abs(want))
+        )
+        assert np.all(z_eigs[min(ll.n_obs, ll.n_draws) :] == 0.0)
+        assert 0.0 <= max_rel <= 1e-10
+
+
+class TestWShiftProperty:
+    @_PROPERTY
+    @given(
+        # a shifted constant input is W = 0 plus centering noise: no case
+        loglik_cases(kinds=_LOGLIK_KINDS[:3]),
+        st.integers(0, 13),
+        st.floats(-10.0, 10.0),
+        st.sampled_from(["raw", "double_centered"]),
+    )
+    def test_constant_shift_of_one_observation(self, ll, obs, shift, kind):
+        # a constant added to one observation's log-likelihood is no
+        # covariance with anything
+        shifted = np.array(ll.values)
+        shifted[:, obs % ll.n_obs] += shift
+        w = build_w(ll, kind=kind)
+        got = build_w(LogLikMatrix(shifted), kind=kind)
+        # scaled by the raw trace: with all observations duplicated the
+        # double-centered W is exactly 0 and the shifted one is rounding
+        scale = build_w(ll, kind="raw").trace
+        np.testing.assert_allclose(got.values, w.values, rtol=0, atol=1e-12 * scale)
 
 
 class TestInfoMatrices:
