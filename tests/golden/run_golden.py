@@ -9,6 +9,14 @@ Each case of ``manifest.json`` runs in this process through
 an argv stands for the ``inputs`` directory next to this file.  The
 observed digests are printed as JSON ({case: {file: sha256}}); with
 ``--record`` they are also written back into the manifest.
+
+OpenBLAS picks its kernels by CPU at load time, and its AVX-512
+(SkylakeX) kernels round some eigen and projection outputs differently
+from its AVX2 (Haswell, Zen) ones, which agree with each other.  This
+runner therefore sets ``OPENBLAS_CORETYPE=Haswell`` before numpy loads,
+overriding any inherited value, so the digests reproduce on any x86-64
+machine with AVX2.  The CLI itself pins no kernels: its byte-identity of
+repeat runs holds per machine.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ def digests(outdir: str) -> dict:
 
 def main(argv) -> int:
     workdir, record = argv[0], "--record" in argv[1:]
+    os.environ["OPENBLAS_CORETYPE"] = "Haswell"
     # numpy loads during the first case, after its --threads 1 pinned the pools
     from wkernel.cli import main as cli_main
 
