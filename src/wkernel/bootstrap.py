@@ -33,8 +33,10 @@ import numpy as np
 from .core import (
     LogLikMatrix,
     StatMatrix,
+    _check_draws,
     _check_paired,
     _readonly,
+    _stream,
     posterior_cov_grid,
     third_cumulant_grid,
 )
@@ -161,7 +163,7 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     Philox 4x64 keyed by the 64-bit seed and jumped ``index`` times;
     streams are identical regardless of the order replicates are drawn.
     """
-    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    return _stream(seed, index)
 
 
 def draw_resamples(n: int, n_b: int, seed: int) -> Resamples:
@@ -199,10 +201,13 @@ def draw_resamples(n: int, n_b: int, seed: int) -> Resamples:
     return Resamples(counts=counts)
 
 
-def _eta(resamples: Resamples, n: int) -> np.ndarray:
-    if resamples.n_obs != n:
+def _paired_eta(stats, loglik, resamples: Resamples) -> np.ndarray:
+    """The resample perturbations, once statistics, log-likelihoods and
+    resamples are checked to pair up."""
+    _check_paired(stats, loglik)
+    if resamples.n_obs != loglik.n_obs:
         raise InvalidInput(
-            f"resamples have {resamples.n_obs} observations, expected {n}"
+            f"resamples have {resamples.n_obs} observations, expected {loglik.n_obs}"
         )
     return resamples.eta
 
@@ -221,13 +226,11 @@ def boot_first(
     against the principal combinations instead, which changes nothing
     when the projection keeps the full rank.
     """
-    _check_paired(stats, loglik)
-    h = _eta(resamples, loglik.n_obs)
+    h = _paired_eta(stats, loglik, resamples)
     mean = stats.values.mean(axis=0)
     rank = None
     if projection is not None:
-        if projection.n_draws != stats.n_draws:
-            raise InvalidInput("projection and statistics disagree on draw count")
+        _check_draws(projection, stats, "projection and statistics")
         grid = posterior_cov_grid(stats.values, projection.projections)
         h_eff = h @ projection.basis.vectors
         rank = projection.a_M
@@ -285,15 +288,13 @@ def boot_second(
     """
     if mode not in ("direct", "efficient"):
         raise InvalidInput(f"mode must be direct/efficient, got {mode!r}")
-    _check_paired(stats, loglik)
-    h = _eta(resamples, loglik.n_obs)
+    h = _paired_eta(stats, loglik, resamples)
     mean = stats.values.mean(axis=0)
     first_grid = posterior_cov_grid(stats.values, loglik.values)
     first_term = h @ first_grid.T
 
     if projection is not None:
-        if projection.n_draws != stats.n_draws:
-            raise InvalidInput("projection and statistics disagree on draw count")
+        _check_draws(projection, stats, "projection and statistics")
         h_proj = h @ projection.basis.vectors
         second = _second_term_direct(stats, projection.projections, h_proj)
         method = "second_projected"
@@ -329,8 +330,7 @@ def boot_importance(
     diagnostics; replicates whose weights cannot be normalized are
     flagged as degenerate and their estimates left NaN.
     """
-    _check_paired(stats, loglik)
-    h = _eta(resamples, loglik.n_obs)
+    h = _paired_eta(stats, loglik, resamples)
     n_b = h.shape[0]
     m = loglik.n_draws
     estimates = np.full((n_b, stats.n_stats), np.nan)

@@ -60,26 +60,15 @@ _OPTIONS = {
 }
 
 # demo model -> (config class in wkernel.models, the scalar fields a config
-# file may override with their bundled defaults, McmcConfig arguments or None)
+# file may override; their defaults and types are the class's own)
 _DEMO = {
-    "weibull": (
-        "WeibullConfig",
-        {"gamma": 2.0, "lam": 50.0, "n": 59},
-        {"iters": 4500, "burn_in": 1500},
-    ),
+    "weibull": ("WeibullConfig", ("gamma", "lam", "n")),
     "betabinom": (
         "BetaBinomialConfig",
-        {"N": 5, "n": 20, "q0": 0.25, "rho": 0.65, "alpha": 1.0, "beta": 1.0,
-         "prior_weight": 0.0, "m_draws": 5000},
-        None,
+        ("N", "n", "q0", "rho", "alpha", "beta", "prior_weight", "m_draws"),
     ),
-    "normal_mean": ("NormalMeanConfig", {"n": 200, "m_draws": 20000}, None),
-    "regression": (
-        "RegressionConfig",
-        {"n": 30, "sigma_true": 0.3, "likelihood": "normal_known_sigma",
-         "sigma_lik": 0.1},
-        {"chains": 4, "iters": 14000, "burn_in": 2000},
-    ),
+    "normal_mean": ("NormalMeanConfig", ("n", "m_draws")),
+    "regression": ("RegressionConfig", ("n", "sigma_true", "likelihood", "sigma_lik")),
 }
 
 # positional input -> (allowed values or None, help)
@@ -333,18 +322,12 @@ def _load_w(path, opts):
     return build_w(_load_loglik(path), kind=opts["kind"])
 
 
-def _spectrum(w, rel_tol, max_rank):
-    """Pivoted Cholesky of W and the spectrum from its dual problem."""
-    from .spectral import dual_eigen, incomplete_cholesky
-
-    chol = incomplete_cholesky(w, rel_tol=rel_tol, max_rank=max_rank)
-    return chol, dual_eigen(chol)
-
-
 def _full_spectrum(w):
     """W's whole retained spectrum, as the projected paths and ``demo`` use
     it: pivoted Cholesky to relative tolerance 1e-10, with no rank cap."""
-    return _spectrum(w, 1e-10, w.n)[1]
+    from .spectral import dual_eigen, incomplete_cholesky
+
+    return dual_eigen(incomplete_cholesky(w, rel_tol=1e-10, max_rank=w.n))
 
 
 def _projection(loglik, rank):
@@ -372,18 +355,31 @@ def _save_indexed(path, values, header, start=0) -> None:
     save_matrix(path, np.column_stack([index, values]), header)
 
 
-def _cmd_eigen(config: RunConfig, outdir: str) -> None:
-    from .matio import save_matrix, write_scree_svg
+def _save_spectrum(outdir, eigenvalues, log_scree) -> None:
+    """eigenvalues.csv and its scree.svg bar chart."""
+    from .matio import write_scree_svg
+
+    path = os.path.join(outdir, "eigenvalues.csv")
+    _save_indexed(path, eigenvalues, ["index", "eigenvalue"])
+    write_scree_svg(os.path.join(outdir, "scree.svg"), eigenvalues, log_scree)
+
+
+def _cholesky(config: RunConfig):
+    """Pivoted Cholesky of the W that ``eigen`` and ``rep`` read."""
+    from .spectral import incomplete_cholesky
 
     opts = config.options
     w = _load_w(config.inputs[0], opts)
-    chol, basis = _spectrum(w, opts["rel_tol"], opts["max_rank"])
+    return incomplete_cholesky(w, rel_tol=opts["rel_tol"], max_rank=opts["max_rank"])
 
-    _save_indexed(
-        os.path.join(outdir, "eigenvalues.csv"),
-        basis.eigenvalues,
-        ["index", "eigenvalue"],
-    )
+
+def _cmd_eigen(config: RunConfig, outdir: str) -> None:
+    from .matio import save_matrix
+    from .spectral import dual_eigen
+
+    chol = _cholesky(config)
+    basis = dual_eigen(chol)
+    _save_spectrum(outdir, basis.eigenvalues, config.options["log_scree"])
     save_matrix(
         os.path.join(outdir, "eigenvectors.csv"),
         basis.vectors,
@@ -399,9 +395,6 @@ def _cmd_eigen(config: RunConfig, outdir: str) -> None:
         chol.residual_trace_history,
         ["rank", "residual_trace"],
         start=1,
-    )
-    write_scree_svg(
-        os.path.join(outdir, "scree.svg"), basis.eigenvalues, opts["log_scree"]
     )
 
 
@@ -499,14 +492,9 @@ def _cmd_boot(config: RunConfig, outdir: str) -> None:
 
 
 def _cmd_rep(config: RunConfig, outdir: str) -> None:
-    from .spectral import representative_set
-
-    opts = config.options
-    w = _load_w(config.inputs[0], opts)
-    rset = representative_set(*_spectrum(w, opts["rel_tol"], opts["max_rank"]))
     _save_indexed(
         os.path.join(outdir, "representative_indices.csv"),
-        rset.indices,
+        _cholesky(config).pivots,
         ["pivot_rank", "observation"],
     )
 
@@ -570,18 +558,22 @@ def _cmd_zmat(config: RunConfig, outdir: str) -> None:
 
 
 def _demo_config(model: str, seed: int, file_cfg: dict):
-    """The model's config: bundled defaults, with config-file overrides of its
-    scalar fields converted like option values; ``seed`` is the option's."""
+    """The model's config class at its defaults, with config-file overrides
+    of its scalar fields converted to the default's type; ``seed`` is the
+    option's, and also seeds the class's default MCMC settings."""
+    import dataclasses
+
     from . import models
 
-    cls_name, fields, mcmc = _DEMO[model]
-    kwargs = {
-        key: _convert(key, file_cfg[key], type(value)) if key in file_cfg else value
-        for key, value in fields.items()
-    }
-    if mcmc is not None:
-        kwargs["mcmc"] = models.McmcConfig(**mcmc, seed=seed)
-    return getattr(models, cls_name)(**kwargs, seed=seed)
+    cls_name, keys = _DEMO[model]
+    cls = getattr(models, cls_name)
+    kwargs = {"seed": seed}
+    for f in dataclasses.fields(cls):
+        if f.name in keys and f.name in file_cfg:
+            kwargs[f.name] = _convert(f.name, file_cfg[f.name], type(f.default))
+        elif f.name == "mcmc":
+            kwargs["mcmc"] = dataclasses.replace(f.default_factory(), seed=seed)
+    return cls(**kwargs)
 
 
 def _cmd_demo(config: RunConfig, outdir: str) -> None:
@@ -590,7 +582,7 @@ def _cmd_demo(config: RunConfig, outdir: str) -> None:
     from .bootstrap import boot_first, draw_resamples, summarize_bootstrap
     from .freq_eval import freq_cov, penalties
     from .kernels import build_w
-    from .matio import save_keyvalue, save_matrix, write_scree_svg
+    from .matio import save_keyvalue, save_matrix
     from .models import run_model
 
     model = config.inputs[0]
@@ -612,12 +604,7 @@ def _cmd_demo(config: RunConfig, outdir: str) -> None:
 
     w = build_w(bundle.loglik, kind="raw")
     basis = _full_spectrum(w)
-    _save_indexed(
-        os.path.join(outdir, "eigenvalues.csv"),
-        basis.eigenvalues,
-        ["index", "eigenvalue"],
-    )
-    write_scree_svg(os.path.join(outdir, "scree.svg"), basis.eigenvalues, False)
+    _save_spectrum(outdir, basis.eigenvalues, False)
 
     sigma = freq_cov(stats, bundle.loglik, estimator="centered")
     save_matrix(os.path.join(outdir, "sigma.csv"), sigma.values, header=list(stats.names))
@@ -643,11 +630,9 @@ def _cmd_demo(config: RunConfig, outdir: str) -> None:
         pairs.append(("acceptance_rate", bundle.acceptance_rate))
     pairs += [(f"eigenvalue_{a}", float(v)) for a, v in enumerate(top)]
     pairs += [
-        (f"boot_mean_{name}", float(v))
-        for name, v in zip(stats.names, summary["mean"])
-    ]
-    pairs += [
-        (f"boot_var_{name}", float(v)) for name, v in zip(stats.names, summary["var"])
+        (f"boot_{key}_{name}", float(v))
+        for key in ("mean", "var")
+        for name, v in zip(stats.names, summary[key])
     ]
     save_keyvalue(os.path.join(outdir, "report.csv"), pairs)
 

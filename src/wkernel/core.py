@@ -45,6 +45,17 @@ def _check_paired(stats: StatMatrix, loglik: LogLikMatrix) -> None:
         )
 
 
+def _check_draws(a, b, what: str) -> None:
+    if a.n_draws != b.n_draws:
+        raise InvalidInput(f"{what} disagree on draw count")
+
+
+def _stream(seed: int, jumps: int = 0) -> np.random.Generator:
+    """Counter-based Philox 4x64 stream keyed by the 64-bit seed and jumped
+    ``jumps`` times, identical on every platform."""
+    return np.random.Generator(np.random.Philox(key=seed).jumped(jumps))
+
+
 @dataclass(frozen=True)
 class LogLikMatrix:
     """M x n matrix of per-observation log-likelihoods at posterior draws.

@@ -28,6 +28,7 @@ from .core import (
     LogPriorVector,
     StatMatrix,
     ThirdCumulantTensor,
+    _check_draws,
     _check_paired,
     _readonly,
     posterior_cov_grid,
@@ -134,24 +135,17 @@ def freq_cov(
         raise InvalidInput(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
     _check_paired(stats, loglik)
 
+    rank_used = "full"
     if estimator == "projected":
         if projection is None:
             raise InvalidInput("projected estimator requires a projection")
-        if projection.n_draws != stats.n_draws:
-            raise InvalidInput("projection and statistics disagree on draw count")
+        _check_draws(projection, stats, "projection and statistics")
         grid = posterior_cov_grid(stats.values, projection.projections)
-        sigma = grid @ grid.T
-        return FreqCovEstimate(
-            values=(sigma + sigma.T) / 2.0,
-            estimator=estimator,
-            rank_used=projection.a_M,
-        )
-
-    if estimator == "prior_adjusted":
+        rank_used = projection.a_M
+    elif estimator == "prior_adjusted":
         if logprior is None:
             raise InvalidInput("prior_adjusted estimator requires a log-prior")
-        if logprior.n_draws != loglik.n_draws:
-            raise InvalidInput("log-prior and log-likelihoods disagree on draw count")
+        _check_draws(logprior, loglik, "log-prior and log-likelihoods")
         shifted = loglik.values + logprior.values[:, None] / loglik.n_obs
         grid = posterior_cov_grid(stats.values, shifted)
     else:
@@ -160,7 +154,9 @@ def freq_cov(
             grid = grid - grid.mean(axis=1, keepdims=True)
 
     sigma = grid @ grid.T
-    return FreqCovEstimate(values=(sigma + sigma.T) / 2.0, estimator=estimator)
+    return FreqCovEstimate(
+        values=(sigma + sigma.T) / 2.0, estimator=estimator, rank_used=rank_used
+    )
 
 
 def penalties(
@@ -186,8 +182,7 @@ def penalties(
 
     pcic = None
     if logprior is not None:
-        if logprior.n_draws != m:
-            raise InvalidInput("log-prior and log-likelihoods disagree on draw count")
+        _check_draws(logprior, loglik, "log-prior and log-likelihoods")
         prior_c = logprior.values - logprior.values.mean()
         # cov of each column with itself plus (1/n) log prior, summed over i
         pcic = waic + float(np.sum(centered * prior_c[:, None])) / (m * loglik.n_obs)
@@ -223,8 +218,7 @@ def centering_diagnostic(
     scale = np.sum(np.abs(grid), axis=1)
     total = grid.sum(axis=1)
     if logprior is not None:
-        if logprior.n_draws != loglik.n_draws:
-            raise InvalidInput("log-prior and log-likelihoods disagree on draw count")
+        _check_draws(logprior, loglik, "log-prior and log-likelihoods")
         prior_grid = posterior_cov_grid(
             stats.values, logprior.values.reshape(-1, 1)
         )[:, 0]

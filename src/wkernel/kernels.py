@@ -32,6 +32,29 @@ _W_KINDS = ("raw", "double_centered")
 _RANK_DROP = 1e-14
 
 
+def _symmetric(values, name: str) -> np.ndarray:
+    """``values`` read-only, checked square, finite and symmetric to 1e-12
+    of its largest entry; ``name`` is the matrix's letter."""
+    arr = _readonly(values)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise InvalidInput(f"{name} must be square, got shape {arr.shape}")
+    _require_finite(arr, f"{name} matrix")
+    scale = np.max(np.abs(arr), initial=0.0)
+    if np.max(np.abs(arr - arr.T), initial=0.0) > 1e-12 * max(scale, 1.0):
+        raise InvalidInput(f"{name} matrix is not symmetric")
+    return arr
+
+
+def _eigh_descending(mat: np.ndarray, what: str):
+    """Eigenpairs of a symmetric matrix, eigenvalues descending; a LAPACK
+    failure is a NumericalFailure saying ``what`` did not converge."""
+    try:
+        evals, evecs = np.linalg.eigh(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"{what} did not converge") from exc
+    return evals[::-1], evecs[:, ::-1]
+
+
 @dataclass(frozen=True)
 class WMatrix:
     """n x n posterior covariance matrix of per-observation log-likelihoods.
@@ -47,15 +70,9 @@ class WMatrix:
     source_M: int
 
     def __post_init__(self):
-        arr = _readonly(self.values)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidInput(f"W must be square, got shape {arr.shape}")
-        _require_finite(arr, "W matrix")
+        arr = _symmetric(self.values, "W")
         if self.kind not in _W_KINDS:
             raise InvalidInput(f"kind must be one of {_W_KINDS}, got {self.kind!r}")
-        scale = np.max(np.abs(arr), initial=0.0)
-        if np.max(np.abs(arr - arr.T), initial=0.0) > 1e-12 * max(scale, 1.0):
-            raise InvalidInput("W matrix is not symmetric")
         object.__setattr__(self, "values", arr)
 
     @property
@@ -78,14 +95,7 @@ class ZMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _readonly(self.values)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidInput(f"Z must be square, got shape {arr.shape}")
-        _require_finite(arr, "Z matrix")
-        scale = np.max(np.abs(arr), initial=0.0)
-        if np.max(np.abs(arr - arr.T), initial=0.0) > 1e-12 * max(scale, 1.0):
-            raise InvalidInput("Z matrix is not symmetric")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _symmetric(self.values, "Z"))
 
     @property
     def M(self) -> int:
@@ -309,14 +319,11 @@ def z_spectrum(loglik: LogLikMatrix) -> tuple[np.ndarray, float]:
     n, m = loglik.n_obs, loglik.n_draws
     dev = build_deviation(loglik).values
     small = dev if n <= m else dev.T
-    try:
-        evals, evecs = np.linalg.eigh(small @ small.T)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("Gram eigenproblem did not converge") from exc
-    evals = np.maximum(evals[::-1], 0.0)
+    evals, evecs = _eigh_descending(small @ small.T, "Gram eigenproblem")
+    evals = np.maximum(evals, 0.0)
     shared = min(n, m) - 1
     lift = evals[:shared] > _RANK_DROP * evals[0]
-    lifted = small.T @ evecs[:, ::-1][:, :shared][:, lift]
+    lifted = small.T @ evecs[:, :shared][:, lift]
     lifted /= np.linalg.norm(lifted, axis=0)
     rayleigh = np.zeros(shared)
     rayleigh[lift] = np.sum((small @ lifted) ** 2, axis=0)

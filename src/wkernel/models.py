@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import betaln, gammaln
 
-from .core import LogLikMatrix, LogPriorVector, StatMatrix, WeightVector
+from .core import LogLikMatrix, LogPriorVector, StatMatrix, WeightVector, _stream
 from .errors import ConvergenceWarning, InvalidInput, Unsupported
 from .kernels import ScoreMatrix
 
@@ -257,14 +257,6 @@ class ModelBundle:
         return float(np.max(np.abs(fresh - self.loglik.values)))
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
-
-
-def _chain_rng(seed: int, chain: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(chain + 1))
-
-
 # ---------------------------------------------------------------------------
 # adaptive random-walk Metropolis
 # ---------------------------------------------------------------------------
@@ -285,7 +277,7 @@ def _adaptive_rwm(logpost, x0, k, mcmc: McmcConfig):
     accept_counts = 0
 
     for chain in range(mcmc.chains):
-        rng = _chain_rng(mcmc.seed, chain)
+        rng = _stream(mcmc.seed, chain + 1)
         x = np.array(x0, dtype=float) + 0.01 * rng.standard_normal(k)
         lp = logpost(x)
         log_scale = np.log(mcmc.step_size)
@@ -332,7 +324,7 @@ def _adaptive_rwm(logpost, x0, k, mcmc: McmcConfig):
 
 
 def _run_normal_mean(config: NormalMeanConfig) -> ModelBundle:
-    rng = _rng(config.seed)
+    rng = _stream(config.seed)
     x = config.mu + config.sigma * rng.standard_normal(config.n)
     xbar = x.mean()
     sig2 = config.sigma**2
@@ -376,7 +368,7 @@ def _run_normal_mean(config: NormalMeanConfig) -> ModelBundle:
 
 
 def _run_beta_binomial(config: BetaBinomialConfig) -> ModelBundle:
-    rng = _rng(config.seed)
+    rng = _stream(config.seed)
     n, N = config.n, config.N
     if config.rho > 0:
         a = config.q0 * (1 - config.rho) / config.rho
@@ -499,7 +491,7 @@ def _weibull_scores(x, gamma, lam):
 
 
 def _run_weibull(config: WeibullConfig) -> ModelBundle:
-    rng = _rng(config.seed)
+    rng = _stream(config.seed)
     x = config.lam * rng.weibull(config.gamma, size=config.n)
     x = np.maximum(x, 1e-12)
 
@@ -556,7 +548,7 @@ def _student_logpdf(resid, sigma, df):
 
 
 def _run_regression(config: RegressionConfig) -> ModelBundle:
-    rng = _rng(config.seed)
+    rng = _stream(config.seed)
     n = config.n
     z = np.linspace(-1.0, 1.0, n)
     x = np.sin(np.pi * z) + config.sigma_true * rng.standard_t(4, size=n)

@@ -4,11 +4,12 @@ The leading eigenvectors of the W matrix span the directions of
 observation space that posterior means actually respond to.  This module
 computes that space two ways: an incomplete pivoted Cholesky
 factorization with greedy diagonal pivoting, kept in observation order
-(left-looking: O(n * rank^2) plus one W column per step, and the pivots
-double as a representative subset of observations), whose small dual
-eigenproblem recovers the nonzero spectrum; and a full dense
-eigendecomposition used as oracle and fallback.  Projection helpers map
-log-likelihoods and perturbation vectors onto the retained directions.
+(left-looking: O(n * rank^2) plus one W column per step), whose small
+dual eigenproblem recovers the nonzero spectrum; and a full dense
+eigendecomposition used as oracle and fallback.  The pivots alone are a
+representative subset of observations and need no eigenproblem.
+Projection helpers map log-likelihoods and perturbation vectors onto the
+retained directions.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogLikMatrix, WeightVector, _readonly
-from .errors import InvalidInput, NotPSD, NumericalFailure
-from .kernels import _RANK_DROP, WMatrix
+from .core import LogLikMatrix, WeightVector, _readonly, _stream
+from .errors import InvalidInput, NotPSD
+from .kernels import _RANK_DROP, WMatrix, _eigh_descending
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_MAX_RANK = 500
@@ -105,10 +106,6 @@ class SpectralBasis:
     def n(self) -> int:
         return self.vectors.shape[0]
 
-    def tail_mass(self, a_M: int) -> float:
-        """Sum of retained eigenvalues beyond the first a_M."""
-        return float(self.eigenvalues[a_M:].sum())
-
 
 @dataclass(frozen=True)
 class ProjectedLogLik:
@@ -117,17 +114,21 @@ class ProjectedLogLik:
     ``projections[u, a]`` is the a-th principal combination of the
     log-likelihoods at draw u; these combinations diagonalize the
     posterior covariance (their covariance matrix is diag(eigenvalues)).
-    ``projected_loglik`` maps them back to per-observation space: the
-    rank-a_M approximation of the original matrix.
+    ``basis`` holds the a_M directions they were taken along.
     """
 
     projections: np.ndarray
-    projected_loglik: np.ndarray
     basis: SpectralBasis
 
     def __post_init__(self):
         object.__setattr__(self, "projections", _readonly(self.projections))
-        object.__setattr__(self, "projected_loglik", _readonly(self.projected_loglik))
+
+    @property
+    def projected_loglik(self) -> np.ndarray:
+        """The projections mapped back to per-observation space (draws x n),
+        computed on each access: the rank-a_M approximation of the original
+        log-likelihood matrix."""
+        return self.projections @ self.basis.vectors.T
 
     @property
     def a_M(self) -> int:
@@ -176,6 +177,15 @@ def _as_eta(eta, n: int) -> np.ndarray:
     if eta.shape != (n,):
         raise InvalidInput(f"perturbation must have shape ({n},), got {eta.shape}")
     return eta
+
+
+def _leading(basis: SpectralBasis, a_M: int | None) -> int:
+    """How many leading directions to use: all retained ones for None."""
+    if a_M is None:
+        return basis.rank_retained
+    if not 0 <= a_M <= basis.rank_retained:
+        raise InvalidInput(f"a_M must be in [0, {basis.rank_retained}], got {a_M}")
+    return a_M
 
 
 def _signs(vectors: np.ndarray) -> np.ndarray:
@@ -277,13 +287,7 @@ def dual_eigen(chol: PivotedCholesky) -> SpectralBasis:
             dual_vectors=np.zeros((0, 0)),
         )
     gram = chol.L.T @ chol.L
-    gram = (gram + gram.T) / 2.0
-    try:
-        evals, evecs = np.linalg.eigh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("dual eigenproblem did not converge") from exc
-    evals = evals[::-1]
-    evecs = evecs[:, ::-1]
+    evals, evecs = _eigh_descending((gram + gram.T) / 2.0, "dual eigenproblem")
     keep = evals > _RANK_DROP * max(evals[0], 0.0)
     evals = evals[keep]
     evecs = evecs[:, keep]
@@ -306,12 +310,7 @@ def full_eigen(w: WMatrix, cap: int = FULL_EIGEN_CAP) -> SpectralBasis:
     """
     if w.n > cap:
         raise InvalidInput(f"full eigendecomposition capped at n={cap}, got {w.n}")
-    try:
-        evals, evecs = np.linalg.eigh(w.values)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("eigendecomposition did not converge") from exc
-    evals = evals[::-1].copy()
-    evecs = evecs[:, ::-1]
+    evals, evecs = _eigh_descending(w.values, "eigendecomposition")
     if evals.size and evals[0] <= 0.0:
         return SpectralBasis(eigenvalues=np.zeros(0), vectors=np.zeros((w.n, 0)))
     np.clip(evals, 0.0, None, out=evals)
@@ -328,24 +327,18 @@ def project_loglik(
 ) -> ProjectedLogLik:
     """Project the log-likelihood matrix onto the leading a_M directions.
 
-    Returns both the principal combinations (draws x a_M) and the
-    rank-a_M reconstruction of the full matrix (draws x n).  For every
-    observation the posterior variance of the reconstruction residual
-    is bounded by the sum of the dropped eigenvalues.
+    Returns the principal combinations (draws x a_M) with the trimmed
+    basis; their rank-a_M reconstruction of the full matrix is the
+    ``projected_loglik`` property.  For every observation the posterior
+    variance of the reconstruction residual is bounded by the sum of the
+    dropped eigenvalues.
     """
-    if a_M is None:
-        a_M = basis.rank_retained
-    if not 0 <= a_M <= basis.rank_retained:
-        raise InvalidInput(
-            f"a_M must be in [0, {basis.rank_retained}], got {a_M}"
-        )
+    a_M = _leading(basis, a_M)
     if basis.n != loglik.n_obs:
         raise InvalidInput(
             f"basis is over {basis.n} observations, log-likelihood has {loglik.n_obs}"
         )
     u = basis.vectors[:, :a_M]
-    proj = loglik.values @ u
-    back = proj @ u.T
     trimmed = SpectralBasis(
         eigenvalues=basis.eigenvalues[:a_M],
         vectors=u,
@@ -353,7 +346,7 @@ def project_loglik(
         if basis.dual_vectors is None
         else basis.dual_vectors[:, :a_M],
     )
-    return ProjectedLogLik(projections=proj, projected_loglik=back, basis=trimmed)
+    return ProjectedLogLik(projections=loglik.values @ u, basis=trimmed)
 
 
 def project_perturbation(eta, basis: SpectralBasis, a_M: int | None = None) -> np.ndarray:
@@ -362,12 +355,7 @@ def project_perturbation(eta, basis: SpectralBasis, a_M: int | None = None) -> n
     Accepts either a raw perturbation vector or a WeightVector (whose
     w - 1 is used).
     """
-    if a_M is None:
-        a_M = basis.rank_retained
-    if not 0 <= a_M <= basis.rank_retained:
-        raise InvalidInput(f"a_M must be in [0, {basis.rank_retained}], got {a_M}")
-    eta = _as_eta(eta, basis.n)
-    return basis.vectors[:, :a_M].T @ eta
+    return basis.vectors[:, : _leading(basis, a_M)].T @ _as_eta(eta, basis.n)
 
 
 def representative_set(chol: PivotedCholesky, basis: SpectralBasis) -> RepresentativeSet:
@@ -402,6 +390,5 @@ def subsample_draws(loglik: LogLikMatrix, m_star: int, seed: int) -> LogLikMatri
         raise InvalidInput(f"m_star must be in [2, {m}], got {m_star}")
     if m_star == m:
         return loglik
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    idx = np.sort(rng.choice(m, size=m_star, replace=False))
+    idx = np.sort(_stream(seed).choice(m, size=m_star, replace=False))
     return LogLikMatrix(values=loglik.values[idx, :])
