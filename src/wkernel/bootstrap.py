@@ -247,13 +247,17 @@ def boot_first(
     )
 
 
-def _second_term_direct(stats, funcs, h_eff) -> np.ndarray:
-    p, n = stats.n_stats, funcs.shape[1]
+def _check_tensor_size(p: int, n: int) -> None:
+    """Refuse a p x n x n second-order tensor over DIRECT_TENSOR_BUDGET."""
     if p * n**2 > DIRECT_TENSOR_BUDGET:
         raise InvalidInput(
             f"p x n^2 = {p} x {n}^2 second-order tensor entries exceed the "
             f"limit of {DIRECT_TENSOR_BUDGET}"
         )
+
+
+def _second_term_direct(stats, funcs, h_eff) -> np.ndarray:
+    _check_tensor_size(stats.n_stats, funcs.shape[1])
     tensor = third_cumulant_grid(stats, funcs)
     return 0.5 * np.einsum("ra,pab,rb->rp", h_eff, tensor, h_eff, optimize=True)
 

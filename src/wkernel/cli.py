@@ -409,6 +409,10 @@ def _cmd_freqcov(config: RunConfig, outdir: str) -> None:
         raise UsageError(
             f"--rank applies only to the projected estimator, not {estimator}"
         )
+    if opts["logprior"] and estimator != "prior_adjusted":
+        raise UsageError(
+            f"--logprior applies only to the prior_adjusted estimator, not {estimator}"
+        )
     loglik = _load_loglik(config.inputs[0])
     stats = _load_stats(config.inputs[1])
     logprior = _load_logprior(opts["logprior"])
@@ -434,6 +438,7 @@ def _cmd_boot(config: RunConfig, outdir: str) -> None:
     import numpy as np
 
     from .bootstrap import (
+        _check_tensor_size,
         boot_first,
         boot_importance,
         boot_second,
@@ -453,11 +458,14 @@ def _cmd_boot(config: RunConfig, outdir: str) -> None:
     stats = _load_stats(config.inputs[1])
     if opts["n_b"] < 1:
         raise UsageError("boot needs n_b >= 1 replicates")
-    resamples = draw_resamples(loglik.n_obs, opts["n_b"], seed)
-
     projection = None
     if method == "second_projected" or rank is not None:
         projection = _projection(loglik, rank)
+    if method in ("second_direct", "second_projected"):
+        width = loglik.n_obs if projection is None else projection.a_M
+        _check_tensor_size(stats.n_stats, width)
+    resamples = draw_resamples(loglik.n_obs, opts["n_b"], seed)
+
     diags = None
     if method == "first":
         run = boot_first(stats, loglik, resamples, projection=projection, seed=seed)
@@ -507,9 +515,11 @@ def _cmd_diag(config: RunConfig, outdir: str) -> None:
     from .kernels import ScoreMatrix, build_info_matrices
     from .matio import load_matrix, save_keyvalue, save_matrix
 
+    opts = config.options
+    if opts["hessian"] and not opts["scores"]:
+        raise UsageError("--hessian applies only with --scores")
     loglik = _load_loglik(config.inputs[0])
     stats = _load_stats(config.inputs[1])
-    opts = config.options
     logprior = _load_logprior(opts["logprior"])
 
     info = None

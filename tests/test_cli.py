@@ -1,5 +1,6 @@
 """CSV round trips, config parsing, command artifacts, determinism."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wkernel import cli
+from wkernel import cli, models
 from wkernel.cli import main
 from wkernel.core import LogLikMatrix
 from wkernel.errors import InvalidInput, ParseError
@@ -329,6 +330,21 @@ class TestCommands:
         assert header == ["pivot_rank", "observation"]
         assert len(idx) >= 1
 
+    def test_rep_writes_pivots_without_eigenproblem(self, tmp_path, monkeypatch):
+        ll = tmp_path / "ll.csv"
+        make_loglik_csv(ll)
+        opts = ["--max-rank", "5", "--threads", "1"]
+        assert main(["eigen", str(ll), *opts, "--out", str(tmp_path / "eigen")]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rep solved an eigenproblem")
+
+        monkeypatch.setattr("wkernel.spectral.dual_eigen", refuse)
+        monkeypatch.setattr("wkernel.spectral.representative_set", refuse)
+        assert main(["rep", str(ll), *opts, "--out", str(tmp_path / "rep")]) == 0
+        pivots = (tmp_path / "eigen" / "cholesky_pivots.csv").read_bytes()
+        assert (tmp_path / "rep" / "representative_indices.csv").read_bytes() == pivots
+
     def test_diag_artifacts(self, tmp_path):
         ll = tmp_path / "ll.csv"
         st = tmp_path / "st.csv"
@@ -432,6 +448,31 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "4 x 5001^2" in err and str(10**8) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "m, n, p, budget, argv, needle",
+        [
+            (3, 5001, 4, None, ["--method", "second_direct"], "limit of 100000000"),
+            (60, 8, 2, 127, ["--method", "second_projected"], "limit of 127"),
+            (60, 8, 2, None, ["--method", "first", "--rank", "99"], "--rank 99"),
+        ],
+    )
+    def test_boot_checks_before_drawing(
+        self, tmp_path, capsys, monkeypatch, m, n, p, budget, argv, needle
+    ):
+        ll, st = tmp_path / "ll.csv", tmp_path / "st.csv"
+        make_loglik_csv(ll, m=m, n=n)
+        make_stats_csv(st, m=m, p=p)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("resamples drawn before the checks")
+
+        monkeypatch.setattr("wkernel.bootstrap.draw_resamples", refuse)
+        if budget is not None:
+            monkeypatch.setattr("wkernel.bootstrap.DIRECT_TENSOR_BUDGET", budget)
+        argv = ["boot", str(ll), str(st), *argv, "--n-b", "20000"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert needle in capsys.readouterr().err
 
     def test_resample_size_limit_is_usage_error(self, tmp_path, capsys):
         here = os.path.dirname(os.path.abspath(__file__))
@@ -655,6 +696,69 @@ class TestOptionTable:
             assert main(argv + extra) == 0
             outs.append(TestDeterminism().read_all(out))
         assert outs[0] == outs[1]
+
+
+class TestDemoConfig:
+    @pytest.mark.parametrize(
+        "model, mcmc, key, text, value",
+        [
+            ("weibull", {"iters": 4500, "burn_in": 1500}, "lam", "40", 40.0),
+            ("betabinom", None, "N", "7", 7),
+            ("normal_mean", None, "m_draws", "300", 300),
+            (
+                "regression",
+                {"chains": 4, "iters": 14000, "burn_in": 2000},
+                "likelihood",
+                "student_t",
+                "student_t",
+            ),
+        ],
+    )
+    def test_defaults_are_the_model_class_own(self, model, mcmc, key, text, value):
+        cls = getattr(models, cli._DEMO[model][0])
+        seeded = {} if mcmc is None else {"mcmc": models.McmcConfig(**mcmc, seed=11)}
+        expected = cls(seed=11, **seeded)
+        assert cli._demo_config(model, 11, {}) == expected
+        overridden = cli._demo_config(model, 11, {key: text})
+        assert overridden == dataclasses.replace(expected, **{key: value})
+        assert type(getattr(overridden, key)) is type(value)
+
+
+def _option(tmp_path, name, value, by_file):
+    """An option as its flag or as a config-file key."""
+    if not by_file:
+        return ["--" + name, str(value)]
+    cfg = tmp_path / "run.cfg"
+    write(cfg, f"{name} = {value}\n")
+    return ["--config", str(cfg)]
+
+
+@pytest.mark.parametrize("by_file", [False, True], ids=["flag", "config"])
+class TestIgnoredOption:
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        ll, st = tmp_path / "ll.csv", tmp_path / "st.csv"
+        make_loglik_csv(ll)
+        make_stats_csv(st)
+        return [str(ll), str(st)]
+
+    @pytest.mark.parametrize("estimator", ["plain", "centered", "projected"])
+    def test_logprior_outside_prior_adjusted(
+        self, tmp_path, capsys, inputs, by_file, estimator
+    ):
+        lp = tmp_path / "lp.csv"
+        save_matrix(lp, np.zeros(60), header=["logprior"])
+        extra = _option(tmp_path, "logprior", lp, by_file)
+        argv = ["freqcov", *inputs, "--estimator", estimator, *extra]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert "--logprior applies only" in capsys.readouterr().err
+
+    def test_hessian_without_scores(self, tmp_path, capsys, inputs, by_file):
+        hess = tmp_path / "hess.csv"
+        save_matrix(hess, np.eye(2))
+        extra = _option(tmp_path, "hessian", hess, by_file)
+        assert main(["diag", *inputs, *extra, "--out", str(tmp_path / "o")]) == 2
+        assert "--hessian applies only with --scores" in capsys.readouterr().err
 
 
 class TestRank:
