@@ -22,11 +22,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import betaln, gammaln
 
 from .core import LogLikMatrix, LogPriorVector, StatMatrix, WeightVector, _stream
-from .errors import ConvergenceWarning, InvalidInput, Unsupported
+from .errors import ConvergenceWarning, InvalidInput, NumericalFailure, Unsupported
 from .kernels import ScoreMatrix
 
 
@@ -35,21 +33,24 @@ from .kernels import ScoreMatrix
 # ---------------------------------------------------------------------------
 
 
-def weibull_logpdf(x, gamma: float, lam: float):
-    """Log density of the Weibull distribution with shape gamma, scale lam."""
-    if gamma <= 0 or lam <= 0:
+def weibull_logpdf(x, gamma, lam):
+    """Log density of the Weibull distribution with shape gamma, scale lam.
+
+    gamma and lam may be arrays that broadcast against x: (M, 1) draws
+    against n observations give the M x n log-likelihood matrix.  All
+    scalar input gives a float.
+    """
+    gamma, lam, x = (np.asarray(a, dtype=float) for a in (gamma, lam, x))
+    if np.any(gamma <= 0) or np.any(lam <= 0):
         raise InvalidInput("Weibull shape and scale must be positive")
-    x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise InvalidInput("Weibull support is x >= 0")
     ratio = x / lam
     # overflow to inf (and hence logpdf -inf) is the correct limit for
-    # far-tail shape proposals; keep it quiet
+    # far-tail shape proposals; keep it quiet.  At gamma = 1 the power
+    # term is 0 even at x = 0.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if gamma == 1.0:
-            power_term = np.zeros_like(ratio)
-        else:
-            power_term = (gamma - 1.0) * np.log(ratio)
+        power_term = np.where(gamma == 1.0, 0.0, (gamma - 1.0) * np.log(ratio))
         out = np.log(gamma / lam) + power_term - ratio**gamma
     return out if out.ndim else float(out)
 
@@ -69,6 +70,8 @@ def betabinom_logpmf(x, N: int, q0: float, rho: float):
     x = np.asarray(x)
     if np.any(x < 0) or np.any(x > N) or not np.issubdtype(x.dtype, np.integer):
         raise InvalidInput(f"x must be an integer in [0, {N}]")
+    from scipy.special import betaln, gammaln
+
     a = q0 * (1.0 - rho) / rho
     b = (1.0 - q0) * (1.0 - rho) / rho
     comb = gammaln(N + 1) - gammaln(x + 1) - gammaln(N - x + 1)
@@ -78,6 +81,8 @@ def betabinom_logpmf(x, N: int, q0: float, rho: float):
 
 def _binom_loglik(x, N, q):
     """Binomial log-likelihood matrix: draws of q (M,) by data x (n,)."""
+    from scipy.special import gammaln
+
     q = np.asarray(q, dtype=float).reshape(-1, 1)
     x = np.asarray(x, dtype=float).reshape(1, -1)
     comb = gammaln(N + 1) - gammaln(x + 1) - gammaln(N - x + 1)
@@ -269,44 +274,43 @@ def _adaptive_rwm(logpost, x0, k, mcmc: McmcConfig):
     per-coordinate standard-deviation estimate and ``scale`` adapted by
     Robbins-Monro towards the target acceptance during burn-in.  Both
     are frozen after burn-in so the retained chain is a proper
-    Metropolis chain.  Warns (non-fatally) when the post-adaptation
-    acceptance rate leaves [0.1, 0.6].
+    Metropolis chain.  The chains advance together: ``logpost`` maps a
+    (chains x k) array to one log density per chain, and chain c draws
+    from its own stream ``_stream(seed, c + 1)``, so each chain is the
+    one it would be if run alone.  Warns (non-fatally) when the
+    post-adaptation acceptance rate leaves [0.1, 0.6].
     """
     keep = mcmc.iters - mcmc.burn_in
+    rngs = [_stream(mcmc.seed, chain + 1) for chain in range(mcmc.chains)]
     all_draws = np.empty((mcmc.chains, keep, k))
+    x = np.array(x0, dtype=float) + 0.01 * np.array([rng.standard_normal(k) for rng in rngs])
+    lp = logpost(x)
+    log_scale = np.full(mcmc.chains, np.log(mcmc.step_size))
+    mean_est = x.copy()
+    var_est = np.ones((mcmc.chains, k))
     accept_counts = 0
 
-    for chain in range(mcmc.chains):
-        rng = _stream(mcmc.seed, chain + 1)
-        x = np.array(x0, dtype=float) + 0.01 * rng.standard_normal(k)
-        lp = logpost(x)
-        log_scale = np.log(mcmc.step_size)
-        mean_est = x.copy()
-        var_est = np.ones(k)
-        accepted_after = 0
-
-        for t in range(mcmc.iters):
-            adapting = t < mcmc.burn_in
-            spread = np.sqrt(var_est)
-            prop = x + np.exp(log_scale) * spread * rng.standard_normal(k)
-            lp_prop = logpost(prop)
-            log_alpha = lp_prop - lp
-            if np.log(rng.random()) < log_alpha:
-                x = prop
-                lp = lp_prop
-                if not adapting:
-                    accepted_after += 1
-            if adapting:
-                alpha = min(1.0, np.exp(min(log_alpha, 0.0)))
-                log_scale += (alpha - mcmc.target_acceptance) / (t + 1) ** 0.6
-                delta = x - mean_est
-                mean_est += delta / (t + 2)
-                var_est += (delta * (x - mean_est) - var_est) / (t + 2)
-                var_est = np.maximum(var_est, 1e-12)
-            else:
-                all_draws[chain, t - mcmc.burn_in] = x
-
-        accept_counts += accepted_after
+    for t in range(mcmc.iters):
+        adapting = t < mcmc.burn_in
+        # per chain: the proposal's normals, then the accept uniform
+        z, u = zip(*((rng.standard_normal(k), rng.random()) for rng in rngs))
+        prop = x + np.exp(log_scale)[:, None] * np.sqrt(var_est) * np.array(z)
+        lp_prop = logpost(prop)
+        log_alpha = lp_prop - lp
+        accept = np.log(u) < log_alpha  # a nan ratio rejects
+        x = np.where(accept[:, None], prop, x)
+        lp = np.where(accept, lp_prop, lp)
+        if adapting:
+            # fmin counts a nan ratio as alpha = 1
+            alpha = np.exp(np.fmin(log_alpha, 0.0))
+            log_scale += (alpha - mcmc.target_acceptance) / (t + 1) ** 0.6
+            delta = x - mean_est
+            mean_est += delta / (t + 2)
+            var_est += (delta * (x - mean_est) - var_est) / (t + 2)
+            var_est = np.maximum(var_est, 1e-12)
+        else:
+            accept_counts += int(accept.sum())
+            all_draws[:, t - mcmc.burn_in] = x
 
     rate = accept_counts / (mcmc.chains * keep)
     if not 0.1 <= rate <= 0.6:
@@ -368,6 +372,8 @@ def _run_normal_mean(config: NormalMeanConfig) -> ModelBundle:
 
 
 def _run_beta_binomial(config: BetaBinomialConfig) -> ModelBundle:
+    from scipy.special import betaln
+
     rng = _stream(config.seed)
     n, N = config.n, config.N
     if config.rho > 0:
@@ -467,7 +473,13 @@ def _weibull_mle(x: np.ndarray):
     lo, hi = 1e-3, 10.0
     while profile(hi) < 0 and hi < 1e6:
         hi *= 2.0
-    gamma_hat = brentq(profile, lo, hi, xtol=1e-12)
+    if profile(lo) > 0 or profile(hi) < 0:
+        raise NumericalFailure(f"Weibull shape MLE is not in [{lo:g}, {hi:g}]")
+    # bisection (the profile increases in gamma) to brentq's tolerance
+    while hi - lo > 1e-12 + 4 * np.spacing(hi):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if profile(mid) < 0 else (lo, mid)
+    gamma_hat = 0.5 * (lo + hi)
     lam_hat = float(np.exp(t_max) * (np.mean(np.exp(gamma_hat * (t - t_max)))) ** (1.0 / gamma_hat))
     return float(gamma_hat), lam_hat
 
@@ -495,23 +507,19 @@ def _run_weibull(config: WeibullConfig) -> ModelBundle:
     x = config.lam * rng.weibull(config.gamma, size=config.n)
     x = np.maximum(x, 1e-12)
 
+    def loglik_fn(draws_, data_):
+        draws_ = np.asarray(draws_, dtype=float)
+        return weibull_logpdf(data_, draws_[:, :1], draws_[:, 1:])
+
     def logpost(u):
-        gamma, lam = np.exp(u)
         # flat improper prior on the original scale: the Jacobian of the
         # log reparameterization is the only prior term
-        return float(np.sum(weibull_logpdf(x, gamma, lam))) + u[0] + u[1]
+        return loglik_fn(np.exp(u), x).sum(axis=1) + u[:, 0] + u[:, 1]
 
     gamma_hat, lam_hat = _weibull_mle(x)
     u0 = np.log([gamma_hat, lam_hat])
     u_draws, rate = _adaptive_rwm(logpost, u0, 2, config.mcmc)
     draws = np.exp(u_draws)
-
-    def loglik_fn(draws_, data_):
-        out = np.empty((len(draws_), len(data_)))
-        for u, (g, l) in enumerate(np.asarray(draws_, dtype=float)):
-            out[u] = weibull_logpdf(data_, g, l)
-        return out
-
     loglik = LogLikMatrix(values=loglik_fn(draws, x))
     logprior = LogPriorVector(values=u_draws[:, 0] + u_draws[:, 1])
     theta_hat = np.array([gamma_hat, lam_hat])
@@ -537,6 +545,8 @@ def _design_matrix(z: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _student_logpdf(resid, sigma, df):
+    from scipy.special import gammaln
+
     r = resid / sigma
     return (
         gammaln((df + 1) / 2)
@@ -564,50 +574,32 @@ def _run_regression(config: RegressionConfig) -> ModelBundle:
         ("sigma",) if estimate_sigma else ()
     )
 
-    if config.likelihood == "student_t":
+    def loglik_fn(draws_, data_):
+        draws_ = np.asarray(draws_, dtype=float)
+        resid = data_ - draws_[:, :k_beta] @ design.T
+        sigma = draws_[:, k_beta:] if estimate_sigma else config.sigma_lik
+        if config.likelihood == "student_t":
+            return _student_logpdf(resid, sigma, config.student_df)
+        return -0.5 * np.log(2 * np.pi * sigma**2) - resid**2 / (2 * sigma**2)
 
-        def loglik_rows(beta, sigma):
-            return _student_logpdf(x - design @ beta, sigma, config.student_df)
+    def natural_scale(u):
+        """Draws and log prior at sampler states u, whose sigma coordinate
+        is log sigma: a flat prior on sigma >= 0 gives that Jacobian term."""
+        if not estimate_sigma:
+            return u, np.zeros(len(u))
+        return np.column_stack([u[:, :k_beta], np.exp(u[:, k_beta])]), u[:, k_beta]
 
-    else:
-
-        def loglik_rows(beta, sigma):
-            return -0.5 * np.log(2 * np.pi * sigma**2) - (x - design @ beta) ** 2 / (
-                2 * sigma**2
-            )
+    def logpost(u):
+        draws_, log_jacobian = natural_scale(u)
+        return loglik_fn(draws_, x).sum(axis=1) + log_jacobian
 
     if estimate_sigma:
-
-        def logpost(u):
-            beta, log_sigma = u[:k_beta], u[k_beta]
-            # flat prior on sigma >= 0: Jacobian term for log sigma
-            return float(np.sum(loglik_rows(beta, np.exp(log_sigma)))) + log_sigma
-
         u0 = np.concatenate([beta_ols, [np.log(max(sigma_mle, 1e-3))]])
     else:
-
-        def logpost(u):
-            return float(np.sum(loglik_rows(u, config.sigma_lik)))
-
         u0 = beta_ols
-
-    u_draws, rate = _adaptive_rwm(logpost, u0, k_beta + (1 if estimate_sigma else 0), config.mcmc)
-    if estimate_sigma:
-        draws = np.column_stack([u_draws[:, :k_beta], np.exp(u_draws[:, k_beta])])
-        logprior = LogPriorVector(values=u_draws[:, k_beta])
-    else:
-        draws = u_draws
-        logprior = LogPriorVector(values=np.zeros(len(u_draws)))
-
-    def loglik_fn(draws_, data_):
-        del data_  # regression data are fixed with their covariates
-        out = np.empty((len(draws_), n))
-        for u, row in enumerate(np.asarray(draws_, dtype=float)):
-            beta = row[:k_beta]
-            sigma = row[k_beta] if estimate_sigma else config.sigma_lik
-            out[u] = loglik_rows(beta, sigma)
-        return out
-
+    u_draws, rate = _adaptive_rwm(logpost, u0, k, config.mcmc)
+    draws, log_jacobian = natural_scale(u_draws)
+    logprior = LogPriorVector(values=log_jacobian)
     loglik = LogLikMatrix(values=loglik_fn(draws, x))
 
     if config.likelihood == "normal_known_sigma":

@@ -1,12 +1,20 @@
 """Toy-model densities, samplers, and conjugate oracles."""
 
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
-from wkernel.core import LogPriorVector, WeightVector
-from wkernel.errors import ConvergenceWarning, InvalidInput, Unsupported
+from wkernel.core import LogPriorVector, WeightVector, _stream
+from wkernel.errors import ConvergenceWarning, InvalidInput, NumericalFailure, Unsupported
 from wkernel.models import (
+    _adaptive_rwm,
+    _weibull_mle,
     BetaBinomialConfig,
     McmcConfig,
     ModelBundle,
@@ -44,6 +52,137 @@ class TestWeibullDensity:
             weibull_logpdf(-1.0, 2.0, 1.0)
         with pytest.raises(InvalidInput):
             weibull_logpdf(1.0, -2.0, 1.0)
+
+    def test_array_parameters_equal_per_draw_calls(self):
+        rng = np.random.default_rng(0)
+        x = np.append(rng.weibull(1.7, size=40) * 3.0, 0.0)
+        gamma = np.append(rng.uniform(0.3, 4.0, size=24), 1.0).reshape(-1, 1)
+        lam = rng.uniform(0.5, 6.0, size=25).reshape(-1, 1)
+        matrix = weibull_logpdf(x, gamma, lam)
+        assert matrix.shape == (25, 41)
+        rows = [weibull_logpdf(x, g, l) for g, l in zip(gamma.ravel(), lam.ravel())]
+        np.testing.assert_array_equal(matrix, np.array(rows))
+
+    def test_unit_shape_at_zero_is_minus_log_scale(self):
+        lam = np.array([[0.5], [2.0], [37.0]])
+        np.testing.assert_allclose(weibull_logpdf(0.0, np.ones((3, 1)), lam), -np.log(lam), rtol=1e-15)
+        assert weibull_logpdf(0.0, 1.0, 2.0) == pytest.approx(-np.log(2.0), rel=1e-15)
+        assert isinstance(weibull_logpdf(0.0, 1.0, 2.0), float)
+
+    def test_non_positive_array_entry_rejected(self):
+        for gamma, lam in [([[2.0], [0.0]], 1.0), (2.0, [[1.0], [-1.0]])]:
+            with pytest.raises(InvalidInput, match="must be positive"):
+                weibull_logpdf(np.ones(3), gamma, lam)
+
+
+class TestWeibullMle:
+    @staticmethod
+    def brentq_mle(x):
+        """The shape MLE by scipy's brentq on the same profile and bracket."""
+        t = np.log(x)
+        w_t = lambda g: np.exp(g * (t - t.max()))
+        profile = lambda g: (t * w_t(g)).sum() / w_t(g).sum() - 1.0 / g - t.mean()
+        hi = 10.0
+        while profile(hi) < 0 and hi < 1e6:
+            hi *= 2.0
+        return brentq(profile, 1e-3, hi, xtol=1e-12)
+
+    def test_matches_brentq(self):
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            gamma = 10 ** rng.uniform(-0.5, 2.5)
+            x = rng.uniform(0.1, 100.0) * rng.weibull(gamma, size=rng.integers(3, 200))
+            x = np.maximum(x, 1e-12)
+            gamma_hat, _ = _weibull_mle(x)
+            assert gamma_hat == pytest.approx(self.brentq_mle(x), rel=1e-10)
+
+    def test_large_shape_converges(self):
+        x = 50.0 * _stream(2).weibull(1e4, size=59)
+        assert _weibull_mle(x)[0] == pytest.approx(self.brentq_mle(x), rel=1e-10)
+
+    def test_root_outside_bracket_is_numerical_failure(self):
+        x = 50.0 * _stream(2).weibull(5e6, size=59)
+        with pytest.raises(NumericalFailure, match=r"not in \[0.001, 1.31072e\+06\]"):
+            _weibull_mle(x)
+
+    def test_weibull_path_loads_no_scipy(self):
+        script = (
+            "import sys, warnings\n"
+            "from wkernel.models import McmcConfig, WeibullConfig, run_model\n"
+            "warnings.simplefilter('ignore')\n"
+            "run_model(WeibullConfig(mcmc=McmcConfig(chains=2, iters=60, burn_in=20)))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+def _per_chain_rwm(logpost, x0, k, mcmc):
+    """Reference: the sampler as it was before the chains moved in lockstep,
+    one chain after another with a scalar log density."""
+    keep = mcmc.iters - mcmc.burn_in
+    all_draws = np.empty((mcmc.chains, keep, k))
+    accept_counts = 0
+    for chain in range(mcmc.chains):
+        rng = _stream(mcmc.seed, chain + 1)
+        x = np.array(x0, dtype=float) + 0.01 * rng.standard_normal(k)
+        lp = logpost(x)
+        log_scale = np.log(mcmc.step_size)
+        mean_est = x.copy()
+        var_est = np.ones(k)
+        accepted_after = 0
+        for t in range(mcmc.iters):
+            adapting = t < mcmc.burn_in
+            spread = np.sqrt(var_est)
+            prop = x + np.exp(log_scale) * spread * rng.standard_normal(k)
+            lp_prop = logpost(prop)
+            log_alpha = lp_prop - lp
+            if np.log(rng.random()) < log_alpha:
+                x = prop
+                lp = lp_prop
+                if not adapting:
+                    accepted_after += 1
+            if adapting:
+                alpha = min(1.0, np.exp(min(log_alpha, 0.0)))
+                log_scale += (alpha - mcmc.target_acceptance) / (t + 1) ** 0.6
+                delta = x - mean_est
+                mean_est += delta / (t + 2)
+                var_est += (delta * (x - mean_est) - var_est) / (t + 2)
+                var_est = np.maximum(var_est, 1e-12)
+            else:
+                all_draws[chain, t - mcmc.burn_in] = x
+        accept_counts += accepted_after
+    return all_draws.reshape(mcmc.chains * keep, k), accept_counts / (mcmc.chains * keep)
+
+
+def _gaussian_target(u):
+    """Correlated Gaussian log density, one value per row."""
+    return -0.5 * (u[:, 0] ** 2 + (u[:, 1] - 0.8 * u[:, 0]) ** 2 / 0.1 + u[:, 2] ** 2 / 9.0)
+
+
+def _holed_target(u):
+    """A Gaussian log density that is nan on a slab of the space."""
+    return np.where(np.abs(u[:, 1] - 0.5) < 0.3, np.nan, _gaussian_target(u))
+
+
+class TestLockstepSampler:
+    @pytest.mark.parametrize("chains", [1, 3])
+    @pytest.mark.parametrize("target", [_gaussian_target, _holed_target])
+    def test_equals_per_chain_reference(self, chains, target):
+        mcmc = McmcConfig(chains=chains, iters=600, burn_in=200, seed=5)
+        x0 = np.array([0.2, -0.1, 0.4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            draws, rate = _adaptive_rwm(target, x0, 3, mcmc)
+        ref_draws, ref_rate = _per_chain_rwm(lambda u: target(u[None, :])[0], x0, 3, mcmc)
+        np.testing.assert_array_equal(draws, ref_draws)
+        assert rate == ref_rate
 
 
 class TestBetaBinomialDensity:
