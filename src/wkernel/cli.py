@@ -292,12 +292,16 @@ def _load_loglik(path):
     return LogLikMatrix(values=arr)
 
 
-def _load_stats(path):
-    from .core import StatMatrix
+def _load_stats(path, loglik):
+    """The statistics, refused before any costly work when their draw count
+    is not the log-likelihood's."""
+    from .core import StatMatrix, _check_paired
     from .matio import load_matrix
 
     arr, header = load_matrix(path)
-    return StatMatrix(values=arr, names=tuple(header) if header else ())
+    stats = StatMatrix(values=arr, names=tuple(header) if header else ())
+    _check_paired(stats, loglik)
+    return stats
 
 
 def _load_logprior(path):
@@ -414,7 +418,7 @@ def _cmd_freqcov(config: RunConfig, outdir: str) -> None:
             f"--logprior applies only to the prior_adjusted estimator, not {estimator}"
         )
     loglik = _load_loglik(config.inputs[0])
-    stats = _load_stats(config.inputs[1])
+    stats = _load_stats(config.inputs[1], loglik)
     logprior = _load_logprior(opts["logprior"])
     projection = _projection(loglik, opts["rank"]) if estimator == "projected" else None
 
@@ -455,7 +459,7 @@ def _cmd_boot(config: RunConfig, outdir: str) -> None:
             f"--rank applies only to methods {_PROJECTING_METHODS}, not {method}"
         )
     loglik = _load_loglik(config.inputs[0])
-    stats = _load_stats(config.inputs[1])
+    stats = _load_stats(config.inputs[1], loglik)
     if opts["n_b"] < 1:
         raise UsageError("boot needs n_b >= 1 replicates")
     projection = None
@@ -519,7 +523,7 @@ def _cmd_diag(config: RunConfig, outdir: str) -> None:
     if opts["hessian"] and not opts["scores"]:
         raise UsageError("--hessian applies only with --scores")
     loglik = _load_loglik(config.inputs[0])
-    stats = _load_stats(config.inputs[1])
+    stats = _load_stats(config.inputs[1], loglik)
     logprior = _load_logprior(opts["logprior"])
 
     info = None

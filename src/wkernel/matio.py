@@ -34,7 +34,7 @@ def _parse_cell(cell: str):
         return None
 
 
-def load_matrix(path, min_rows: int = 1):
+def load_matrix(path):
     """Load a CSV matrix; returns (array, header-or-None).
 
     The first row is treated as a header when none of its cells parses
@@ -68,8 +68,6 @@ def load_matrix(path, min_rows: int = 1):
         arr = None
     if arr is None or not np.isfinite(arr).all():
         arr = _parse_rows(rows, path, offset=2 if header is not None else 1)
-    if arr.shape[0] < min_rows:
-        raise ParseError(f"expected at least {min_rows} rows", path=path)
     if header is not None and len(header) != arr.shape[1]:
         raise ParseError(
             f"header has {len(header)} names for {arr.shape[1]} columns", path=path

@@ -455,14 +455,20 @@ class TestCommands:
             (3, 5001, 4, None, ["--method", "second_direct"], "limit of 100000000"),
             (60, 8, 2, 127, ["--method", "second_projected"], "limit of 127"),
             (60, 8, 2, None, ["--method", "first", "--rank", "99"], "--rank 99"),
+            # m as (log-likelihood draws, statistics draws)
+            pytest.param(
+                (60, 59), 8, 2, None, ["--method", "first"], "statistics have 59 draws",
+                id="statistics-one-draw-short",
+            ),
         ],
     )
     def test_boot_checks_before_drawing(
         self, tmp_path, capsys, monkeypatch, m, n, p, budget, argv, needle
     ):
         ll, st = tmp_path / "ll.csv", tmp_path / "st.csv"
-        make_loglik_csv(ll, m=m, n=n)
-        make_stats_csv(st, m=m, p=p)
+        m_ll, m_st = m if isinstance(m, tuple) else (m, m)
+        make_loglik_csv(ll, m=m_ll, n=n)
+        make_stats_csv(st, m=m_st, p=p)
 
         def refuse(*args, **kwargs):
             raise AssertionError("resamples drawn before the checks")
@@ -473,6 +479,27 @@ class TestCommands:
         argv = ["boot", str(ll), str(st), *argv, "--n-b", "20000"]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         assert needle in capsys.readouterr().err
+
+    def test_freqcov_checks_draw_count_before_projecting(self, tmp_path, capsys, monkeypatch):
+        ll, st = tmp_path / "ll.csv", tmp_path / "st.csv"
+        make_loglik_csv(ll, m=60)
+        make_stats_csv(st, m=59)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("projection built before the draw-count check")
+
+        monkeypatch.setattr("wkernel.cli._projection", refuse)
+        argv = ["freqcov", str(ll), str(st), "--estimator", "projected"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert "statistics have 59 draws, log-likelihoods have 60" in capsys.readouterr().err
+
+    def test_diag_with_unpaired_statistics_writes_nothing(self, tmp_path, capsys):
+        ll, st, out = tmp_path / "ll.csv", tmp_path / "st.csv", tmp_path / "o"
+        make_loglik_csv(ll, m=60)
+        make_stats_csv(st, m=59)
+        assert main(["diag", str(ll), str(st), "--out", str(out)]) == 2
+        assert "statistics have 59 draws" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_resample_size_limit_is_usage_error(self, tmp_path, capsys):
         here = os.path.dirname(os.path.abspath(__file__))
@@ -699,6 +726,15 @@ class TestOptionTable:
 
 
 class TestDemoConfig:
+    def test_weibull_shape_mle_outside_bracket_exits_4(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write(cfg, "gamma = 5e6\n")
+        argv = ["demo", "weibull", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "Weibull shape MLE is not in [0.001, 1.31072e+06]" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "model, mcmc, key, text, value",
         [
