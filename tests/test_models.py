@@ -13,14 +13,14 @@ from scipy.optimize import brentq
 from wkernel.core import LogPriorVector, WeightVector, _stream
 from wkernel.errors import ConvergenceWarning, InvalidInput, NumericalFailure, Unsupported
 from wkernel.models import (
-    _adaptive_rwm,
-    _weibull_mle,
     BetaBinomialConfig,
     McmcConfig,
     ModelBundle,
     NormalMeanConfig,
     RegressionConfig,
     WeibullConfig,
+    _adaptive_rwm,
+    _weibull_mle,
     betabinom_logpmf,
     curve_stats,
     exact_weighted_mean,
@@ -65,7 +65,8 @@ class TestWeibullDensity:
 
     def test_unit_shape_at_zero_is_minus_log_scale(self):
         lam = np.array([[0.5], [2.0], [37.0]])
-        np.testing.assert_allclose(weibull_logpdf(0.0, np.ones((3, 1)), lam), -np.log(lam), rtol=1e-15)
+        out = weibull_logpdf(0.0, np.ones((3, 1)), lam)
+        np.testing.assert_allclose(out, -np.log(lam), rtol=1e-15)
         assert weibull_logpdf(0.0, 1.0, 2.0) == pytest.approx(-np.log(2.0), rel=1e-15)
         assert isinstance(weibull_logpdf(0.0, 1.0, 2.0), float)
 
@@ -105,22 +106,23 @@ class TestWeibullMle:
         with pytest.raises(NumericalFailure, match=r"not in \[0.001, 1.31072e\+06\]"):
             _weibull_mle(x)
 
-    def test_weibull_path_loads_no_scipy(self):
-        script = (
-            "import sys, warnings\n"
-            "from wkernel.models import McmcConfig, WeibullConfig, run_model\n"
-            "warnings.simplefilter('ignore')\n"
-            "run_model(WeibullConfig(mcmc=McmcConfig(chains=2, iters=60, burn_in=20)))\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-        )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+
+def test_weibull_path_loads_no_scipy():
+    script = (
+        "import sys, warnings\n"
+        "from wkernel.models import McmcConfig, WeibullConfig, run_model\n"
+        "warnings.simplefilter('ignore')\n"
+        "run_model(WeibullConfig(mcmc=McmcConfig(chains=2, iters=60, burn_in=20)))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _per_chain_rwm(logpost, x0, k, mcmc):
