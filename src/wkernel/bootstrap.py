@@ -17,11 +17,12 @@ resample perturbation eta = counts - 1 around the original posterior:
                    exp(sum_i eta_i l_i), exact as M grows but prone to
                    weight collapse
 
-All replicates live in one (n_b x n) count matrix, ``Resamples``.
 Replicate r is drawn from the counter-based Philox stream keyed by the
 seed and jumped r times, so results are reproducible and independent of
-any execution schedule; one generator is rewound to each replicate's
-counter.
+any execution schedule.  ``Resamples`` hands replicates out in blocks of
+_BLOCK rows, each drawn when it is reached, and every estimator runs one
+loop over those blocks; memory is O(_BLOCK x max(M, n) + n_b x p), not
+O(n_b x n).
 """
 
 from __future__ import annotations
@@ -54,29 +55,26 @@ _METHODS = (
 
 # p * n^2 scalars above which the second-order tensor is refused
 DIRECT_TENSOR_BUDGET = 10**8
-# n_b * n above which resamples are refused: counts and eta take 1 GiB each
+# n_b * n above which resamples are refused: the whole count matrix takes 1 GiB
 MAX_RESAMPLE_CELLS = 2**27
-# replicate block size for the draw-by-replicate work matrices
+# replicates drawn and estimated together
 _BLOCK = 256
 
 
-@dataclass(frozen=True)
 class Resamples:
-    """Multinomial resamples as a read-only (n_b x n) count matrix.
+    """Multinomial resamples: n_b replicates of counts over n observations.
 
-    Row r holds how many times each observation was drawn in replicate r;
-    every row sums to n.  A read-only int64 array that owns its data, as
-    ``draw_resamples`` hands over, is kept without a copy; anything else is
-    copied, so a writable array of the caller's is never frozen.
+    Row r of the (n_b x n) count matrix holds how many times each
+    observation was drawn in replicate r; every row sums to n.  Built
+    from a count matrix, which is checked and kept as a read-only copy,
+    or by ``draw_resamples``, which keeps only the seed and draws rows
+    when they are asked for.
+    ``blocks`` hands the rows out _BLOCK at a time; ``counts`` and
+    ``eta`` build the whole matrix.
     """
 
-    counts: np.ndarray
-
-    def __post_init__(self):
-        arr = self.counts
-        frozen = isinstance(arr, np.ndarray) and not arr.flags.writeable
-        if not (frozen and arr.flags.owndata and arr.dtype == np.int64):
-            arr = _readonly(arr, dtype=np.int64)
+    def __init__(self, counts):
+        arr = _readonly(counts, dtype=np.int64)
         if arr.ndim != 2:
             raise InvalidInput(
                 "resample counts must be 2-D (replicates x observations), "
@@ -94,18 +92,61 @@ class Resamples:
             raise InvalidInput(
                 f"resample {r} counts must sum to n={arr.shape[1]}, got {sums[r]}"
             )
-        object.__setattr__(self, "counts", arr)
+        self._counts, self._seed = arr, None
+        self._n_b, self._n = arr.shape
+
+    @classmethod
+    def _drawn(cls, n: int, n_b: int, seed: int) -> Resamples:
+        self = cls.__new__(cls)
+        self._counts, self._seed, self._n_b, self._n = None, seed, n_b, n
+        return self
 
     def __len__(self) -> int:
-        return self.counts.shape[0]
+        return self._n_b
+
+    @property
+    def n_obs(self) -> int:
+        return self._n
+
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        """Count rows start..stop-1, sliced from the matrix or drawn.
+
+        A drawn row r counts n uniform category indices from
+        ``replicate_rng(seed, r)``: one Philox generator is set to the
+        counter and empty buffer that jumping r times produces (a jump
+        adds 1 to counter word 2), so each row equals that stream's draw
+        bit for bit, whichever rows are drawn together.
+        """
+        if self._counts is not None:
+            return self._counts[start:stop]
+        bitgen = np.random.Philox(key=self._seed)
+        rng = np.random.Generator(bitgen)
+        state = bitgen.state
+        counter = state["state"]["counter"]
+        n = self._n
+        rows = np.empty((stop - start, n), dtype=np.int64)
+        for i in range(stop - start):
+            counter[2] = start + i
+            bitgen.state = state
+            rows[i] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        rows.setflags(write=False)
+        return rows
+
+    def blocks(self):
+        """Yield (row slice, read-only counts) for consecutive blocks of at
+        most _BLOCK replicates; drawn rows are drawn once per call."""
+        for start in range(0, self._n_b, _BLOCK):
+            stop = min(start + _BLOCK, self._n_b)
+            yield slice(start, stop), self._rows(start, stop)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The whole read-only (n_b x n) count matrix."""
+        return self._rows(0, self._n_b)
 
     @property
     def eta(self) -> np.ndarray:
         return self.counts - 1.0
-
-    @property
-    def n_obs(self) -> int:
-        return self.counts.shape[1]
 
 
 @dataclass(frozen=True)
@@ -172,10 +213,9 @@ def draw_resamples(n: int, n_b: int, seed: int) -> Resamples:
     Replicate r draws n uniform category indices from
     ``replicate_rng(seed, r)`` and counts them into row r, which is
     exactly the multinomial distribution with equal cell probabilities.
-    One Philox generator serves every replicate: its state is set to the
-    counter and empty buffer that jumping r times produces, so each row
-    equals the per-replicate stream bit for bit.  Raises InvalidInput
-    when n_b x n exceeds MAX_RESAMPLE_CELLS.
+    Nothing is drawn here: the rows are drawn block by block as the
+    estimators reach them.  Raises InvalidInput when n_b x n exceeds
+    MAX_RESAMPLE_CELLS.
     """
     if n < 1:
         raise InvalidInput("need at least one observation")
@@ -186,30 +226,16 @@ def draw_resamples(n: int, n_b: int, seed: int) -> Resamples:
             f"n_b x n = {n_b} x {n} resample counts exceed the limit of "
             f"{MAX_RESAMPLE_CELLS}"
         )
-    bitgen = np.random.Philox(key=seed)
-    rng = np.random.Generator(bitgen)
-    # a fresh state has counter 0 and an empty buffer; jumped(r) adds r
-    # to counter word 2 (one jump is 2**128 steps) and empties the buffer
-    state = bitgen.state
-    counter = state["state"]["counter"]
-    counts = np.empty((n_b, n), dtype=np.int64)
-    for r in range(n_b):
-        counter[2] = r
-        bitgen.state = state
-        counts[r] = np.bincount(rng.integers(0, n, size=n), minlength=n)
-    counts.setflags(write=False)
-    return Resamples(counts=counts)
+    return Resamples._drawn(n, n_b, seed)
 
 
-def _paired_eta(stats, loglik, resamples: Resamples) -> np.ndarray:
-    """The resample perturbations, once statistics, log-likelihoods and
-    resamples are checked to pair up."""
+def _check_resamples(stats, loglik, resamples: Resamples) -> None:
+    """Refuse statistics, log-likelihoods and resamples that do not pair up."""
     _check_paired(stats, loglik)
     if resamples.n_obs != loglik.n_obs:
         raise InvalidInput(
             f"resamples have {resamples.n_obs} observations, expected {loglik.n_obs}"
         )
-    return resamples.eta
 
 
 def boot_first(
@@ -221,23 +247,26 @@ def boot_first(
 ) -> BootstrapRun:
     """First-order replicate estimates, linear in the perturbations.
 
-    The p x n sensitivity grid is computed once; each replicate is then
-    one matrix-vector product.  With a projection the grid is taken
-    against the principal combinations instead, which changes nothing
-    when the projection keeps the full rank.
+    The p x n sensitivity grid is computed once; each block of
+    replicates is then one matrix product.  With a projection the grid
+    is taken against the principal combinations instead, which changes
+    nothing when the projection keeps the full rank.
     """
-    h = _paired_eta(stats, loglik, resamples)
+    _check_resamples(stats, loglik, resamples)
     mean = stats.values.mean(axis=0)
     rank = None
     if projection is not None:
         _check_draws(projection, stats, "projection and statistics")
         grid = posterior_cov_grid(stats.values, projection.projections)
-        h_eff = h @ projection.basis.vectors
         rank = projection.a_M
     else:
         grid = posterior_cov_grid(stats.values, loglik.values)
-        h_eff = h
-    estimates = mean[None, :] + h_eff @ grid.T
+    estimates = np.empty((len(resamples), stats.n_stats))
+    for rows, counts in resamples.blocks():
+        h = counts - 1.0
+        if projection is not None:
+            h = h @ projection.basis.vectors
+        estimates[rows] = mean[None, :] + h @ grid.T
     return BootstrapRun(
         estimates=estimates,
         method="first",
@@ -256,22 +285,34 @@ def _check_tensor_size(p: int, n: int) -> None:
         )
 
 
-def _second_term_direct(stats, funcs, h_eff) -> np.ndarray:
+def _second_term_direct(stats, funcs, basis=None):
+    """The quadratic term of a block of perturbations h, from the cumulant
+    tensor of ``funcs``; with a basis, h is first mapped onto it."""
     _check_tensor_size(stats.n_stats, funcs.shape[1])
     tensor = third_cumulant_grid(stats, funcs)
-    return 0.5 * np.einsum("ra,pab,rb->rp", h_eff, tensor, h_eff, optimize=True)
+
+    def term(h):
+        if basis is not None:
+            h = h @ basis
+        return 0.5 * np.einsum("ra,pab,rb->rp", h, tensor, h, optimize=True)
+
+    return term
 
 
-def _second_term_efficient(stats, loglik_values, h) -> np.ndarray:
+def _second_term_efficient(stats, loglik_values):
+    """The quadratic term of a block of perturbations h, from the
+    log-likelihoods collapsed against h."""
     m = stats.n_draws
     ac = stats.values - stats.values.mean(axis=0)
-    out = np.empty((h.shape[0], stats.n_stats))
-    for start in range(0, h.shape[0], _BLOCK):
-        block = h[start : start + _BLOCK]
-        collapsed = loglik_values @ block.T  # draws x replicates
+
+    def term(h):
+        collapsed = loglik_values @ h.T  # draws x replicates
         collapsed -= collapsed.mean(axis=0)
-        out[start : start + _BLOCK] = 0.5 * (collapsed**2).T @ ac / m
-    return out
+        np.square(collapsed, out=collapsed)
+        collapsed *= 0.5
+        return collapsed.T @ ac / m
+
+    return term
 
 
 def boot_second(
@@ -292,26 +333,29 @@ def boot_second(
     """
     if mode not in ("direct", "efficient"):
         raise InvalidInput(f"mode must be direct/efficient, got {mode!r}")
-    h = _paired_eta(stats, loglik, resamples)
+    _check_resamples(stats, loglik, resamples)
     mean = stats.values.mean(axis=0)
     first_grid = posterior_cov_grid(stats.values, loglik.values)
-    first_term = h @ first_grid.T
 
     if projection is not None:
         _check_draws(projection, stats, "projection and statistics")
-        h_proj = h @ projection.basis.vectors
-        second = _second_term_direct(stats, projection.projections, h_proj)
+        second = _second_term_direct(
+            stats, projection.projections, projection.basis.vectors
+        )
         method = "second_projected"
         rank = projection.a_M
     else:
         if mode == "direct":
-            second = _second_term_direct(stats, loglik.values, h)
+            second = _second_term_direct(stats, loglik.values)
         else:
-            second = _second_term_efficient(stats, loglik.values, h)
+            second = _second_term_efficient(stats, loglik.values)
         method = f"second_{mode}"
         rank = None
 
-    estimates = mean[None, :] + first_term + second
+    estimates = np.empty((len(resamples), stats.n_stats))
+    for rows, counts in resamples.blocks():
+        h = counts - 1.0
+        estimates[rows] = mean[None, :] + h @ first_grid.T + second(h)
     return BootstrapRun(
         estimates=estimates,
         method=method,
@@ -334,29 +378,27 @@ def boot_importance(
     diagnostics; replicates whose weights cannot be normalized are
     flagged as degenerate and their estimates left NaN.
     """
-    h = _paired_eta(stats, loglik, resamples)
-    n_b = h.shape[0]
+    _check_resamples(stats, loglik, resamples)
+    n_b = len(resamples)
     m = loglik.n_draws
-    estimates = np.full((n_b, stats.n_stats), np.nan)
+    estimates = np.empty((n_b, stats.n_stats))
     max_weight = np.empty(n_b)
     ess = np.empty(n_b)
-    degenerate = np.zeros(n_b, dtype=bool)
+    degenerate = np.empty(n_b, dtype=bool)
 
-    for start in range(0, n_b, _BLOCK):
-        block = h[start : start + _BLOCK]
-        logw = block @ loglik.values.T  # replicates x draws
-        logw -= logw.max(axis=1, keepdims=True)
-        w = np.exp(logw)
+    for rows, counts in resamples.blocks():
+        w = (counts - 1.0) @ loglik.values.T  # replicates x draws, log-weights
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
         norm = w.sum(axis=1)
         bad = ~np.isfinite(norm) | (norm <= 0.0)
         norm = np.where(bad, 1.0, norm)
         w /= norm[:, None]
-        sl = slice(start, start + block.shape[0])
-        estimates[sl] = w @ stats.values
-        max_weight[sl] = w.max(axis=1)
-        ess[sl] = 1.0 / np.sum(w**2, axis=1)
-        degenerate[sl] = bad
-        estimates[sl][bad] = np.nan
+        estimates[rows] = w @ stats.values
+        max_weight[rows] = w.max(axis=1)
+        ess[rows] = 1.0 / np.sum(np.square(w, out=w), axis=1)
+        degenerate[rows] = bad
+        estimates[rows][bad] = np.nan
 
     run = BootstrapRun(
         estimates=estimates,

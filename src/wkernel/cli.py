@@ -124,23 +124,30 @@ class RunConfig:
     file_cfg: dict = field(default_factory=dict)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _common_options(default) -> argparse.ArgumentParser:
+    """--out, --config and --threads, which go before or after the command."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", "-o", default=None, help="output directory")
-    common.add_argument("--config", default=None, help="flat key = value config file")
-    common.add_argument("--threads", type=int, default=None, help="thread cap")
+    common.add_argument("--out", "-o", default=default, help="output directory")
+    common.add_argument("--config", default=default, help="flat key = value config file")
+    common.add_argument("--threads", type=int, default=default, help="thread cap")
+    return common
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wkernel",
         description=(
             "Frequentist evaluation of Bayesian estimators from a "
             "per-observation log-likelihood matrix."
         ),
-        parents=[common],
+        parents=[_common_options(None)],
     )
     sub = parser.add_subparsers(dest="command")
+    # a command's copies set nothing unless given, so that they do not
+    # overwrite a value given before the command
+    after = _common_options(argparse.SUPPRESS)
     for command, (help_text, inputs, options) in _COMMANDS.items():
-        p = sub.add_parser(command, parents=[common], help=help_text)
+        p = sub.add_parser(command, parents=[after], help=help_text)
         for name in inputs:
             choices, text = _INPUTS[name]
             p.add_argument(name, choices=choices, help=text)
@@ -514,7 +521,7 @@ def _cmd_rep(config: RunConfig, outdir: str) -> None:
 def _cmd_diag(config: RunConfig, outdir: str) -> None:
     import numpy as np
 
-    from .errors import UsageError
+    from .errors import InvalidInput, UsageError
     from .freq_eval import centering_diagnostic, penalties
     from .kernels import ScoreMatrix, build_info_matrices
     from .matio import load_matrix, save_keyvalue, save_matrix
@@ -531,6 +538,11 @@ def _cmd_diag(config: RunConfig, outdir: str) -> None:
         if not opts["hessian"]:
             raise UsageError("--scores requires --hessian for the curvature matrix")
         s_arr, _ = load_matrix(opts["scores"])
+        if s_arr.shape[0] != loglik.n_obs:
+            raise InvalidInput(
+                f"scores have {s_arr.shape[0]} rows, log-likelihoods have "
+                f"{loglik.n_obs} observations"
+            )
         h_arr, _ = load_matrix(opts["hessian"])
         info = build_info_matrices(ScoreMatrix(values=s_arr, hessian_sum=h_arr))
 

@@ -21,6 +21,9 @@ import numpy as np
 
 from .errors import InvalidInput, ParseError
 
+# cells converted to Python floats at a time when a matrix is written
+_SAVE_CHUNK_CELLS = 2**16
+
 
 def _fmt(x) -> str:
     """Shortest decimal string that round-trips to the same float64."""
@@ -121,7 +124,9 @@ def save_matrix(path, arr, header=None, row_names=None) -> None:
     """Write a matrix (or vector as one column) with a header row.
 
     With ``row_names``, each row starts with its name in a text column,
-    which ``header`` names too.
+    which ``header`` names too.  Rows are converted to Python floats
+    about _SAVE_CHUNK_CELLS cells at a time, never the whole matrix at
+    once, and each row is written with its own call.
     """
     arr = np.asarray(arr, dtype=float)
     if arr.ndim == 1:
@@ -141,9 +146,14 @@ def save_matrix(path, arr, header=None, row_names=None) -> None:
         raise InvalidInput(f"{len(row_names)} row names for {arr.shape[0]} rows")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(str(h) for h in header) + "\n")
-        # repr of a Python float is _fmt's shortest round-trip form
-        for lead, row in zip(leads, arr.tolist()):
-            fh.write(lead + ",".join(map(repr, row)) + "\n")
+        step = max(1, _SAVE_CHUNK_CELLS // max(1, arr.shape[1]))
+        for start in range(0, arr.shape[0], step):
+            # the chunk's floats die with this loop, before the next chunk;
+            # repr of a Python float is _fmt's shortest round-trip form
+            rows = arr[start : start + step].tolist()
+            for lead, row in zip(leads[start : start + step], rows):
+                fh.write(lead + ",".join(map(repr, row)) + "\n")
+            del rows
 
 
 def save_keyvalue(path, pairs) -> None:

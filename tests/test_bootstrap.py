@@ -128,14 +128,49 @@ class TestDrawResamples:
             np.testing.assert_array_equal(counts[r], np.bincount(cats, minlength=n))
 
     def test_counts_are_not_copied(self):
-        # the filled matrix is handed to Resamples, not duplicated
+        # drawing holds nothing; the whole matrix is filled once, not copied
         tracemalloc.start()
         try:
             resamples = draw_resamples(120, 10000, seed=1)
+            assert tracemalloc.get_traced_memory()[0] < 2**12
+            counts = resamples.counts
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * resamples.counts.nbytes
+        assert peak <= 1.2 * counts.nbytes
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 12),
+        n_b=st.one_of(
+            st.sampled_from([1, bootstrap._BLOCK - 1, bootstrap._BLOCK + 1, 700]),
+            st.integers(1, 3 * bootstrap._BLOCK),
+        ),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_blocks_are_the_matrix_and_the_jumped_streams(self, n, n_b, seed):
+        resamples = draw_resamples(n, n_b, seed)
+        blocks = list(resamples.blocks())
+        starts = [rows.start for rows, _ in blocks]
+        assert starts == list(range(0, n_b, bootstrap._BLOCK))
+        for rows, counts in blocks:
+            assert counts.shape == (rows.stop - rows.start, n)
+            assert not counts.flags.writeable
+        joined = np.concatenate([counts for _, counts in blocks])
+        np.testing.assert_array_equal(joined, resamples.counts)
+        for r in range(n_b):
+            cats = replicate_rng(seed, r).integers(0, n, size=n)
+            np.testing.assert_array_equal(joined[r], np.bincount(cats, minlength=n))
+
+    def test_caller_matrix_blocks_are_its_rows(self):
+        counts = np.ones((bootstrap._BLOCK + 3, 2), dtype=np.int64)
+        counts[-1] = [2, 0]
+        blocks = list(Resamples(counts=counts).blocks())
+        assert [rows for rows, _ in blocks] == [
+            slice(0, bootstrap._BLOCK),
+            slice(bootstrap._BLOCK, bootstrap._BLOCK + 3),
+        ]
+        np.testing.assert_array_equal(np.concatenate([c for _, c in blocks]), counts)
 
     def test_size_limit(self):
         # 2**27 cells is the ceiling
@@ -395,6 +430,53 @@ class TestBootGold:
         first = boot_first(stats, bundle.loglik, resamples)
         corr = np.corrcoef(gold.estimates[:, 0], first.estimates[:, 0])[0, 1]
         assert corr > 0.9
+
+
+class TestBlockedEstimates:
+    """Estimates computed block by block against one block of every replicate."""
+
+    N_B = 2 * 256 + 77
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(41)
+        m, n = 2500, 120
+        ll = LogLikMatrix(0.3 * rng.standard_normal((m, n)) + rng.standard_normal(n))
+        stats = StatMatrix(rng.standard_normal((m, 3)) + ll.values[:, :3])
+        proj = project_loglik(ll, full_eigen(build_w(ll)), 5)
+        return stats, ll, proj
+
+    RUNS = {
+        "first": lambda s, l, r, p: boot_first(s, l, r),
+        "first_projected": lambda s, l, r, p: boot_first(s, l, r, projection=p),
+        "second_efficient": lambda s, l, r, p: boot_second(s, l, r),
+        "second_direct": lambda s, l, r, p: boot_second(s, l, r, mode="direct"),
+        "second_projected": lambda s, l, r, p: boot_second(s, l, r, projection=p),
+        "importance": lambda s, l, r, p: boot_importance(s, l, r)[0],
+    }
+
+    @pytest.mark.parametrize("method", sorted(RUNS))
+    def test_blocks_match_one_block(self, case, monkeypatch, method):
+        stats, ll, proj = case
+        assert self.N_B % bootstrap._BLOCK and self.N_B > 2 * bootstrap._BLOCK
+        resamples = draw_resamples(ll.n_obs, self.N_B, seed=42)
+        blocked = self.RUNS[method](stats, ll, resamples, proj).estimates
+        monkeypatch.setattr(bootstrap, "_BLOCK", self.N_B)
+        assert len(list(resamples.blocks())) == 1
+        whole = self.RUNS[method](stats, ll, resamples, proj).estimates
+        assert np.all(np.isfinite(whole))
+        scale = np.abs(whole).max()
+        np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-13 * scale)
+
+    def test_importance_diagnostics_match_one_block(self, case, monkeypatch):
+        stats, ll, _ = case
+        resamples = draw_resamples(ll.n_obs, self.N_B, seed=43)
+        _, blocked = boot_importance(stats, ll, resamples)
+        monkeypatch.setattr(bootstrap, "_BLOCK", self.N_B)
+        _, whole = boot_importance(stats, ll, resamples)
+        np.testing.assert_array_equal(blocked.degenerate, whole.degenerate)
+        np.testing.assert_allclose(blocked.ess, whole.ess, rtol=1e-13)
+        np.testing.assert_allclose(blocked.max_weight, whole.max_weight, rtol=1e-13)
 
 
 class TestSummaries:

@@ -361,6 +361,30 @@ class TestCommands:
         cen = (out / "centering.csv").read_text().splitlines()
         assert cen[0] == "statistic,value,scale"
 
+    def test_diag_scores_must_have_one_row_per_observation(self, tmp_path, capsys):
+        ll, st, out = tmp_path / "ll.csv", tmp_path / "st.csv", tmp_path / "out"
+        make_loglik_csv(ll, m=40, n=6)
+        make_stats_csv(st, m=40)
+        scores, hess = tmp_path / "scores.csv", tmp_path / "hess.csv"
+        save_matrix(scores, np.random.default_rng(4).standard_normal((5, 2)))
+        save_matrix(hess, np.eye(2))
+        argv = ["diag", str(ll), str(st), "--scores", str(scores), "--hessian", str(hess)]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "scores have 5 rows, log-likelihoods have 6 observations" in err
+        assert not (out / "penalties.csv").exists()
+
+    def test_diag_scores_with_one_row_per_observation(self, tmp_path):
+        ll, st, out = tmp_path / "ll.csv", tmp_path / "st.csv", tmp_path / "out"
+        make_loglik_csv(ll, m=40, n=6)
+        make_stats_csv(st, m=40)
+        scores, hess = tmp_path / "scores.csv", tmp_path / "hess.csv"
+        save_matrix(scores, np.random.default_rng(4).standard_normal((6, 2)))
+        save_matrix(hess, np.eye(2))
+        argv = ["diag", str(ll), str(st), "--scores", str(scores), "--hessian", str(hess)]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert "tic_penalty" in (out / "penalties.csv").read_text()
+
     @staticmethod
     def _zmat(tmp_path, arr):
         """Run zmat on ``arr``; return the duality report and Z's eigenvalues."""
@@ -423,6 +447,25 @@ class TestCommands:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("method", ["second_efficient", "importance"])
+    def test_boot_memory_grows_with_estimate_rows_only(self, tmp_path, method):
+        # replicates are drawn and estimated in blocks: ten times the
+        # replicates adds a few copies of the n_b x p estimates, not the
+        # n_b x n counts (n / p = 75 times larger, twice over with eta)
+        ll, st = tmp_path / "ll.csv", tmp_path / "st.csv"
+        make_loglik_csv(ll, m=50, n=300)
+        make_stats_csv(st, m=50, p=4)
+        peaks = {}
+        for n_b in (2000, 20000):
+            argv = ["boot", str(ll), str(st), "--method", method, "--n-b", str(n_b)]
+            tracemalloc.start()
+            try:
+                assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+                peaks[n_b] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20000] - peaks[2000] <= 12 * (20000 - 2000) * 4 * 8
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -840,9 +883,9 @@ class TestRank:
         assert main(["freqcov", *inputs, "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
-def test_threads_flag_beats_inherited_thread_variables(tmp_path):
-    ll = tmp_path / "ll.csv"
-    make_loglik_csv(ll)
+def _thread_variables(tmp_path, argv):
+    """Exit code and thread variables after ``main(argv)`` in a fresh process
+    that inherits OPENBLAS_NUM_THREADS=4 and OMP_NUM_THREADS=4."""
     script = (
         "import os, sys\n"
         "import wkernel.cli as cli\n"
@@ -853,9 +896,59 @@ def test_threads_flag_beats_inherited_thread_variables(tmp_path):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="4")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = ["eigen", str(ll), "--threads", "1", "--out", str(tmp_path / "out")]
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0"] + ["1"] * 5
+    return proc.stdout.split()
+
+
+def test_threads_flag_beats_inherited_thread_variables(tmp_path):
+    ll = tmp_path / "ll.csv"
+    make_loglik_csv(ll)
+    argv = ["eigen", str(ll), "--threads", "1", "--out", str(tmp_path / "out")]
+    assert _thread_variables(tmp_path, argv) == ["0"] + ["1"] * 5
+
+
+class TestCommonOptions:
+    """--out, --threads and --config work before the command as after it."""
+
+    @staticmethod
+    def place(position, command, option):
+        return option + command if position == "before" else command + option
+
+    @pytest.mark.parametrize("position", ["before", "after"])
+    def test_out(self, tmp_path, monkeypatch, position):
+        ll = tmp_path / "ll.csv"
+        make_loglik_csv(ll)
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert main(self.place(position, ["zmat", str(ll)], ["--out", str(out)])) == 0
+        assert (out / "z_eigenvalues.csv").exists()
+        assert not (tmp_path / "z_eigenvalues.csv").exists()
+
+    @pytest.mark.parametrize("position", ["before", "after"])
+    def test_threads(self, tmp_path, position):
+        ll = tmp_path / "ll.csv"
+        make_loglik_csv(ll)
+        argv = self.place(position, ["zmat", str(ll)], ["--threads", "1"])
+        argv += ["--out", str(tmp_path / "out")]
+        assert _thread_variables(tmp_path, argv) == ["0"] + ["1"] * 5
+
+    @pytest.mark.parametrize("position", ["before", "after"])
+    def test_config(self, tmp_path, position):
+        ll, st, cfg = tmp_path / "ll.csv", tmp_path / "st.csv", tmp_path / "run.cfg"
+        make_loglik_csv(ll)
+        make_stats_csv(st)
+        write(cfg, "n_b = 7\n")
+        command = ["boot", str(ll), str(st), "--out", str(tmp_path / "out")]
+        assert main(self.place(position, command, ["--config", str(cfg)])) == 0
+        estimates, _ = load_matrix(tmp_path / "out" / "estimates.csv")
+        assert estimates.shape == (7, 2)
+
+    def test_value_after_the_command_wins(self, tmp_path):
+        ll = tmp_path / "ll.csv"
+        make_loglik_csv(ll)
+        before, after = tmp_path / "before", tmp_path / "after"
+        assert main(["--out", str(before), "zmat", str(ll), "--out", str(after)]) == 0
+        assert (after / "z_eigenvalues.csv").exists() and not before.exists()

@@ -7,6 +7,7 @@ array bytes and header, or the same ParseError message.
 
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -119,3 +120,19 @@ def test_mixed_first_row_is_data_not_header(tmp_path):
     path.write_text("1,0x10\n3,4\n5,6\n", encoding="utf-8")
     with pytest.raises(ParseError, match=r"non-numeric cell '0x10' \(.*row 1, col 2\)"):
         matio.load_matrix(path)
+
+
+def test_save_matrix_converts_in_bounded_chunks(tmp_path):
+    # a 12000 x 59 matrix as Python floats would take about 23 MB
+    arr = np.random.default_rng(5).standard_normal((12000, 59)) * 10.0 ** np.arange(-29, 30)
+    path = tmp_path / "m.csv"
+    header = [f"c{j}" for j in range(59)]
+    tracemalloc.start()
+    try:
+        matio.save_matrix(path, arr, header)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    want = ",".join(header) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in arr.tolist())
+    assert path.read_text(encoding="utf-8") == want
