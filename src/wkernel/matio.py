@@ -148,12 +148,11 @@ def save_matrix(path, arr, header=None, row_names=None) -> None:
         fh.write(",".join(str(h) for h in header) + "\n")
         step = max(1, _SAVE_CHUNK_CELLS // max(1, arr.shape[1]))
         for start in range(0, arr.shape[0], step):
-            # the chunk's floats die with this loop, before the next chunk;
             # repr of a Python float is _fmt's shortest round-trip form
             rows = arr[start : start + step].tolist()
             for lead, row in zip(leads[start : start + step], rows):
                 fh.write(lead + ",".join(map(repr, row)) + "\n")
-            del rows
+            del rows  # free this chunk's floats before the next is made
 
 
 def save_keyvalue(path, pairs) -> None:
