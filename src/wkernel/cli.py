@@ -333,25 +333,17 @@ def _load_w(path, opts):
     return build_w(_load_loglik(path), kind=opts["kind"])
 
 
-def _full_spectrum(w):
-    """W's whole retained spectrum, as the projected paths and ``demo`` use
-    it: pivoted Cholesky to relative tolerance 1e-10, with no rank cap."""
-    from .spectral import dual_eigen, incomplete_cholesky
-
-    return dual_eigen(incomplete_cholesky(w, rel_tol=1e-10, max_rank=w.n))
-
-
 def _projection(loglik, rank):
     """Projection onto the leading ``rank`` directions of the raw W, or onto
-    all retained ones when rank is None; more than that is a usage error."""
+    all retained ones when rank is None; a rank outside 1 to the retained
+    rank is a usage error."""
     from .errors import UsageError
-    from .kernels import build_w
-    from .spectral import project_loglik
+    from .spectral import principal_basis, project_loglik
 
-    basis = _full_spectrum(build_w(loglik, kind="raw"))
-    if rank is not None and rank > basis.rank_retained:
+    basis = principal_basis(loglik)
+    if rank is not None and not 1 <= rank <= basis.rank_retained:
         raise UsageError(
-            f"--rank {rank} exceeds the retained rank {basis.rank_retained}"
+            f"--rank {rank} is outside 1 to the retained rank {basis.rank_retained}"
         )
     return project_loglik(loglik, basis, rank)
 
@@ -607,9 +599,9 @@ def _cmd_demo(config: RunConfig, outdir: str) -> None:
 
     from .bootstrap import boot_first, draw_resamples, summarize_bootstrap
     from .freq_eval import freq_cov, penalties
-    from .kernels import build_w
     from .matio import save_keyvalue, save_matrix
     from .models import run_model
+    from .spectral import principal_basis
 
     model = config.inputs[0]
     seed = config.options["seed"]
@@ -628,8 +620,7 @@ def _cmd_demo(config: RunConfig, outdir: str) -> None:
     ):
         save_matrix(os.path.join(outdir, name), arr, header=header)
 
-    w = build_w(bundle.loglik, kind="raw")
-    basis = _full_spectrum(w)
+    basis = principal_basis(bundle.loglik)
     _save_spectrum(outdir, basis.eigenvalues, False)
 
     sigma = freq_cov(stats, bundle.loglik, estimator="centered")
@@ -648,7 +639,7 @@ def _cmd_demo(config: RunConfig, outdir: str) -> None:
         ("model", model),
         ("n_obs", bundle.n_obs),
         ("n_draws", bundle.n_draws),
-        ("trace_w", w.trace),
+        ("trace_w", float(np.sum(np.var(bundle.loglik.values, axis=0)))),
         ("waic_penalty", pen.waic_penalty),
         ("pcic_penalty", pen.pcic_penalty),
     ]

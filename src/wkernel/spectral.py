@@ -1,15 +1,15 @@
 """Principal-space machinery for the observation-covariance matrix.
 
 The leading eigenvectors of the W matrix span the directions of
-observation space that posterior means actually respond to.  This module
-computes that space two ways: an incomplete pivoted Cholesky
-factorization with greedy diagonal pivoting, kept in observation order
-(left-looking: O(n * rank^2) plus one W column per step), whose small
-dual eigenproblem recovers the nonzero spectrum; and a full dense
-eigendecomposition used as oracle and fallback.  The pivots alone are a
-representative subset of observations and need no eigenproblem.
-Projection helpers map log-likelihoods and perturbation vectors onto the
-retained directions.
+observation space that posterior means actually respond to.  One engine,
+``principal_basis``, reads that space from the smaller Gram product of
+the centered log-likelihoods without forming W.  The incomplete pivoted
+Cholesky factorization (greedy diagonal pivoting, kept in observation
+order, O(n * rank^2) plus one W column per step) remains for its pivots,
+a representative subset of observations, with the small dual
+eigenproblem that ``eigen`` reports beside them.  A full dense
+eigendecomposition serves as oracle.  Projection helpers map
+log-likelihoods and perturbation vectors onto the retained directions.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .kernels import _RANK_DROP, WMatrix, _eigh_descending
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_MAX_RANK = 500
 FULL_EIGEN_CAP = 2000
+# principal_basis drops the longest eigenvalue tail summing to <= this * tr W
+_TAIL_TOL = 1e-10
 
 # pivot candidates within this absolute slack of the max diagonal tie-break
 # to the lowest observation index, for deterministic output
@@ -77,9 +79,9 @@ class SpectralBasis:
     """Leading eigenpairs of a symmetric PSD matrix, eigenvalues descending.
 
     ``vectors`` has orthonormal columns in the original observation
-    ordering.  ``dual_vectors`` (set by the Cholesky-based solver) holds
-    the eigenvectors of the small dual problem, which the representative
-    set needs for its reconstruction map.
+    ordering.  ``dual_vectors`` (set only by ``dual_eigen``) holds the
+    eigenvectors of the small dual problem, which the representative set
+    needs for its reconstruction map.
     """
 
     eigenvalues: np.ndarray
@@ -271,35 +273,48 @@ def incomplete_cholesky(
     )
 
 
+def _gram_eigen(gram: np.ndarray, factor: np.ndarray | None, tail_tol: float = 0.0):
+    """Eigenpairs of W = F F^T from ``gram`` = F^T F of the n x k ``factor``
+    F, or of W itself for None.  Eigenvalues at relative level 1e-14 or
+    below go, as does the longest tail summing to <= tail_tol of the total;
+    kept V_a lift to F V_a / sqrt(lambda_a), signed like ``gram``'s own."""
+    evals, evecs = _eigh_descending((gram + gram.T) / 2.0, "Gram eigenproblem")
+    tail = np.cumsum(np.maximum(evals[::-1], 0.0))[::-1]
+    keep = evals > _RANK_DROP * np.max(evals, initial=0.0)
+    keep &= tail > tail_tol * np.max(tail, initial=0.0)
+    evals, evecs = evals[keep], evecs[:, keep]
+    vectors = evecs if factor is None else factor @ evecs / np.sqrt(evals)
+    signs = _signs(vectors)
+    return evals, vectors * signs, evecs * signs
+
+
 def dual_eigen(chol: PivotedCholesky) -> SpectralBasis:
     """Spectrum of W from the small dual problem of its Cholesky factor.
 
     Solves the a_M x a_M eigenproblem of L^T L, whose nonzero
     eigenvalues equal those of L L^T, and lifts each eigenvector V_a to
     the unit eigenvector L V_a / sqrt(lambda_a) of W (already in
-    observation order).  Directions with eigenvalues at
-    relative level 1e-14 or below are dropped.
+    observation order).  Eigenvalues at relative level 1e-14 or below
+    are dropped.
     """
-    if chol.a_M == 0:
-        return SpectralBasis(
-            eigenvalues=np.zeros(0),
-            vectors=np.zeros((chol.n, 0)),
-            dual_vectors=np.zeros((0, 0)),
-        )
-    gram = chol.L.T @ chol.L
-    evals, evecs = _eigh_descending((gram + gram.T) / 2.0, "dual eigenproblem")
-    keep = evals > _RANK_DROP * max(evals[0], 0.0)
-    evals = evals[keep]
-    evecs = evecs[:, keep]
+    evals, vectors, dual = _gram_eigen(chol.L.T @ chol.L, chol.L)
+    return SpectralBasis(eigenvalues=evals, vectors=vectors, dual_vectors=dual)
 
-    vectors = chol.L @ evecs
-    vectors /= np.sqrt(evals)
-    # one sign convention for the lifted vectors and the dual vectors, so
-    # the representative-set reconstruction reproduces the same coordinates
-    signs = _signs(vectors)
-    return SpectralBasis(
-        eigenvalues=evals, vectors=vectors * signs, dual_vectors=evecs * signs
-    )
+
+def principal_basis(loglik: LogLikMatrix) -> SpectralBasis:
+    """W's retained principal space from the smaller Gram product.
+
+    With C the draw-centered log-likelihoods over sqrt(M), W = C^T C; for
+    M < n the M x M C C^T is eigendecomposed instead and lifted through
+    C^T, so no n x n array exists.  The fewest leading directions are kept
+    whose dropped eigenvalues sum to at most 1e-10 tr W (none if constant).
+    """
+    centered = loglik.values - loglik.values.mean(axis=0)
+    centered /= np.sqrt(loglik.n_draws)
+    wide = loglik.n_draws < loglik.n_obs
+    gram = centered @ centered.T if wide else centered.T @ centered
+    evals, vectors, _ = _gram_eigen(gram, centered.T if wide else None, _TAIL_TOL)
+    return SpectralBasis(eigenvalues=evals, vectors=vectors)
 
 
 def full_eigen(w: WMatrix, cap: int = FULL_EIGEN_CAP) -> SpectralBasis:
@@ -339,13 +354,7 @@ def project_loglik(
             f"basis is over {basis.n} observations, log-likelihood has {loglik.n_obs}"
         )
     u = basis.vectors[:, :a_M]
-    trimmed = SpectralBasis(
-        eigenvalues=basis.eigenvalues[:a_M],
-        vectors=u,
-        dual_vectors=None
-        if basis.dual_vectors is None
-        else basis.dual_vectors[:, :a_M],
-    )
+    trimmed = SpectralBasis(eigenvalues=basis.eigenvalues[:a_M], vectors=u)
     return ProjectedLogLik(projections=loglik.values @ u, basis=trimmed)
 
 

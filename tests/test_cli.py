@@ -840,6 +840,14 @@ class TestIgnoredOption:
         assert "--hessian applies only with --scores" in capsys.readouterr().err
 
 
+# the invocations that project onto W's leading directions
+_PROJECTING = [
+    ["freqcov", "--estimator", "projected"],
+    ["boot", "--method", "first", "--n-b", "5"],
+    ["boot", "--method", "second_projected", "--n-b", "5"],
+]
+
+
 class TestRank:
     @pytest.fixture
     def inputs(self, tmp_path):
@@ -848,19 +856,29 @@ class TestRank:
         make_stats_csv(st)
         return [str(ll), str(st)]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["freqcov", "--estimator", "projected"],
-            ["boot", "--method", "first", "--n-b", "5"],
-            ["boot", "--method", "second_projected", "--n-b", "5"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", _PROJECTING)
     def test_rank_above_retained_is_usage_error(self, tmp_path, capsys, inputs, argv):
         argv = argv[:1] + inputs + argv[1:] + ["--rank", "99", "--out", str(tmp_path)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "--rank 99" in err and "retained rank 8" in err
+
+    @pytest.mark.parametrize("rank", ["0", "-1"])
+    @pytest.mark.parametrize("argv", _PROJECTING)
+    def test_rank_below_one_is_usage_error(self, tmp_path, capsys, inputs, argv, rank):
+        out = tmp_path / "o"
+        argv = argv[:1] + inputs + argv[1:] + ["--rank", rank, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--rank {rank}" in err and "retained rank 8" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_rank_zero_from_config_file_is_refused(self, tmp_path, capsys, inputs):
+        cfg = tmp_path / "run.cfg"
+        write(cfg, "rank = 0\n")
+        argv = ["freqcov", *inputs, "--estimator", "projected", "--config", str(cfg)]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert "--rank 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -881,6 +899,48 @@ class TestRank:
         cfg = tmp_path / "run.cfg"
         write(cfg, "rank = 2\n")
         assert main(["freqcov", *inputs, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+class TestPrincipalSpaceBuildsNoW:
+    @pytest.fixture
+    def no_w(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("W or its pivoted Cholesky was built")
+
+        monkeypatch.setattr("wkernel.kernels.build_w", refuse)
+        monkeypatch.setattr("wkernel.spectral.incomplete_cholesky", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["freqcov", "--estimator", "projected"],
+            ["boot", "--method", "first", "--rank", "2", "--n-b", "5"],
+            ["boot", "--method", "second_projected", "--rank", "2", "--n-b", "5"],
+        ],
+    )
+    def test_projected_paths(self, tmp_path, no_w, argv):
+        ll, st = tmp_path / "ll.csv", tmp_path / "st.csv"
+        make_loglik_csv(ll)
+        make_stats_csv(st)
+        argv = argv[:1] + [str(ll), str(st)] + argv[1:]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+
+    def test_demo(self, tmp_path, no_w):
+        assert main(["demo", "normal_mean", "--out", str(tmp_path / "o")]) == 0
+
+    def test_projection_memory_is_below_one_w(self, tmp_path):
+        # W for 3000 observations takes 72 MB; the smaller Gram product is 20 x 20
+        ll, st = tmp_path / "ll.csv", tmp_path / "st.csv"
+        make_loglik_csv(ll, m=20, n=3000)
+        make_stats_csv(st, m=20)
+        argv = ["freqcov", str(ll), str(st), "--estimator", "projected", "--rank", "2"]
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def _thread_variables(argv):

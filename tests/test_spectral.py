@@ -10,9 +10,11 @@ from wkernel.errors import InvalidInput, NotPSD
 from wkernel.kernels import WMatrix, build_w
 from wkernel.spectral import (
     _PIVOT_TIE,
+    _TAIL_TOL,
     dual_eigen,
     full_eigen,
     incomplete_cholesky,
+    principal_basis,
     project_loglik,
     project_perturbation,
     representative_set,
@@ -216,6 +218,61 @@ class TestDualEigen:
             assert np.max(np.abs(resid)) <= 1e-6 * lam1
         gram = basis.vectors.T @ basis.vectors
         np.testing.assert_allclose(gram, np.eye(basis.rank_retained), atol=1e-8)
+
+
+@st.composite
+def loglik_cases(draw):
+    """Random M x n log-likelihoods with M < n, M > n or M = n, possibly
+    with duplicated draws or duplicated observations, or constant over
+    the draws (integer columns, so centering leaves exact zeros).  One
+    column's spread may be scaled down so that its direction carries
+    about 1e-4 or 1e-12 of the variance: kept and dropped by the tail
+    rule, and both far above the 1e-14 rank-drop level."""
+    small = draw(st.integers(2, 9))
+    large = draw(st.integers(small + 1, 14))
+    m, n = draw(st.sampled_from([(small, large), (large, small), (small, small)]))
+    variant = draw(st.sampled_from(["plain", "dup_draws", "dup_obs", "constant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = rng.integers(-5, 6, size=n).astype(float)
+    if variant == "constant":
+        return LogLikMatrix(np.tile(offsets, (m, 1)))
+    spread = rng.uniform(0.5, 2.0, size=n)
+    spread[rng.integers(n)] *= draw(st.sampled_from([1.0, 1e-2, 1e-6]))
+    vals = rng.standard_normal((m, n)) * spread + offsets
+    if variant == "dup_draws":
+        vals = vals[rng.integers(0, max(m // 2, 1), size=m)]
+    elif variant == "dup_obs":
+        vals = vals[:, rng.integers(0, max(n // 2, 1), size=n)]
+    return LogLikMatrix(vals)
+
+
+def tail_rank(evals):
+    """The fewest leading eigenvalues whose dropped tail sums to at most
+    _TAIL_TOL times the total."""
+    tail = np.cumsum(np.maximum(evals, 0.0)[::-1])[::-1]
+    return int(np.count_nonzero(tail > _TAIL_TOL * tail[0])) if evals.size else 0
+
+
+class TestPrincipalBasisProperties:
+    @_PROPERTY
+    @given(loglik_cases())
+    def test_matches_dense_eigen_of_w(self, ll):
+        basis = principal_basis(ll)
+        dense = full_eigen(build_w(ll))
+        lam = dense.eigenvalues
+        k = basis.rank_retained
+        assert k == tail_rank(lam)
+        assert basis.vectors.shape == (ll.n_obs, k)
+        if k == 0:
+            return
+        np.testing.assert_allclose(basis.eigenvalues, lam[:k], rtol=0, atol=1e-10 * lam[0])
+        np.testing.assert_allclose(basis.vectors.T @ basis.vectors, np.eye(k), atol=1e-10)
+        # the top-j span is unique wherever the spectrum has a gap after j
+        following = np.append(lam[1:], 0.0)
+        for j in range(1, k + 1):
+            if lam[j - 1] - following[j - 1] > 1e-6 * lam[0]:
+                u, v = basis.vectors[:, :j], dense.vectors[:, :j]
+                np.testing.assert_allclose(u @ u.T, v @ v.T, rtol=0, atol=1e-8)
 
 
 class TestFullEigen:
