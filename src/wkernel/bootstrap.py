@@ -36,6 +36,8 @@ from .core import (
     StatMatrix,
     _check_draws,
     _check_paired,
+    _freeze,
+    _frozen,
     _readonly,
     _stream,
     posterior_cov_grid,
@@ -129,8 +131,7 @@ class Resamples:
             counter[2] = start + i
             bitgen.state = state
             rows[i] = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        rows.setflags(write=False)
-        return rows
+        return _frozen(rows)
 
     def blocks(self):
         """Yield (row slice, read-only counts) for consecutive blocks of at
@@ -160,14 +161,10 @@ class BootstrapRun:
     draws_used: int | None = None
 
     def __post_init__(self):
-        arr = _readonly(self.estimates)
-        if arr.ndim != 2:
-            raise InvalidInput("estimates must be (replicates x statistics)")
+        what = None if self.method == "importance" else "replicate estimates"
+        _freeze(self, "estimates", ndim=2, what=what)
         if self.method not in _METHODS:
             raise InvalidInput(f"unknown method {self.method!r}")
-        if self.method != "importance" and not np.all(np.isfinite(arr)):
-            raise InvalidInput("replicate estimates contain non-finite entries")
-        object.__setattr__(self, "estimates", arr)
 
     @property
     def n_replicates(self) -> int:
@@ -189,9 +186,8 @@ class ImportanceDiagnostics:
     degenerate: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "max_weight", _readonly(self.max_weight))
-        object.__setattr__(self, "ess", _readonly(self.ess))
-        object.__setattr__(self, "degenerate", _readonly(self.degenerate, dtype=bool))
+        _freeze(self, "max_weight", "ess")
+        _freeze(self, "degenerate", dtype=bool)
 
     @property
     def n_degenerate(self) -> int:
@@ -268,7 +264,7 @@ def boot_first(
             h = h @ projection.basis.vectors
         estimates[rows] = mean[None, :] + h @ grid.T
     return BootstrapRun(
-        estimates=estimates,
+        estimates=_frozen(estimates),
         method="first",
         rank_used=rank,
         seed=seed,
@@ -357,7 +353,7 @@ def boot_second(
         h = counts - 1.0
         estimates[rows] = mean[None, :] + h @ first_grid.T + second(h)
     return BootstrapRun(
-        estimates=estimates,
+        estimates=_frozen(estimates),
         method=method,
         rank_used=rank,
         seed=seed,
@@ -396,18 +392,18 @@ def boot_importance(
         w /= norm[:, None]
         estimates[rows] = w @ stats.values
         max_weight[rows] = w.max(axis=1)
-        ess[rows] = 1.0 / np.sum(np.square(w, out=w), axis=1)
+        ess[rows] = np.minimum(1.0 / np.sum(np.square(w, out=w), axis=1), m)
         degenerate[rows] = bad
         estimates[rows][bad] = np.nan
 
     run = BootstrapRun(
-        estimates=estimates,
+        estimates=_frozen(estimates),
         method="importance",
         seed=seed,
         draws_used=m,
     )
     diags = ImportanceDiagnostics(
-        max_weight=max_weight, ess=np.minimum(ess, m), degenerate=degenerate
+        max_weight=_frozen(max_weight), ess=_frozen(ess), degenerate=_frozen(degenerate)
     )
     return run, diags
 

@@ -11,8 +11,8 @@ Determinism: all stochastic commands take a 64-bit seed (counter-based
 generator), and ``--threads 1`` pins the numerical thread pools before
 numpy is loaded, which makes repeat runs byte-identical.
 
-Exit codes: 0 success, 2 usage/invalid input, 3 parse error,
-4 numerical failure.
+Exit codes: 0 success, 2 usage/invalid input or out of memory, 3 parse
+error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -257,6 +257,9 @@ def main(argv=None) -> int:
     except (UsageError, InvalidInput) as exc:
         print(f"wkernel: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"wkernel: out of memory: {exc}", file=sys.stderr)
+        return 2
     except (NotPSD, SingularInformation, NumericalFailure, FloatingPointError) as exc:
         print(f"wkernel: numerical failure: {exc}", file=sys.stderr)
         return 4
@@ -292,21 +295,21 @@ def run_command(config: RunConfig) -> None:
 
 
 def _load_loglik(path):
-    from .core import LogLikMatrix
+    from .core import LogLikMatrix, _frozen
     from .matio import load_matrix
 
     arr, _ = load_matrix(path)
-    return LogLikMatrix(values=arr)
+    return LogLikMatrix(values=_frozen(arr))
 
 
 def _load_stats(path, loglik):
     """The statistics, refused before any costly work when their draw count
     is not the log-likelihood's."""
-    from .core import StatMatrix, _check_paired
+    from .core import StatMatrix, _check_paired, _frozen
     from .matio import load_matrix
 
     arr, header = load_matrix(path)
-    stats = StatMatrix(values=arr, names=tuple(header) if header else ())
+    stats = StatMatrix(values=_frozen(arr), names=tuple(header) if header else ())
     _check_paired(stats, loglik)
     return stats
 
@@ -320,17 +323,6 @@ def _load_logprior(path):
 
     vec, _ = load_vector(path)
     return LogPriorVector(values=vec)
-
-
-def _load_w(path, opts):
-    """W built from a log-likelihood file, or read as is with matrix = w."""
-    from .kernels import WMatrix, build_w
-    from .matio import load_matrix
-
-    if opts["matrix"] == "w":
-        arr, _ = load_matrix(path)
-        return WMatrix(values=arr, kind=opts["kind"], source_M=0)
-    return build_w(_load_loglik(path), kind=opts["kind"])
 
 
 def _projection(loglik, rank):
@@ -368,12 +360,29 @@ def _save_spectrum(outdir, eigenvalues, log_scree) -> None:
 
 
 def _cholesky(config: RunConfig):
-    """Pivoted Cholesky of the W that ``eigen`` and ``rep`` read."""
+    """Pivoted Cholesky of the W that ``eigen`` and ``rep`` read: built from
+    the log-likelihood file, or read as is with matrix = w.  A stop at the
+    rank cap with the residual above rel_tol x tr W is said on stderr."""
+    from .core import _frozen
+    from .kernels import WMatrix, build_w
+    from .matio import load_matrix
     from .spectral import incomplete_cholesky
 
-    opts = config.options
-    w = _load_w(config.inputs[0], opts)
-    return incomplete_cholesky(w, rel_tol=opts["rel_tol"], max_rank=opts["max_rank"])
+    opts, path = config.options, config.inputs[0]
+    if opts["matrix"] == "w":
+        arr, _ = load_matrix(path)
+        w = WMatrix(values=_frozen(arr), kind=opts["kind"], source_M=0)
+    else:
+        w = build_w(_load_loglik(path), kind=opts["kind"])
+    chol = incomplete_cholesky(w, rel_tol=opts["rel_tol"], max_rank=opts["max_rank"])
+    if chol.stopped_by == "max_rank":
+        print(
+            f"wkernel: pivoted Cholesky stopped at the rank cap of {chol.a_M} with "
+            f"residual trace {chol.residual_trace:.6g} above rel_tol x tr W = "
+            f"{opts['rel_tol'] * chol.trace_w:.6g}",
+            file=sys.stderr,
+        )
+    return chol
 
 
 def _cmd_eigen(config: RunConfig, outdir: str) -> None:
@@ -614,7 +623,6 @@ def _cmd_demo(config: RunConfig, outdir: str) -> None:
         ("data.csv", bundle.data, ["x"]),
         ("draws.csv", bundle.draws, params),
         ("loglik.csv", bundle.loglik.values, [f"obs_{i}" for i in range(bundle.n_obs)]),
-        ("stats.csv", stats.values, list(stats.names)),
         ("logprior.csv", bundle.logprior.values, ["logprior"]),
         ("theta_hat.csv", theta_hat, params),
     ):

@@ -13,13 +13,13 @@ Conventions used throughout the package:
   formula is not acceptable.
 
 All containers are frozen dataclasses wrapping read-only float64 arrays,
-so every operation here is a pure function that is safe to call
-concurrently.
+taken under the one copy rule of ``_readonly``, so every operation here
+is a pure function that is safe to call concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +27,51 @@ from .errors import InvalidInput
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    """``values`` as a read-only array of ``dtype``, the copy rule of every
+    container: adopted when no caller can still write to it (a fresh
+    conversion, or an owned array already read-only), else copied, views
+    included, since an adopted view would keep its whole base alive."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.base is not None or (arr is values and arr.flags.writeable):
+        arr = np.array(arr)
     arr.setflags(write=False)
     return arr
 
 
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, which its producer has just made, marked read-only so that
+    the container it is handed to adopts it without a copy."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _require_finite(arr: np.ndarray, what: str) -> float:
+    """Refuse a non-finite entry of ``arr``; return its largest magnitude,
+    found by two reductions with no temporary the size of ``arr``."""
+    lo = np.min(arr, initial=0.0)
+    hi = np.max(arr, initial=0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise InvalidInput(f"{what} contains non-finite entries")
+    return float(max(hi, -lo))
+
+
+def _freeze(obj, *names, dtype=float, ndim=None, what=None) -> float:
+    """Store each named field of ``obj`` (None stays None) through
+    ``_readonly``; with ``ndim``, refuse another dimension count, and with
+    ``what``, a non-finite entry, naming the array ``what`` in both
+    messages and returning the largest magnitude checked."""
+    scale = 0.0
+    for name in names:
+        value = getattr(obj, name)
+        if value is None:
+            continue
+        arr = _readonly(value, dtype)
+        if ndim is not None and arr.ndim != ndim:
+            raise InvalidInput(f"{what or name} must be {ndim}-D, got {arr.ndim}-D")
+        if what is not None:
+            scale = max(scale, _require_finite(arr, what))
+        object.__setattr__(obj, name, arr)
+    return scale
 
 
 def _check_paired(stats: StatMatrix, loglik: LogLikMatrix) -> None:
@@ -74,15 +111,11 @@ class LogLikMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _readonly(self.values)
-        if arr.ndim != 2:
-            raise InvalidInput(f"log-likelihood matrix must be 2-D, got {arr.ndim}-D")
-        _require_finite(arr, "log-likelihood matrix")
-        if arr.shape[0] < 2:
-            raise InvalidInput(f"need at least 2 posterior draws, got {arr.shape[0]}")
-        if arr.shape[1] < 1:
+        _freeze(self, "values", ndim=2, what="log-likelihood matrix")
+        if self.n_draws < 2:
+            raise InvalidInput(f"need at least 2 posterior draws, got {self.n_draws}")
+        if self.n_obs < 1:
             raise InvalidInput("need at least 1 observation")
-        object.__setattr__(self, "values", arr)
 
     @property
     def n_draws(self) -> int:
@@ -105,20 +138,16 @@ class StatMatrix:
     names: tuple = ()
 
     def __post_init__(self):
-        arr = _readonly(self.values)
-        if arr.ndim == 1:
-            arr = _readonly(arr.reshape(-1, 1))
-        if arr.ndim != 2:
-            raise InvalidInput(f"statistic matrix must be 2-D, got {arr.ndim}-D")
-        _require_finite(arr, "statistic matrix")
-        if arr.shape[0] < 1:
+        if np.ndim(self.values) == 1:
+            object.__setattr__(self, "values", np.reshape(self.values, (-1, 1)))
+        _freeze(self, "values", ndim=2, what="statistic matrix")
+        if self.n_draws < 1:
             raise InvalidInput("statistic matrix has no rows")
-        names = tuple(self.names) or tuple(f"stat_{j}" for j in range(arr.shape[1]))
-        if len(names) != arr.shape[1]:
+        names = tuple(self.names) or tuple(f"stat_{j}" for j in range(self.n_stats))
+        if len(names) != self.n_stats:
             raise InvalidInput(
-                f"{len(names)} names for {arr.shape[1]} statistic columns"
+                f"{len(names)} names for {self.n_stats} statistic columns"
             )
-        object.__setattr__(self, "values", arr)
         object.__setattr__(self, "names", names)
 
     @property
@@ -145,13 +174,9 @@ class LogPriorVector:
     prior_weight: float = 0.0
 
     def __post_init__(self):
-        arr = _readonly(self.values)
-        if arr.ndim != 1:
-            raise InvalidInput("log-prior must be a vector")
-        _require_finite(arr, "log-prior vector")
+        _freeze(self, "values", ndim=1, what="log-prior vector")
         if self.prior_weight < 0:
             raise InvalidInput("prior_weight must be nonnegative")
-        object.__setattr__(self, "values", arr)
 
     @property
     def n_draws(self) -> int:
@@ -165,11 +190,7 @@ class WeightVector:
     w: np.ndarray
 
     def __post_init__(self):
-        arr = _readonly(self.w)
-        if arr.ndim != 1:
-            raise InvalidInput("weight vector must be 1-D")
-        _require_finite(arr, "weight vector")
-        object.__setattr__(self, "w", arr)
+        _freeze(self, "w", ndim=1, what="weight vector")
 
     @property
     def eta(self) -> np.ndarray:
@@ -188,15 +209,13 @@ class ThirdCumulantTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _readonly(self.values)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        scale = _freeze(self, "values", ndim=3, what="cumulant tensor")
+        arr = self.values
+        if arr.shape[1] != arr.shape[2]:
             raise InvalidInput(f"cumulant tensor must be (p, a, a), got {arr.shape}")
-        _require_finite(arr, "cumulant tensor")
         sym_gap = np.max(np.abs(arr - arr.transpose(0, 2, 1)), initial=0.0)
-        scale = np.max(np.abs(arr), initial=0.0)
         if sym_gap > 1e-10 * max(scale, 1.0):
             raise InvalidInput("cumulant tensor is not symmetric in its last two axes")
-        object.__setattr__(self, "values", arr)
 
 
 # ---------------------------------------------------------------------------

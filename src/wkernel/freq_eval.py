@@ -30,7 +30,8 @@ from .core import (
     ThirdCumulantTensor,
     _check_draws,
     _check_paired,
-    _readonly,
+    _freeze,
+    _frozen,
     posterior_cov_grid,
     third_cumulant_grid,
 )
@@ -50,12 +51,11 @@ class FreqCovEstimate:
     rank_used: int | str = "full"
 
     def __post_init__(self):
-        arr = _readonly(self.values)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        _freeze(self, "values")
+        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
             raise InvalidInput("covariance estimate must be square")
         if self.estimator not in _ESTIMATORS:
             raise InvalidInput(f"unknown estimator {self.estimator!r}")
-        object.__setattr__(self, "values", arr)
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class SensitivityReport:
     second_order: ThirdCumulantTensor | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "first_order", _readonly(self.first_order))
+        _freeze(self, "first_order")
 
 
 @dataclass(frozen=True)
@@ -96,15 +96,14 @@ class CenteringDiagnostic:
     scale: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
-        object.__setattr__(self, "scale", _readonly(self.scale))
+        _freeze(self, "values", "scale")
 
 
 def sensitivity_first(stats: StatMatrix, loglik: LogLikMatrix) -> SensitivityReport:
     """First-order weight sensitivities: the p x n posterior covariance grid."""
     _check_paired(stats, loglik)
     grid = posterior_cov_grid(stats.values, loglik.values)
-    return SensitivityReport(first_order=grid)
+    return SensitivityReport(first_order=_frozen(grid))
 
 
 def sensitivity_second(stats: StatMatrix, funcs) -> ThirdCumulantTensor:
@@ -116,7 +115,7 @@ def sensitivity_second(stats: StatMatrix, funcs) -> ThirdCumulantTensor:
     """
     tensor = third_cumulant_grid(stats, np.asarray(funcs, dtype=float))
     tensor = (tensor + tensor.transpose(0, 2, 1)) / 2.0
-    return ThirdCumulantTensor(values=tensor)
+    return ThirdCumulantTensor(values=_frozen(tensor))
 
 
 def freq_cov(
@@ -153,9 +152,9 @@ def freq_cov(
         if estimator == "centered":
             grid = grid - grid.mean(axis=1, keepdims=True)
 
-    sigma = grid @ grid.T
+    # the Gram product of one contiguous array is exactly symmetric
     return FreqCovEstimate(
-        values=(sigma + sigma.T) / 2.0, estimator=estimator, rank_used=rank_used
+        values=_frozen(grid @ grid.T), estimator=estimator, rank_used=rank_used
     )
 
 
@@ -223,4 +222,4 @@ def centering_diagnostic(
             stats.values, logprior.values.reshape(-1, 1)
         )[:, 0]
         total = total + prior_grid
-    return CenteringDiagnostic(values=total, scale=scale)
+    return CenteringDiagnostic(values=_frozen(total), scale=_frozen(scale))

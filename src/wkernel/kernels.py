@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogLikMatrix, _readonly, _require_finite, posterior_cov
+from .core import LogLikMatrix, _freeze, _frozen, posterior_cov
 from .errors import InvalidInput, NumericalFailure, SingularInformation
 
 _W_KINDS = ("raw", "double_centered")
@@ -32,17 +32,16 @@ _W_KINDS = ("raw", "double_centered")
 _RANK_DROP = 1e-14
 
 
-def _symmetric(values, name: str) -> np.ndarray:
-    """``values`` read-only, checked square, finite and symmetric to 1e-12
-    of its largest entry; ``name`` is the matrix's letter."""
-    arr = _readonly(values)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+def _symmetric(obj, name: str) -> None:
+    """Freeze ``obj.values``, checked finite, square and symmetric to 1e-12
+    of its largest entry with one temporary; ``name`` is its letter."""
+    scale = _freeze(obj, "values", ndim=2, what=f"{name} matrix")
+    arr = obj.values
+    if arr.shape[0] != arr.shape[1]:
         raise InvalidInput(f"{name} must be square, got shape {arr.shape}")
-    _require_finite(arr, f"{name} matrix")
-    scale = np.max(np.abs(arr), initial=0.0)
-    if np.max(np.abs(arr - arr.T), initial=0.0) > 1e-12 * max(scale, 1.0):
+    gap = arr - arr.T
+    if np.max(np.abs(gap, out=gap), initial=0.0) > 1e-12 * max(scale, 1.0):
         raise InvalidInput(f"{name} matrix is not symmetric")
-    return arr
 
 
 def _eigh_descending(mat: np.ndarray, what: str):
@@ -70,10 +69,9 @@ class WMatrix:
     source_M: int
 
     def __post_init__(self):
-        arr = _symmetric(self.values, "W")
+        _symmetric(self, "W")
         if self.kind not in _W_KINDS:
             raise InvalidInput(f"kind must be one of {_W_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "values", arr)
 
     @property
     def n(self) -> int:
@@ -95,7 +93,7 @@ class ZMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _symmetric(self.values, "Z"))
+        _symmetric(self, "Z")
 
     @property
     def M(self) -> int:
@@ -115,17 +113,12 @@ class CenteredDeviationMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _readonly(self.values)
-        if arr.ndim != 2:
-            raise InvalidInput("deviation matrix must be 2-D")
-        _require_finite(arr, "deviation matrix")
-        scale = np.max(np.abs(arr), initial=0.0)
-        tol = 1e-9 * max(scale, 1.0)
+        scale = _freeze(self, "values", ndim=2, what="deviation matrix")
+        arr, tol = self.values, 1e-9 * max(scale, 1.0)
         if np.max(np.abs(arr.sum(axis=0)), initial=0.0) > tol * arr.shape[0]:
             raise InvalidInput("deviation matrix columns do not sum to zero")
         if np.max(np.abs(arr.sum(axis=1)), initial=0.0) > tol * arr.shape[1]:
             raise InvalidInput("deviation matrix rows do not sum to zero")
-        object.__setattr__(self, "values", arr)
 
 
 @dataclass(frozen=True)
@@ -144,20 +137,14 @@ class ScoreMatrix:
     theta_hat: np.ndarray | None = None
 
     def __post_init__(self):
-        arr = _readonly(self.values)
-        if arr.ndim != 2:
-            raise InvalidInput("score matrix must be 2-D (observations x parameters)")
-        _require_finite(arr, "score matrix")
-        hess = _readonly(self.hessian_sum)
-        if hess.shape != (arr.shape[1], arr.shape[1]):
+        _freeze(self, "values", ndim=2, what="score matrix")
+        _freeze(self, "hessian_sum", what="hessian sum")
+        _freeze(self, "theta_hat")
+        k = self.n_params
+        if self.hessian_sum.shape != (k, k):
             raise InvalidInput(
-                f"hessian_sum shape {hess.shape} does not match {arr.shape[1]} parameters"
+                f"hessian_sum shape {self.hessian_sum.shape} does not match {k} parameters"
             )
-        _require_finite(hess, "hessian sum")
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "hessian_sum", hess)
-        if self.theta_hat is not None:
-            object.__setattr__(self, "theta_hat", _readonly(self.theta_hat))
 
     @property
     def n_obs(self) -> int:
@@ -187,13 +174,11 @@ class InfoMatrices:
 
     def __post_init__(self):
         for name in ("I_hat", "J_hat", "sandwich"):
-            arr = _readonly(getattr(self, name))
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            _freeze(self, name, ndim=2, what=name)
+            rows, cols = getattr(self, name).shape
+            if rows != cols:
                 raise InvalidInput(f"{name} must be square")
-            _require_finite(arr, name)
-            object.__setattr__(self, name, arr)
-        if self.theta_hat is not None:
-            object.__setattr__(self, "theta_hat", _readonly(self.theta_hat))
+        _freeze(self, "theta_hat")
 
     @property
     def n_params(self) -> int:
@@ -213,11 +198,7 @@ class EmbeddingMatrix:
     n_obs: int
 
     def __post_init__(self):
-        arr = _readonly(self.values)
-        if arr.ndim != 2:
-            raise InvalidInput("embedding matrix must be 2-D")
-        _require_finite(arr, "embedding matrix")
-        object.__setattr__(self, "values", arr)
+        _freeze(self, "values", ndim=2, what="embedding matrix")
 
     @property
     def n_params(self) -> int:
@@ -250,14 +231,15 @@ def build_w(loglik: LogLikMatrix, kind: str = "raw") -> WMatrix:
     """
     if kind not in _W_KINDS:
         raise InvalidInput(f"kind must be one of {_W_KINDS}, got {kind!r}")
-    vals = loglik.values
+    centered = loglik.values
     if kind == "double_centered":
-        vals = vals - vals.mean(axis=1, keepdims=True)
-    centered = vals - vals.mean(axis=0)
-    m = loglik.n_draws
-    w = (centered.T @ centered) / m
-    w = (w + w.T) / 2.0
-    return WMatrix(values=w, kind=kind, source_M=m)
+        centered = centered - centered.mean(axis=1, keepdims=True)
+    centered = centered - centered.mean(axis=0)
+    # the Gram product of one contiguous array is exactly symmetric
+    w = centered.T @ centered
+    del centered
+    w /= loglik.n_draws
+    return WMatrix(values=_frozen(w), kind=kind, source_M=loglik.n_draws)
 
 
 def eval_w_kernel(loglik_x, loglik_y, n: int) -> float:
@@ -279,13 +261,9 @@ def build_deviation(loglik: LogLikMatrix) -> CenteredDeviationMatrix:
     if loglik.n_obs < 2:
         raise InvalidInput("deviation matrix needs at least 2 observations")
     vals = loglik.values
-    centered = (
-        vals
-        - vals.mean(axis=0, keepdims=True)
-        - vals.mean(axis=1, keepdims=True)
-        + vals.mean()
-    )
-    return CenteredDeviationMatrix(values=centered.T)
+    # built transposed, so that the container holds this array, not a view
+    centered = vals.T - vals.mean(axis=0)[:, None] - vals.mean(axis=1) + vals.mean()
+    return CenteredDeviationMatrix(values=_frozen(centered))
 
 
 def build_z(loglik: LogLikMatrix) -> ZMatrix:
@@ -299,9 +277,9 @@ def build_z(loglik: LogLikMatrix) -> ZMatrix:
     not vanish even for flat priors.  See ``z_spectrum`` for its spectrum.
     """
     dev = build_deviation(loglik).values
-    z = (dev.T @ dev) / loglik.n_obs
-    z = (z + z.T) / 2.0
-    return ZMatrix(values=z)
+    z = dev.T @ dev
+    z /= loglik.n_obs
+    return ZMatrix(values=_frozen(z))
 
 
 def z_spectrum(loglik: LogLikMatrix) -> tuple[np.ndarray, float]:
@@ -389,7 +367,7 @@ def build_info_matrices(
     prior-adjusted information matrices evaluated at the MAP.
     """
     s = scores.values
-    j_hat = np.array(scores.hessian_sum, dtype=float)
+    j_hat = scores.hessian_sum
     if prior_weight > 0.0:
         if prior_score is None:
             raise InvalidInput("prior_weight > 0 requires prior_score")
@@ -405,7 +383,6 @@ def build_info_matrices(
                 raise InvalidInput("prior_hessian shape mismatch")
             j_hat = j_hat - prior_weight * ph
     i_hat = (s.T @ s) / scores.n_obs
-    i_hat = (i_hat + i_hat.T) / 2.0
     j_hat = (j_hat + j_hat.T) / 2.0
     j_inv_sqrt = sym_inv_sqrt(j_hat, "J_hat")
     sandwich = j_inv_sqrt @ i_hat @ j_inv_sqrt
@@ -442,7 +419,7 @@ def eval_score_kernel(scores: ScoreMatrix, metric: str, x_score, y_score) -> flo
     if metric == "fisher":
         m = (scores.values.T @ scores.values) / scores.n_obs
     else:
-        m = np.array(scores.hessian_sum, dtype=float)
+        m = scores.hessian_sum
     evals, evecs = _sym_eig_psd(m, f"{metric} metric")
     return float((evecs.T @ x) @ ((evecs.T @ y) / evals))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogLikMatrix, WeightVector, _readonly, _stream
+from .core import LogLikMatrix, WeightVector, _freeze, _frozen, _stream
 from .errors import InvalidInput, NotPSD
 from .kernels import _RANK_DROP, WMatrix, _eigh_descending
 
@@ -43,8 +43,9 @@ class PivotedCholesky:
     largest residual diagonal, in the order they were taken.
     ``residual_trace_history`` records tr R after each accepted column,
     so entry a-1 is the reconstruction error trace of the rank-a
-    truncation.  The factorization costs O(n * a_M^2) plus one W column
-    per step.
+    truncation.  ``stopped_by`` is why it ended: "rel_tol", "max_rank" (the
+    cap, with tr R still above rel_tol * tr W) or "exhausted" (no residual
+    left).  The factorization costs O(n * a_M^2) plus one W column per step.
     """
 
     L: np.ndarray
@@ -52,13 +53,11 @@ class PivotedCholesky:
     residual_trace_history: np.ndarray
     trace_w: float
     n: int
+    stopped_by: str = "rel_tol"
 
     def __post_init__(self):
-        object.__setattr__(self, "L", _readonly(self.L))
-        object.__setattr__(self, "pivots", _readonly(self.pivots, dtype=int))
-        object.__setattr__(
-            self, "residual_trace_history", _readonly(self.residual_trace_history)
-        )
+        _freeze(self, "L", "residual_trace_history")
+        _freeze(self, "pivots", dtype=int)
 
     @property
     def a_M(self) -> int:
@@ -89,16 +88,12 @@ class SpectralBasis:
     dual_vectors: np.ndarray | None = None
 
     def __post_init__(self):
-        evals = _readonly(self.eigenvalues)
-        vecs = _readonly(self.vectors)
+        _freeze(self, "eigenvalues", "vectors", "dual_vectors")
+        evals, vecs = self.eigenvalues, self.vectors
         if evals.ndim != 1 or vecs.ndim != 2 or vecs.shape[1] != evals.shape[0]:
             raise InvalidInput("eigenvalues and eigenvector columns disagree")
         if evals.size and np.any(np.diff(evals) > 1e-12 * max(evals[0], 1e-300)):
             raise InvalidInput("eigenvalues must be in descending order")
-        object.__setattr__(self, "eigenvalues", evals)
-        object.__setattr__(self, "vectors", vecs)
-        if self.dual_vectors is not None:
-            object.__setattr__(self, "dual_vectors", _readonly(self.dual_vectors))
 
     @property
     def rank_retained(self) -> int:
@@ -123,7 +118,7 @@ class ProjectedLogLik:
     basis: SpectralBasis
 
     def __post_init__(self):
-        object.__setattr__(self, "projections", _readonly(self.projections))
+        _freeze(self, "projections")
 
     @property
     def projected_loglik(self) -> np.ndarray:
@@ -157,10 +152,8 @@ class RepresentativeSet:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", _readonly(self.indices, dtype=int))
-        object.__setattr__(self, "eta_map", _readonly(self.eta_map))
-        object.__setattr__(self, "eigen_link", _readonly(self.eigen_link))
-        object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
+        _freeze(self, "indices", dtype=int)
+        _freeze(self, "eta_map", "eigen_link", "eigenvalues")
 
     def pivot_projection(self, eta) -> np.ndarray:
         """Map a full perturbation vector to values on the pivot set."""
@@ -213,9 +206,9 @@ def incomplete_cholesky(
     step pivots on the largest d (ties go to the lowest index), reads
     that one column of W and subtracts the columns of L taken so far,
     so the cost is O(n * rank^2) and W is never copied or permuted.
-    Stops when tr R <= rel_tol * tr W or when max_rank columns have been
-    taken.  A residual diagonal below -1e-10 * tr W means the input was
-    not PSD.
+    Stops when tr R <= rel_tol * tr W, when max_rank columns have been
+    taken or when no residual is left, and records which.  A residual
+    diagonal below -1e-10 * tr W means the input was not PSD.
     """
     if not 0.0 < rel_tol < 1.0:
         raise InvalidInput(f"rel_tol must be in (0, 1), got {rel_tol}")
@@ -236,6 +229,7 @@ def incomplete_cholesky(
     big_l = np.zeros((n, min(max_rank, 64)))
     pivots = []
     history = []
+    stopped_by = "exhausted"
 
     # a degenerate zero matrix gives an empty factor rather than an error
     while trace_w > 0.0:
@@ -247,7 +241,10 @@ def incomplete_cholesky(
         k = len(pivots)
         d_max = np.max(d)
         converged = bool(history) and history[-1] <= rel_tol * trace_w
-        if k == max_rank or d_max <= 0.0 or converged:
+        if converged or d_max <= 0.0 or k == max_rank:
+            stopped_by = (
+                "rel_tol" if converged else "exhausted" if d_max <= 0.0 else "max_rank"
+            )
             break
         p = int(np.argmax(free & (d >= d_max - _PIVOT_TIE)))
 
@@ -270,22 +267,24 @@ def incomplete_cholesky(
         residual_trace_history=np.array(history),
         trace_w=trace_w,
         n=n,
+        stopped_by=stopped_by,
     )
 
 
 def _gram_eigen(gram: np.ndarray, factor: np.ndarray | None, tail_tol: float = 0.0):
-    """Eigenpairs of W = F F^T from ``gram`` = F^T F of the n x k ``factor``
-    F, or of W itself for None.  Eigenvalues at relative level 1e-14 or
-    below go, as does the longest tail summing to <= tail_tol of the total;
-    kept V_a lift to F V_a / sqrt(lambda_a), signed like ``gram``'s own."""
-    evals, evecs = _eigh_descending((gram + gram.T) / 2.0, "Gram eigenproblem")
+    """Eigenpairs of W = F F^T from the Gram product ``gram`` = F^T F of the
+    n x k ``factor`` F (or of W itself for None), exactly symmetric as numpy
+    returns it.  Eigenvalues at relative level 1e-14 or below go, as does
+    the longest tail summing to <= tail_tol of the total; kept V_a lift to
+    F V_a / sqrt(lambda_a), signed like ``gram``'s own; all are read-only."""
+    evals, evecs = _eigh_descending(gram, "Gram eigenproblem")
     tail = np.cumsum(np.maximum(evals[::-1], 0.0))[::-1]
     keep = evals > _RANK_DROP * np.max(evals, initial=0.0)
     keep &= tail > tail_tol * np.max(tail, initial=0.0)
     evals, evecs = evals[keep], evecs[:, keep]
     vectors = evecs if factor is None else factor @ evecs / np.sqrt(evals)
     signs = _signs(vectors)
-    return evals, vectors * signs, evecs * signs
+    return _frozen(evals), _frozen(vectors * signs), _frozen(evecs * signs)
 
 
 def dual_eigen(chol: PivotedCholesky) -> SpectralBasis:
@@ -355,7 +354,7 @@ def project_loglik(
         )
     u = basis.vectors[:, :a_M]
     trimmed = SpectralBasis(eigenvalues=basis.eigenvalues[:a_M], vectors=u)
-    return ProjectedLogLik(projections=loglik.values @ u, basis=trimmed)
+    return ProjectedLogLik(projections=_frozen(loglik.values @ u), basis=trimmed)
 
 
 def project_perturbation(eta, basis: SpectralBasis, a_M: int | None = None) -> np.ndarray:
@@ -400,4 +399,4 @@ def subsample_draws(loglik: LogLikMatrix, m_star: int, seed: int) -> LogLikMatri
     if m_star == m:
         return loglik
     idx = np.sort(_stream(seed).choice(m, size=m_star, replace=False))
-    return LogLikMatrix(values=loglik.values[idx, :])
+    return LogLikMatrix(values=_frozen(loglik.values[idx, :]))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from wkernel import bootstrap
 from wkernel.bootstrap import (
     BootstrapRun,
+    ImportanceDiagnostics,
     Resamples,
     boot_first,
     boot_gold,
@@ -388,6 +389,35 @@ class TestBootImportance:
         resamples = draw_resamples(bundle.n_obs, 200, seed=20)
         _, diags = boot_importance(stats, bundle.loglik, resamples)
         assert np.sum(diags.max_weight > 0.4) >= 1
+
+
+class TestHandOver:
+    def test_estimators_hand_their_arrays_over(self, monkeypatch):
+        # the containers adopt what the estimators fill: a copy would be
+        # 640 KB of estimates and 340 KB of importance diagnostics here
+        stats, ll = random_case(40, m=20, n=5, p=4)
+        resamples = draw_resamples(ll.n_obs, 20000, seed=41)
+        used = {}
+        for cls in (BootstrapRun, ImportanceDiagnostics):
+
+            def measured(self, _post=cls.__post_init__, _name=cls.__name__):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                _post(self)
+                grown = tracemalloc.get_traced_memory()[1] - before
+                used[_name] = max(used.get(_name, 0), grown)
+
+            monkeypatch.setattr(cls, "__post_init__", measured)
+        tracemalloc.start()
+        try:
+            boot_first(stats, ll, resamples)
+            boot_second(stats, ll, resamples)
+            _, diags = boot_importance(stats, ll, resamples)
+        finally:
+            tracemalloc.stop()
+        assert diags.ess.shape == (20000,)
+        assert set(used) == {"BootstrapRun", "ImportanceDiagnostics"}
+        assert max(used.values()) < 2**12, used
 
 
 class TestBootGold:

@@ -595,6 +595,79 @@ class TestCommands:
         make_stats_csv(st, m=50)
         assert main(["freqcov", str(ll), str(st)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2,1\n0,2\n", "W matrix is not symmetric"),
+            ("1,0,0\n0,1,0\n", "must be square"),
+        ],
+    )
+    def test_bad_w_file_is_invalid_input(self, tmp_path, capsys, text, message):
+        w = tmp_path / "w.csv"
+        write(w, text)
+        argv = ["eigen", str(w), "--matrix", "w", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eigen", "rep"])
+    def test_rank_cap_stop_is_said_once(self, tmp_path, capsys, command):
+        # W has rank 4: a cap of 2 stops the factorization, the default cap does not
+        ll = tmp_path / "ll.csv"
+        rng = np.random.default_rng(7)
+        arr = rng.standard_normal((40, 4)) @ rng.standard_normal((4, 10))
+        save_matrix(ll, arr, header=[f"obs_{i}" for i in range(10)])
+        capped, full = tmp_path / "capped", tmp_path / "full"
+        assert main([command, str(ll), "--max-rank", "2", "--out", str(capped)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "rank cap of 2" in lines[0] and "residual trace" in lines[0]
+        assert main([command, str(ll), "--out", str(full)]) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(os.listdir(capped)) == sorted(os.listdir(full))
+
+    def test_loaded_log_likelihood_is_not_copied(self, tmp_path, monkeypatch):
+        ll = tmp_path / "ll.csv"
+        make_loglik_csv(ll, m=200, n=300)
+        loaded = []
+
+        def load_then_trace(path):
+            arr, header = load_matrix(path)
+            loaded.append(arr)
+            tracemalloc.start()
+            return arr, header
+
+        monkeypatch.setattr("wkernel.matio.load_matrix", load_then_trace)
+        try:
+            held = cli._load_loglik(str(ll))
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(held.values, loaded[0])
+        assert used < 0.01 * loaded[0].nbytes
+
+    @pytest.mark.parametrize("command", ["eigen", "rep"])
+    def test_out_of_memory_exits_2(self, tmp_path, command):
+        # W of 20000 observations takes 3.2 GB; the child may map 1.5 GB
+        resource = pytest.importorskip("resource")
+        ll = tmp_path / "ll.csv"
+        make_loglik_csv(ll, m=3, n=20000)
+        limit = 3 * 2**29
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        argv = [command, str(ll), "--threads", "1", "--out", str(tmp_path / "o")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "wkernel.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("wkernel: out of memory: ")
+        assert "Traceback" not in proc.stderr
+
     def test_numeric_failure_exit_code(self, tmp_path):
         w = tmp_path / "w.csv"
         write(w, "1,2\n2,1\n")  # indefinite
@@ -943,6 +1016,15 @@ class TestPrincipalSpaceBuildsNoW:
         assert peak < 16 * 2**20
 
 
+def _child_env(**extra):
+    """This process's environment plus ``extra``, with the package's source
+    on PYTHONPATH, for a child interpreter."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def _thread_variables(argv):
     """Exit code and thread variables after ``main(argv)`` in a fresh process
     that inherits OPENBLAS_NUM_THREADS=4 and OMP_NUM_THREADS=4."""
@@ -953,9 +1035,7 @@ def _thread_variables(argv):
         "rc = cli.main(sys.argv[1:])\n"
         "print(rc, *(os.environ[v] for v in cli._THREAD_VARS))\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="4")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _child_env(OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="4")
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
     )

@@ -5,9 +5,12 @@ brute-force double-loop evaluation of the defining formulas, computed
 independently of the vectorized library path.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from wkernel.bootstrap import BootstrapRun
 from wkernel.core import (
     LogLikMatrix,
     LogPriorVector,
@@ -24,6 +27,8 @@ from wkernel.core import (
     third_cumulant_grid,
 )
 from wkernel.errors import InvalidInput
+from wkernel.freq_eval import SensitivityReport
+from wkernel.kernels import EmbeddingMatrix
 
 
 def brute_cov(a, b):
@@ -83,6 +88,51 @@ class TestContainers:
         bad[0, 0, 1] = 1.0
         with pytest.raises(InvalidInput):
             ThirdCumulantTensor(bad)
+
+
+# container -> the array it holds, built from a 2-D array
+_HOLDERS = {
+    "LogLikMatrix": lambda a: LogLikMatrix(a).values,
+    "StatMatrix": lambda a: StatMatrix(a).values,
+    "EmbeddingMatrix": lambda a: EmbeddingMatrix(a, n_obs=3).values,
+    "SensitivityReport": lambda a: SensitivityReport(a).first_order,
+    "BootstrapRun": lambda a: BootstrapRun(a, method="first").estimates,
+}
+
+
+class TestCopyRule:
+    """A container adopts an array no caller can still write to and copies
+    anything else."""
+
+    def test_owned_read_only_array_is_adopted(self):
+        arr = np.random.default_rng(3).standard_normal((200, 300))
+        arr.setflags(write=False)
+        tracemalloc.start()
+        try:
+            ll = LogLikMatrix(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ll.values is arr
+        assert peak < 0.01 * arr.nbytes
+
+    @pytest.mark.parametrize("held", _HOLDERS.values(), ids=_HOLDERS.keys())
+    def test_writable_arrays_and_views_are_copied(self, held):
+        caller = np.arange(12.0).reshape(4, 3)
+        values = held(caller)
+        caller[0, 0] = 99.0
+        assert values[0, 0] == 0.0 and caller.flags.writeable
+        assert not values.flags.writeable
+        # a view pins its base, so even a read-only one is copied
+        for make_view in (lambda b: b[:, ::2], lambda b: b[2:]):
+            base = np.arange(48.0).reshape(8, 6)
+            view = make_view(base)
+            view.setflags(write=False)
+            values = held(view)
+            first = view[0, 0]
+            base[:] = -1.0
+            assert values[0, 0] == first
+            assert not np.shares_memory(values, base)
 
 
 class TestPosteriorMean:

@@ -1,12 +1,15 @@
 """W family, dual Z matrix, score kernels, and embedding diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkernel.core import LogLikMatrix, posterior_cov
+from wkernel.core import LogLikMatrix, StatMatrix, posterior_cov
 from wkernel.errors import InvalidInput, SingularInformation
+from wkernel.freq_eval import freq_cov
 from wkernel.kernels import (
     ScoreMatrix,
     build_deviation,
@@ -112,6 +115,19 @@ class TestBuildW:
                 )
             gaps[n] = float(np.median(rels))
         assert gaps[20] > gaps[80] > gaps[320]
+
+    @pytest.mark.parametrize("kind", ["raw", "double_centered"])
+    def test_peak_memory_is_about_two_w(self, kind):
+        # the product is divided in place and handed over; the symmetry
+        # check makes the one other n x n array
+        ll = LogLikMatrix(np.random.default_rng(9).standard_normal((60, 500)))
+        tracemalloc.start()
+        try:
+            w = build_w(ll, kind=kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * w.values.nbytes + ll.values.nbytes
 
     def test_weibull_rank_two_structure(self, weibull_bundle):
         w = build_w(weibull_bundle.loglik)
@@ -222,6 +238,41 @@ class TestWShiftProperty:
         # double-centered W is exactly 0 and the shifted one is rounding
         scale = build_w(ll, kind="raw").trace
         np.testing.assert_allclose(got.values, w.values, rtol=0, atol=1e-12 * scale)
+
+
+def _exactly_symmetric(mat):
+    return np.array_equal(mat, mat.T)
+
+
+class TestGramProductsAreExactlySymmetric:
+    """numpy returns the Gram product of one C- or F-contiguous array exactly
+    symmetric, so these products are not symmetrized again."""
+
+    @_PROPERTY
+    @given(
+        st.integers(2, 40),
+        st.integers(2, 40),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_products(self, m, n, seed, fortran):
+        rng = np.random.default_rng(seed)
+        arr = rng.standard_normal((m, n)) * rng.uniform(0.1, 10.0)
+        if fortran:
+            arr = np.asfortranarray(arr)
+        assert _exactly_symmetric(arr.T @ arr) and _exactly_symmetric(arr @ arr.T)
+        ll = LogLikMatrix(arr)
+        for kind in ("raw", "double_centered"):
+            assert _exactly_symmetric(build_w(ll, kind=kind).values)
+        assert _exactly_symmetric(build_z(ll).values)
+        stats = StatMatrix(arr[:, : min(n, 3)].copy(order="F" if fortran else "C"))
+        for estimator in ("plain", "centered"):
+            assert _exactly_symmetric(freq_cov(stats, ll, estimator=estimator).values)
+        k = min(n, 4)
+        scores = ScoreMatrix(values=arr[:, :k].copy(order="K"), hessian_sum=np.eye(k))
+        assert _exactly_symmetric(build_info_matrices(scores).I_hat)
+        shifted = build_info_matrices(scores, prior_score=np.ones(k), prior_weight=0.5)
+        assert _exactly_symmetric(shifted.I_hat)
 
 
 class TestInfoMatrices:

@@ -87,6 +87,7 @@ class TestIncompleteCholesky:
     def test_zero_matrix_gives_empty_factor(self):
         chol = incomplete_cholesky(wmat(np.zeros((4, 4))))
         assert chol.a_M == 0
+        assert chol.stopped_by == "exhausted"
 
     def test_bad_tolerance(self):
         with pytest.raises(InvalidInput):
@@ -142,6 +143,16 @@ class TestCholeskyProperties:
             assert np.all(ref[lower] < top - _PIVOT_TIE + slack)
             assert chol.L[p, k] == pytest.approx(np.sqrt(ref[p]), rel=1e-10)
             free[p] = False
+
+    @_PROPERTY
+    @given(psd_cases(), st.integers(1, 12))
+    def test_stop_reason_is_recorded(self, w, max_rank):
+        cap = min(max_rank, w.shape[0])
+        chol = incomplete_cholesky(wmat(w), rel_tol=1e-10, max_rank=cap)
+        if chol.residual_trace <= 1e-10 * chol.trace_w:
+            assert chol.stopped_by == "rel_tol"
+        else:
+            assert chol.stopped_by == "max_rank" and chol.a_M == cap
 
     @_PROPERTY
     @given(psd_cases(), st.integers(1, 12))
