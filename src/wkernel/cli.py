@@ -329,15 +329,16 @@ def _projection(loglik, rank):
     """Projection onto the leading ``rank`` directions of the raw W, or onto
     all retained ones when rank is None; a rank outside 1 to the retained
     rank is a usage error."""
-    from .errors import UsageError
+    from .errors import RankOutOfRange, UsageError
     from .spectral import principal_basis, project_loglik
 
-    basis = principal_basis(loglik)
-    if rank is not None and not 1 <= rank <= basis.rank_retained:
+    try:
+        basis = principal_basis(loglik, rank)
+    except RankOutOfRange as exc:
         raise UsageError(
-            f"--rank {rank} is outside 1 to the retained rank {basis.rank_retained}"
-        )
-    return project_loglik(loglik, basis, rank)
+            f"--rank {rank} is outside 1 to the retained rank {exc.retained}"
+        ) from None
+    return project_loglik(loglik, basis)
 
 
 def _save_indexed(path, values, header, start=0) -> None:
@@ -360,21 +361,25 @@ def _save_spectrum(outdir, eigenvalues, log_scree) -> None:
 
 
 def _cholesky(config: RunConfig):
-    """Pivoted Cholesky of the W that ``eigen`` and ``rep`` read: built from
-    the log-likelihood file, or read as is with matrix = w.  A stop at the
-    rank cap with the residual above rel_tol x tr W is said on stderr."""
+    """Pivoted Cholesky of the W that ``eigen`` and ``rep`` read: read as is
+    with matrix = w, else from the log-likelihood file centered in place.
+    From M x n log-likelihoods W is formed only when n <= 2M, where it is at
+    most twice their size and its columns come cheaper than from C.  A stop
+    at the rank cap with the residual above rel_tol x tr W is said on stderr."""
     from .core import _frozen
-    from .kernels import WMatrix, build_w
+    from .kernels import WMatrix, center_loglik
     from .matio import load_matrix
     from .spectral import incomplete_cholesky
 
     opts, path = config.options, config.inputs[0]
     if opts["matrix"] == "w":
         arr, _ = load_matrix(path)
-        w = WMatrix(values=_frozen(arr), kind=opts["kind"], source_M=0)
+        source = WMatrix(values=_frozen(arr), kind=opts["kind"], source_M=0)
     else:
-        w = build_w(_load_loglik(path), kind=opts["kind"])
-    chol = incomplete_cholesky(w, rel_tol=opts["rel_tol"], max_rank=opts["max_rank"])
+        source = center_loglik(load_matrix(path)[0], opts["kind"])
+        if source.n <= 2 * source.source_M:
+            source = source.gram()
+    chol = incomplete_cholesky(source, rel_tol=opts["rel_tol"], max_rank=opts["max_rank"])
     if chol.stopped_by == "max_rank":
         print(
             f"wkernel: pivoted Cholesky stopped at the rank cap of {chol.a_M} with "

@@ -74,6 +74,18 @@ def _freeze(obj, *names, dtype=float, ndim=None, what=None) -> float:
     return scale
 
 
+def _check_loglik(arr: np.ndarray) -> None:
+    """The rules of a log-likelihood matrix: 2-D and finite, with at least
+    2 draws and 1 observation."""
+    if arr.ndim != 2:
+        raise InvalidInput(f"log-likelihood matrix must be 2-D, got {arr.ndim}-D")
+    _require_finite(arr, "log-likelihood matrix")
+    if arr.shape[0] < 2:
+        raise InvalidInput(f"need at least 2 posterior draws, got {arr.shape[0]}")
+    if arr.shape[1] < 1:
+        raise InvalidInput("need at least 1 observation")
+
+
 def _check_paired(stats: StatMatrix, loglik: LogLikMatrix) -> None:
     if stats.n_draws != loglik.n_draws:
         raise InvalidInput(
@@ -111,11 +123,8 @@ class LogLikMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, "values", ndim=2, what="log-likelihood matrix")
-        if self.n_draws < 2:
-            raise InvalidInput(f"need at least 2 posterior draws, got {self.n_draws}")
-        if self.n_obs < 1:
-            raise InvalidInput("need at least 1 observation")
+        _freeze(self, "values")
+        _check_loglik(self.values)
 
     @property
     def n_draws(self) -> int:

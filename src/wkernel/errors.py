@@ -9,6 +9,16 @@ class InvalidInput(WkernelError, ValueError):
     """Malformed or inconsistent input (shape mismatch, NaN, bad range)."""
 
 
+class RankOutOfRange(InvalidInput):
+    """A requested number of leading directions is below 1 or above the
+    retained rank, which ``retained`` holds."""
+
+    def __init__(self, rank, retained):
+        super().__init__(f"rank {rank} is outside 1 to the retained rank {retained}")
+        self.rank = rank
+        self.retained = retained
+
+
 class NotPSD(WkernelError):
     """A matrix required to be positive semidefinite is not."""
 

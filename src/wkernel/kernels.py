@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogLikMatrix, _freeze, _frozen, posterior_cov
+from .core import LogLikMatrix, _check_loglik, _freeze, _frozen, posterior_cov
 from .errors import InvalidInput, NumericalFailure, SingularInformation
 
 _W_KINDS = ("raw", "double_centered")
@@ -81,9 +81,69 @@ class WMatrix:
     def trace(self) -> float:
         return float(np.trace(self.values))
 
+    def diagonal(self) -> np.ndarray:
+        """W's diagonal, as a new writable array."""
+        return np.diagonal(self.values).copy()
+
+    def column(self, p: int) -> np.ndarray:
+        """Column p of W, read-only."""
+        return self.values[:, p]
+
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue; Gram construction keeps it >= -1e-8 tr/n."""
         return float(np.linalg.eigvalsh(self.values)[0])
+
+
+@dataclass(frozen=True)
+class CenteredLogLik:
+    """M x n centered log-likelihoods C, the factor of W = C^T C / M.
+
+    Each observation column has its mean over the draws removed and, for
+    kind="double_centered", each draw row its mean over the observations
+    first.  W's column p is C^T C[:, p] / M and its diagonal the column
+    sums of squares over M, so W can be read a column at a time
+    (``diagonal``, ``column``, ``trace``, as from a WMatrix) without
+    forming it; ``gram`` forms it.
+    """
+
+    values: np.ndarray
+    kind: str
+
+    def __post_init__(self):
+        _freeze(self, "values", ndim=2, what="centered log-likelihood matrix")
+        if self.kind not in _W_KINDS:
+            raise InvalidInput(f"kind must be one of {_W_KINDS}, got {self.kind!r}")
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def source_M(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def trace(self) -> float:
+        return float(np.sum(self.diagonal()))
+
+    def diagonal(self) -> np.ndarray:
+        """W's diagonal, as a new writable array."""
+        d = np.einsum("ij,ij->j", self.values, self.values)
+        d /= self.source_M
+        return d
+
+    def column(self, p: int) -> np.ndarray:
+        """Column p of W, computed in O(M n)."""
+        col = self.values.T @ self.values[:, p]
+        col /= self.source_M
+        return col
+
+    def gram(self) -> WMatrix:
+        """W itself; the Gram product of one contiguous array is exactly
+        symmetric."""
+        w = self.values.T @ self.values
+        w /= self.source_M
+        return WMatrix(values=_frozen(w), kind=self.kind, source_M=self.source_M)
 
 
 @dataclass(frozen=True)
@@ -220,6 +280,23 @@ class EmbeddingMatrix:
 # ---------------------------------------------------------------------------
 
 
+def center_loglik(values: np.ndarray, kind: str = "raw") -> CenteredLogLik:
+    """Center a writable M x n log-likelihood array in place and hand it over.
+
+    The array is checked as a LogLikMatrix would be, then loses its
+    per-draw mean over observations (kind="double_centered" only) and
+    its per-observation mean over draws.  The caller must not use
+    ``values`` afterwards: it is the returned container's, read-only.
+    """
+    if kind not in _W_KINDS:
+        raise InvalidInput(f"kind must be one of {_W_KINDS}, got {kind!r}")
+    _check_loglik(values)
+    if kind == "double_centered":
+        values -= values.mean(axis=1, keepdims=True)
+    values -= values.mean(axis=0)
+    return CenteredLogLik(values=_frozen(values), kind=kind)
+
+
 def build_w(loglik: LogLikMatrix, kind: str = "raw") -> WMatrix:
     """Build the W matrix from a log-likelihood matrix.
 
@@ -227,19 +304,10 @@ def build_w(loglik: LogLikMatrix, kind: str = "raw") -> WMatrix:
     mean over draws and form (1/M) C^T C, which is symmetric positive
     semidefinite by construction.  With kind="double_centered" the
     per-draw mean over observations is subtracted first, which matters
-    only under strong priors.
+    only under strong priors.  Holds one copy of the log-likelihoods
+    besides W.
     """
-    if kind not in _W_KINDS:
-        raise InvalidInput(f"kind must be one of {_W_KINDS}, got {kind!r}")
-    centered = loglik.values
-    if kind == "double_centered":
-        centered = centered - centered.mean(axis=1, keepdims=True)
-    centered = centered - centered.mean(axis=0)
-    # the Gram product of one contiguous array is exactly symmetric
-    w = centered.T @ centered
-    del centered
-    w /= loglik.n_draws
-    return WMatrix(values=_frozen(w), kind=kind, source_M=loglik.n_draws)
+    return center_loglik(np.array(loglik.values), kind).gram()
 
 
 def eval_w_kernel(loglik_x, loglik_y, n: int) -> float:

@@ -5,16 +5,18 @@ save -> load is the identity and repeated runs are byte-identical.
 Every CSV written by the package carries a header row.
 
 A matrix is read in two steps.  numpy's C text reader parses the data
-rows first; when it refuses them, or reads a value that is not finite,
-a cell-by-cell parser reads the same rows again.  That parser alone
-decides what a ParseError says and where it points, and it accepts the
-cells Python's ``float`` takes but numpy does not, such as ``1_0``.
+rows first, streamed from the open file; when it refuses them, or reads
+a value that is not finite, a cell-by-cell parser reads the file again.
+That parser alone decides what a ParseError says and where it points,
+and it accepts the cells Python's ``float`` takes but numpy does not,
+such as ``1_0``.
 Both readers round through ``PyOS_string_to_double``, so they give the
 same bits for every cell both accept.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -37,39 +39,52 @@ def _parse_cell(cell: str):
         return None
 
 
+def _data_lines(fh):
+    """The lines of an open text file that are not blank or whitespace-only."""
+    return (line for line in fh if line.strip())
+
+
 def load_matrix(path):
     """Load a CSV matrix; returns (array, header-or-None).
 
     The first row is treated as a header when none of its cells parses
     as a number; a first row that mixes numbers and text is data, so its
-    bad cell raises ParseError at row 1.  The data rows go to
-    ``np.loadtxt`` first; if it raises ValueError or yields a non-finite
-    value, the cell-by-cell parser reads them instead.  Ragged rows,
-    non-numeric cells, non-finite values, and empty files raise
-    ParseError with the offending location (1-based).
+    bad cell raises ParseError at row 1.  The data rows stream from the
+    open file to ``np.loadtxt``, so no line is held beyond its parse; if
+    it raises ValueError or yields a non-finite value, the cell-by-cell
+    parser reads the file again instead.  Ragged rows, non-numeric
+    cells, non-finite values, and empty files raise ParseError with the
+    offending location (1-based, counting non-blank lines).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n").rstrip("\r") for line in fh]
+            lines = _data_lines(fh)
+            first = next(lines, None)
+            if first is None:
+                raise ParseError("empty file", path=path)
+            header = None
+            cells = first.split(",")
+            if all(_parse_cell(c.strip()) is None for c in cells):
+                header = [c.strip() for c in cells]
+                first = next(lines, None)
+                if first is None:
+                    raise ParseError("file has a header but no data rows", path=path)
+            try:
+                arr = np.loadtxt(
+                    itertools.chain([first], lines),
+                    delimiter=",",
+                    comments=None,
+                    ndmin=2,
+                    dtype=float,
+                )
+            except ValueError:
+                arr = None
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", path=path) from exc
-    rows = [line for line in lines if line.strip() != ""]
-    if not rows:
-        raise ParseError("empty file", path=path)
-
-    header = None
-    first = rows[0].split(",")
-    if all(_parse_cell(c.strip()) is None for c in first):
-        header = [c.strip() for c in first]
-        rows = rows[1:]
-        if not rows:
-            raise ParseError("file has a header but no data rows", path=path)
-
-    try:
-        arr = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
-    except ValueError:
-        arr = None
     if arr is None or not np.isfinite(arr).all():
+        # the slow path holds every line, as its Python floats outweigh them
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = list(_data_lines(fh))[header is not None :]
         arr = _parse_rows(rows, path, offset=2 if header is not None else 1)
     if header is not None and len(header) != arr.shape[1]:
         raise ParseError(

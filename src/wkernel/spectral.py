@@ -7,7 +7,8 @@ the centered log-likelihoods without forming W.  The incomplete pivoted
 Cholesky factorization (greedy diagonal pivoting, kept in observation
 order, O(n * rank^2) plus one W column per step) remains for its pivots,
 a representative subset of observations, with the small dual
-eigenproblem that ``eigen`` reports beside them.  A full dense
+eigenproblem that ``eigen`` reports beside them; it reads W's columns
+from W or from the centered log-likelihoods.  A full dense
 eigendecomposition serves as oracle.  Projection helpers map
 log-likelihoods and perturbation vectors onto the retained directions.
 """
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LogLikMatrix, WeightVector, _freeze, _frozen, _stream
-from .errors import InvalidInput, NotPSD
-from .kernels import _RANK_DROP, WMatrix, _eigh_descending
+from .errors import InvalidInput, NotPSD, RankOutOfRange
+from .kernels import _RANK_DROP, CenteredLogLik, WMatrix, _eigh_descending
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_MAX_RANK = 500
@@ -185,10 +186,16 @@ def _leading(basis: SpectralBasis, a_M: int | None) -> int:
 
 def _signs(vectors: np.ndarray) -> np.ndarray:
     """Column signs of the convention: the largest-magnitude component of
-    each column is positive; among ties, the first such component decides."""
-    idx = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
+    each column is positive; among ties, the first such component decides;
+    a zero column keeps +1.  Read from each column's extremes, so only a
+    column whose maximum and minimum tie in magnitude is searched."""
+    hi = np.max(vectors, axis=0, initial=0.0)
+    lo = np.min(vectors, axis=0, initial=0.0)
+    signs = np.where(hi >= -lo, 1.0, -1.0)
+    for j in np.flatnonzero((hi == -lo) & (hi > 0.0)):
+        col = vectors[:, j]
+        if np.argmax(col == lo[j]) < np.argmax(col == hi[j]):
+            signs[j] = -1.0
     return signs
 
 
@@ -198,7 +205,9 @@ def _signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def incomplete_cholesky(
-    w: WMatrix, rel_tol: float = DEFAULT_REL_TOL, max_rank: int | None = None
+    w: WMatrix | CenteredLogLik,
+    rel_tol: float = DEFAULT_REL_TOL,
+    max_rank: int | None = None,
 ) -> PivotedCholesky:
     """Greedy pivoted Cholesky of W, stopped on the residual trace.
 
@@ -206,9 +215,11 @@ def incomplete_cholesky(
     step pivots on the largest d (ties go to the lowest index), reads
     that one column of W and subtracts the columns of L taken so far,
     so the cost is O(n * rank^2) and W is never copied or permuted.
-    Stops when tr R <= rel_tol * tr W, when max_rank columns have been
-    taken or when no residual is left, and records which.  A residual
-    diagonal below -1e-10 * tr W means the input was not PSD.
+    ``w`` is W itself or its centered log-likelihoods C, whose columns
+    cost O(M n) each but need no n x n array.  Stops when
+    tr R <= rel_tol * tr W, when max_rank columns have been taken or when
+    no residual is left, and records which.  A residual diagonal below
+    -1e-10 * tr W means the input was not PSD.
     """
     if not 0.0 < rel_tol < 1.0:
         raise InvalidInput(f"rel_tol must be in (0, 1), got {rel_tol}")
@@ -218,12 +229,11 @@ def incomplete_cholesky(
     if not 0 < max_rank <= n:
         raise InvalidInput(f"max_rank must be in [1, {n}], got {max_rank}")
 
-    values = w.values
-    trace_w = float(np.trace(values))
+    trace_w = w.trace
     if trace_w < -1e-10 * max(abs(trace_w), 1.0):
         raise NotPSD("matrix has negative trace")
     # residual diagonal; pivoted entries are held at exactly zero
-    d = np.diagonal(values).copy()
+    d = w.diagonal()
     free = np.ones(n, dtype=bool)
     # columns of L, grown by doubling so a low rank never costs n x max_rank
     big_l = np.zeros((n, min(max_rank, 64)))
@@ -251,7 +261,7 @@ def incomplete_cholesky(
         if k == big_l.shape[1]:
             big_l = np.hstack([big_l, np.zeros((n, min(k, max_rank - k)))])
         pivot = np.sqrt(d[p])
-        col = (values[:, p] - big_l[:, :k] @ big_l[p, :k]) / pivot
+        col = (w.column(p) - big_l[:, :k] @ big_l[p, :k]) / pivot
         col[~free] = 0.0
         col[p] = pivot
         big_l[:, k] = col
@@ -261,8 +271,11 @@ def incomplete_cholesky(
         pivots.append(p)
         history.append(float(np.sum(d)))
 
+    # at the rank cap the buffer is exactly as wide as L, and is handed over
+    if big_l.shape[1] != len(pivots):
+        big_l = big_l[:, : len(pivots)].copy()
     return PivotedCholesky(
-        L=big_l[:, : len(pivots)],
+        L=_frozen(big_l),
         pivots=np.array(pivots, dtype=int),
         residual_trace_history=np.array(history),
         trace_w=trace_w,
@@ -271,20 +284,41 @@ def incomplete_cholesky(
     )
 
 
-def _gram_eigen(gram: np.ndarray, factor: np.ndarray | None, tail_tol: float = 0.0):
+def _gram_eigen(
+    gram: np.ndarray,
+    factor: np.ndarray | None,
+    tail_tol: float = 0.0,
+    a_M: int | None = None,
+):
     """Eigenpairs of W = F F^T from the Gram product ``gram`` = F^T F of the
     n x k ``factor`` F (or of W itself for None), exactly symmetric as numpy
     returns it.  Eigenvalues at relative level 1e-14 or below go, as does
-    the longest tail summing to <= tail_tol of the total; kept V_a lift to
-    F V_a / sqrt(lambda_a), signed like ``gram``'s own; all are read-only."""
+    the longest tail summing to <= tail_tol of the total.  Of the retained
+    V_a, the leading ``a_M`` (all for None; RankOutOfRange unless 1 to the
+    retained rank) lift to F V_a / sqrt(lambda_a), signed like ``gram``'s
+    own, which are returned read-only too (the same array for None)."""
     evals, evecs = _eigh_descending(gram, "Gram eigenproblem")
     tail = np.cumsum(np.maximum(evals[::-1], 0.0))[::-1]
     keep = evals > _RANK_DROP * np.max(evals, initial=0.0)
     keep &= tail > tail_tol * np.max(tail, initial=0.0)
     evals, evecs = evals[keep], evecs[:, keep]
-    vectors = evecs if factor is None else factor @ evecs / np.sqrt(evals)
+    retained = evals.size
+    if a_M is not None and not 1 <= a_M <= retained:
+        raise RankOutOfRange(a_M, retained)
+    a = retained if a_M is None else a_M
+    if factor is None:
+        vectors = evecs[:, :a]
+    else:
+        # numpy multiplies by one column with gemv, which rounds unlike gemm:
+        # a second column keeps a_M = 1 bitwise equal to the full lift's first
+        vectors = (factor @ evecs[:, : max(a, min(2, retained))])[:, :a]
+        vectors /= np.sqrt(evals[:a])
+    evals, evecs = evals[:a], evecs[:, :a]
     signs = _signs(vectors)
-    return _frozen(evals), _frozen(vectors * signs), _frozen(evecs * signs)
+    vectors *= signs
+    if factor is not None:
+        evecs *= signs
+    return _frozen(evals), _frozen(vectors), _frozen(evecs)
 
 
 def dual_eigen(chol: PivotedCholesky) -> SpectralBasis:
@@ -300,19 +334,22 @@ def dual_eigen(chol: PivotedCholesky) -> SpectralBasis:
     return SpectralBasis(eigenvalues=evals, vectors=vectors, dual_vectors=dual)
 
 
-def principal_basis(loglik: LogLikMatrix) -> SpectralBasis:
+def principal_basis(loglik: LogLikMatrix, a_M: int | None = None) -> SpectralBasis:
     """W's retained principal space from the smaller Gram product.
 
     With C the draw-centered log-likelihoods over sqrt(M), W = C^T C; for
     M < n the M x M C C^T is eigendecomposed instead and lifted through
     C^T, so no n x n array exists.  The fewest leading directions are kept
     whose dropped eigenvalues sum to at most 1e-10 tr W (none if constant).
+    With ``a_M``, only the leading a_M of them are returned, and an a_M
+    outside 1 to that retained rank raises RankOutOfRange.
     """
     centered = loglik.values - loglik.values.mean(axis=0)
     centered /= np.sqrt(loglik.n_draws)
     wide = loglik.n_draws < loglik.n_obs
     gram = centered @ centered.T if wide else centered.T @ centered
-    evals, vectors, _ = _gram_eigen(gram, centered.T if wide else None, _TAIL_TOL)
+    factor = centered.T if wide else None
+    evals, vectors, _ = _gram_eigen(gram, factor, _TAIL_TOL, a_M)
     return SpectralBasis(eigenvalues=evals, vectors=vectors)
 
 
@@ -352,9 +389,11 @@ def project_loglik(
         raise InvalidInput(
             f"basis is over {basis.n} observations, log-likelihood has {loglik.n_obs}"
         )
-    u = basis.vectors[:, :a_M]
-    trimmed = SpectralBasis(eigenvalues=basis.eigenvalues[:a_M], vectors=u)
-    return ProjectedLogLik(projections=_frozen(loglik.values @ u), basis=trimmed)
+    if a_M < basis.rank_retained:
+        basis = SpectralBasis(
+            eigenvalues=basis.eigenvalues[:a_M], vectors=basis.vectors[:, :a_M]
+        )
+    return ProjectedLogLik(projections=_frozen(loglik.values @ basis.vectors), basis=basis)
 
 
 def project_perturbation(eta, basis: SpectralBasis, a_M: int | None = None) -> np.ndarray:

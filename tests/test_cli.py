@@ -645,25 +645,41 @@ class TestCommands:
         assert np.shares_memory(held.values, loaded[0])
         assert used < 0.01 * loaded[0].nbytes
 
-    @pytest.mark.parametrize("command", ["eigen", "rep"])
-    def test_out_of_memory_exits_2(self, tmp_path, command):
-        # W of 20000 observations takes 3.2 GB; the child may map 1.5 GB
+    @staticmethod
+    def _run_capped(argv):
+        """``wkernel argv`` in a child process that may map 1.5 GB."""
         resource = pytest.importorskip("resource")
-        ll = tmp_path / "ll.csv"
-        make_loglik_csv(ll, m=3, n=20000)
         limit = 3 * 2**29
 
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-        argv = [command, str(ll), "--threads", "1", "--out", str(tmp_path / "o")]
-        proc = subprocess.run(
-            [sys.executable, "-m", "wkernel.cli", *argv],
+        return subprocess.run(
+            [sys.executable, "-m", "wkernel.cli", *argv, "--threads", "1"],
             capture_output=True,
             text=True,
             env=_child_env(),
             preexec_fn=cap_address_space,
         )
+
+    @pytest.mark.parametrize("command", ["eigen", "rep"])
+    def test_wide_loglik_factors_under_address_limit(self, tmp_path, command):
+        # W of 20000 observations would take 3.2 GB; it is read from the
+        # 3 x 20000 centered log-likelihoods instead
+        ll = tmp_path / "ll.csv"
+        make_loglik_csv(ll, m=3, n=20000)
+        proc = self._run_capped([command, str(ll), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 0, proc.stderr
+        name = {"eigen": "cholesky_pivots", "rep": "representative_indices"}[command]
+        pivots, _ = load_matrix(tmp_path / "o" / f"{name}.csv")
+        assert pivots.shape == (2, 2)  # the centered rows have rank 2
+
+    def test_out_of_memory_exits_2(self, tmp_path):
+        # a billion draws take 8 GB before the first log-likelihood
+        cfg = tmp_path / "demo.cfg"
+        write(cfg, "m_draws = 1000000000\n")
+        argv = ["demo", "normal_mean", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        proc = self._run_capped(argv)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("wkernel: out of memory: ")
         assert "Traceback" not in proc.stderr
@@ -1014,6 +1030,25 @@ class TestPrincipalSpaceBuildsNoW:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("command", ["eigen", "rep"])
+    def test_wide_cholesky_reads_no_w(self, tmp_path, monkeypatch, command):
+        # W for 5000 observations takes 200 MB; n > 2M, so the Cholesky reads
+        # its columns from the 50 x 5000 centered log-likelihoods (2 MB)
+        def refuse(*args, **kwargs):
+            raise AssertionError("W was built")
+
+        monkeypatch.setattr("wkernel.kernels.build_w", refuse)
+        monkeypatch.setattr("wkernel.kernels.CenteredLogLik.gram", refuse)
+        ll = tmp_path / "ll.csv"
+        make_loglik_csv(ll, m=50, n=5000)
+        tracemalloc.start()
+        try:
+            assert main([command, str(ll), "--out", str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 def _child_env(**extra):

@@ -17,6 +17,7 @@ from wkernel.kernels import (
     build_info_matrices,
     build_w,
     build_z,
+    center_loglik,
     embedding_report,
     eval_score_kernel,
     eval_w_kernel,
@@ -134,6 +135,40 @@ class TestBuildW:
         assert w.n == 59
         evals = np.linalg.eigvalsh(w.values)[::-1]
         assert evals[:2].sum() / evals.sum() > 0.9
+
+
+class TestCenteredLogLik:
+    @_PROPERTY
+    @given(loglik_cases(), st.sampled_from(["raw", "double_centered"]))
+    def test_reads_w_without_forming_it(self, ll, kind):
+        w = build_w(ll, kind=kind)
+        centered = center_loglik(np.array(ll.values), kind)
+        tol = 1e-12 * max(w.trace, 1.0)
+        assert centered.trace == pytest.approx(w.trace, rel=0, abs=tol)
+        np.testing.assert_allclose(centered.diagonal(), w.diagonal(), rtol=0, atol=tol)
+        for p in range(w.n):
+            np.testing.assert_allclose(centered.column(p), w.column(p), rtol=0, atol=tol)
+        assert centered.gram().values.tobytes() == w.values.tobytes()
+
+    def test_centers_in_place_and_hands_the_array_over(self):
+        arr = np.random.default_rng(14).standard_normal((30, 7)) + 5.0
+        centered = center_loglik(arr)
+        assert centered.values is arr and not arr.flags.writeable
+        np.testing.assert_allclose(arr.mean(axis=0), 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.full((1, 3), 5.0), "need at least 2 posterior draws, got 1"),
+            (np.full(3, 5.0), "must be 2-D"),
+            (np.array([[5.0, np.nan], [5.0, 5.0]]), "non-finite"),
+        ],
+    )
+    def test_refuses_before_centering(self, values, message):
+        before = values.copy()
+        with pytest.raises(InvalidInput, match=message):
+            center_loglik(values)
+        np.testing.assert_array_equal(values, before)
 
 
 class TestWKernel:

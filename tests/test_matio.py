@@ -122,6 +122,21 @@ def test_mixed_first_row_is_data_not_header(tmp_path):
         matio.load_matrix(path)
 
 
+def test_load_matrix_holds_little_beyond_the_array(tmp_path):
+    # the data rows stream from the file: no list of lines, no second copy
+    arr = np.random.default_rng(6).standard_normal((500, 800))
+    path = tmp_path / "m.csv"
+    matio.save_matrix(path, arr, [f"c{j}" for j in range(800)])
+    tracemalloc.start()
+    try:
+        got, _ = matio.load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * arr.nbytes
+    assert got.tobytes() == arr.tobytes()
+
+
 def test_save_matrix_converts_in_bounded_chunks(tmp_path):
     # a 12000 x 59 matrix as Python floats would take about 23 MB
     arr = np.random.default_rng(5).standard_normal((12000, 59)) * 10.0 ** np.arange(-29, 30)

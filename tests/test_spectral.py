@@ -1,16 +1,21 @@
 """Pivoted Cholesky, eigensolvers, projections, and representative sets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from wkernel import spectral
 from wkernel.core import LogLikMatrix, WeightVector, posterior_var, third_cumulant
-from wkernel.errors import InvalidInput, NotPSD
-from wkernel.kernels import WMatrix, build_w
+from wkernel.errors import InvalidInput, NotPSD, RankOutOfRange
+from wkernel.kernels import WMatrix, build_w, center_loglik
 from wkernel.spectral import (
     _PIVOT_TIE,
     _TAIL_TOL,
+    _signs,
     dual_eigen,
     full_eigen,
     incomplete_cholesky,
@@ -190,6 +195,100 @@ class TestCholeskyProperties:
         )
 
 
+@st.composite
+def planted_loglik_cases(draw):
+    """(log-likelihoods, kind, rank cap): M x n of planted rank r below
+    min(M - 1, n), factor scales 1, 1/2, 1/4, ..., with M < n or M > n and
+    some observations repeated, so that diagonals tie exactly."""
+    r = draw(st.integers(1, 4))
+    small = draw(st.integers(r + 2, 9))
+    large = draw(st.integers(small + 1, 20))
+    m, n = draw(st.sampled_from([(small, large), (large, small)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = rng.standard_normal((r, n)) * 0.5 ** np.arange(r)[:, None]
+    factors = factors[:, rng.integers(0, n, size=n) if draw(st.booleans()) else slice(None)]
+    vals = rng.standard_normal((m, r)) @ factors
+    # W's largest diagonal near 1, the scale _PIVOT_TIE is absolute on
+    vals = vals / np.sqrt(np.max(np.var(vals, axis=0))) + rng.integers(-5, 6, size=n)
+    kind = draw(st.sampled_from(["raw", "double_centered"]))
+    cap = draw(st.none() | st.integers(1, max(r - 1, 1)))
+    return LogLikMatrix(vals), kind, cap
+
+
+class TestCholeskyFromLogLik:
+    """The factorization reading W's columns from the centered
+    log-likelihoods against the one reading the W that build_w forms."""
+
+    @_PROPERTY
+    @given(planted_loglik_cases())
+    def test_matches_factorization_of_w(self, case):
+        ll, kind, cap = case
+        w = build_w(ll, kind)
+        want = incomplete_cholesky(w, max_rank=cap)
+        got = incomplete_cholesky(center_loglik(np.array(ll.values), kind), max_rank=cap)
+        assert got.trace_w == pytest.approx(want.trace_w, rel=1e-12)
+        free = np.ones(ll.n_obs, dtype=bool)
+        for k, p in enumerate(want.pivots):
+            d = np.diagonal(w.values) - np.sum(want.L[:, :k] ** 2, axis=1)
+            threshold = np.max(d[free]) - _PIVOT_TIE
+            if np.any(np.abs(d[free] - threshold) <= _PIVOT_TIE / 4):
+                return  # rounding could put a diagonal on either side of the window
+            assert got.pivots[k] == p
+            free[p] = False
+        assert got.stopped_by == want.stopped_by
+        np.testing.assert_array_equal(got.pivots, want.pivots)
+        np.testing.assert_allclose(got.L, want.L, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            got.residual_trace_history, want.residual_trace_history, rtol=0, atol=1e-12
+        )
+
+    def test_factor_is_handed_over_at_the_rank_cap(self, monkeypatch):
+        # the doubling buffer is exactly 500 columns wide at the default cap
+        rng = np.random.default_rng(11)
+        source = center_loglik(rng.standard_normal((600, 700)))
+        build, built = spectral.PivotedCholesky, []
+
+        def traced(**fields):
+            tracemalloc.start()
+            try:
+                chol = build(**fields)
+                built.append((chol, tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            return chol
+
+        monkeypatch.setattr(spectral, "PivotedCholesky", traced)
+        chol = incomplete_cholesky(source)
+        assert chol.stopped_by == "max_rank" and chol.a_M == 500
+        assert built[0][1] < 0.01 * chol.L.nbytes
+
+
+def _signs_by_argmax(vectors):
+    """The sign rule as first written, with one |V| temporary."""
+    idx = np.argmax(np.abs(vectors), axis=0)
+    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
+    signs[signs == 0] = 1.0
+    return signs
+
+
+class TestSigns:
+    @_PROPERTY
+    @given(
+        hnp.arrays(
+            float,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+            elements=st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]),
+        )
+    )
+    def test_same_as_argmax_rule(self, vectors):
+        # small sets of values give ties of +-max and zero columns
+        np.testing.assert_array_equal(_signs(vectors), _signs_by_argmax(vectors))
+
+    def test_tie_goes_to_the_first_largest_component(self):
+        vectors = np.array([[0.0, 2.0, 0.0], [-2.0, -2.0, 0.0], [2.0, 1.0, -0.0]])
+        np.testing.assert_array_equal(_signs(vectors), [-1.0, 1.0, 1.0])
+
+
 class TestDualEigen:
     def test_identity_factor(self):
         chol = incomplete_cholesky(wmat(np.eye(4)), rel_tol=1e-12, max_rank=4)
@@ -284,6 +383,26 @@ class TestPrincipalBasisProperties:
             if lam[j - 1] - following[j - 1] > 1e-6 * lam[0]:
                 u, v = basis.vectors[:, :j], dense.vectors[:, :j]
                 np.testing.assert_allclose(u @ u.T, v @ v.T, rtol=0, atol=1e-8)
+
+
+class TestPrincipalBasisLeading:
+    @pytest.mark.parametrize("shape", [(300, 2000), (2000, 60)])
+    def test_leading_directions_are_the_full_basis_columns(self, shape):
+        # bitwise: --rank must not change a byte of what it keeps
+        rng = np.random.default_rng(12)
+        ll = LogLikMatrix(rng.standard_normal(shape))
+        full = principal_basis(ll)
+        for a_M in (1, 2, 7, full.rank_retained):
+            basis = principal_basis(ll, a_M)
+            np.testing.assert_array_equal(basis.eigenvalues, full.eigenvalues[:a_M])
+            np.testing.assert_array_equal(basis.vectors, full.vectors[:, :a_M])
+
+    @pytest.mark.parametrize("a_M", [0, -1, 9])
+    def test_rank_outside_the_retained_one_is_refused(self, a_M):
+        ll = LogLikMatrix(np.random.default_rng(13).standard_normal((60, 8)))
+        with pytest.raises(RankOutOfRange, match="retained rank 8") as info:
+            principal_basis(ll, a_M)
+        assert info.value.retained == 8
 
 
 class TestFullEigen:
