@@ -157,7 +157,6 @@ class BootstrapRun:
     estimates: np.ndarray
     method: str
     rank_used: int | None = None
-    seed: int | None = None
     draws_used: int | None = None
 
     def __post_init__(self):
@@ -239,7 +238,6 @@ def boot_first(
     loglik: LogLikMatrix,
     resamples: Resamples,
     projection: ProjectedLogLik | None = None,
-    seed: int | None = None,
 ) -> BootstrapRun:
     """First-order replicate estimates, linear in the perturbations.
 
@@ -267,7 +265,6 @@ def boot_first(
         estimates=_frozen(estimates),
         method="first",
         rank_used=rank,
-        seed=seed,
         draws_used=stats.n_draws,
     )
 
@@ -317,7 +314,6 @@ def boot_second(
     resamples: Resamples,
     mode: str = "efficient",
     projection: ProjectedLogLik | None = None,
-    seed: int | None = None,
 ) -> BootstrapRun:
     """Second-order replicate estimates.
 
@@ -356,17 +352,11 @@ def boot_second(
         estimates=_frozen(estimates),
         method=method,
         rank_used=rank,
-        seed=seed,
         draws_used=stats.n_draws,
     )
 
 
-def boot_importance(
-    stats: StatMatrix,
-    loglik: LogLikMatrix,
-    resamples: Resamples,
-    seed: int | None = None,
-):
+def boot_importance(stats: StatMatrix, loglik: LogLikMatrix, resamples: Resamples):
     """Self-normalized importance-sampling replicate estimates.
 
     Log-weights sum_i eta_i * l[u, i] are normalized per replicate with
@@ -396,21 +386,14 @@ def boot_importance(
         degenerate[rows] = bad
         estimates[rows][bad] = np.nan
 
-    run = BootstrapRun(
-        estimates=_frozen(estimates),
-        method="importance",
-        seed=seed,
-        draws_used=m,
-    )
+    run = BootstrapRun(estimates=_frozen(estimates), method="importance", draws_used=m)
     diags = ImportanceDiagnostics(
         max_weight=_frozen(max_weight), ess=_frozen(ess), degenerate=_frozen(degenerate)
     )
     return run, diags
 
 
-def boot_gold(
-    model_refitter, resamples: Resamples, seed: int | None = None
-) -> BootstrapRun:
+def boot_gold(model_refitter, resamples: Resamples) -> BootstrapRun:
     """Gold-standard bootstrap: refit the model on every resample.
 
     ``model_refitter`` maps one row of ``resamples.counts`` to the vector
@@ -424,7 +407,7 @@ def boot_gold(
             rows.append(np.atleast_1d(np.asarray(model_refitter(counts), dtype=float)))
         except Exception as exc:
             raise RuntimeError(f"refit callback failed at replicate {idx}") from exc
-    return BootstrapRun(estimates=np.vstack(rows), method="gold", seed=seed)
+    return BootstrapRun(estimates=np.vstack(rows), method="gold")
 
 
 BOOTSTRAP_QUANTILES = (0.10, 0.25, 0.75, 0.90)

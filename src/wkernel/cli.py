@@ -36,7 +36,8 @@ _THREAD_VARS = (
 # option name -> (type, or tuple of allowed values; default; help).  The flag
 # is --name with "_" written "-", and the config-file key is the name itself.
 _OPTIONS = {
-    "kind": (("raw", "double_centered"), "raw", "W variant"),
+    # unset means raw; set, it needs --matrix loglik
+    "kind": (("raw", "double_centered"), None, "W variant (default raw)"),
     "rel_tol": (float, 1e-8, "relative residual-trace tolerance of the Cholesky"),
     "max_rank": (int, None, "Cholesky rank cap"),
     "log_scree": (bool, False, "log10 scale for scree.svg"),
@@ -285,8 +286,25 @@ def run_command(config: RunConfig) -> None:
     handler = handlers.get(config.command)
     if handler is None:
         raise UsageError(f"unknown command {config.command!r}")
+    _check_ranges(config.options)
     outdir = resolve_outdir(config.outdir)
     handler(config, outdir)
+
+
+def _check_ranges(opts: dict) -> None:
+    """Refuse an option value outside its range, whatever the inputs; the
+    rules that need the data (--rank, --max-rank above n) come later."""
+    from .errors import UsageError
+
+    if not 0 <= opts.get("seed", 0) < 2**64:
+        raise UsageError(f"--seed must be in [0, 2^64), got {opts['seed']}")
+    if opts.get("n_b", 1) < 1:
+        raise UsageError(f"--n-b must be at least 1, got {opts['n_b']}")
+    if not 0.0 < opts.get("rel_tol", 0.5) < 1.0:
+        raise UsageError(f"--rel-tol must be in (0, 1), got {opts['rel_tol']}")
+    max_rank = opts.get("max_rank")
+    if max_rank is not None and max_rank < 1:
+        raise UsageError(f"--max-rank must be at least 1, got {max_rank}")
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +385,18 @@ def _cholesky(config: RunConfig):
     most twice their size and its columns come cheaper than from C.  A stop
     at the rank cap with the residual above rel_tol x tr W is said on stderr."""
     from .core import _frozen
+    from .errors import UsageError
     from .kernels import WMatrix, center_loglik
     from .matio import load_matrix
     from .spectral import incomplete_cholesky
 
     opts, path = config.options, config.inputs[0]
     if opts["matrix"] == "w":
-        arr, _ = load_matrix(path)
-        source = WMatrix(values=_frozen(arr), kind=opts["kind"], source_M=0)
+        if opts["kind"] is not None:
+            raise UsageError("--kind applies only with --matrix loglik")
+        source = WMatrix(values=_frozen(load_matrix(path)[0]))
     else:
-        source = center_loglik(load_matrix(path)[0], opts["kind"])
+        source = center_loglik(load_matrix(path)[0], opts["kind"] or "raw")
         if source.n <= 2 * source.source_M:
             source = source.gram()
     chol = incomplete_cholesky(source, rel_tol=opts["rel_tol"], max_rank=opts["max_rank"])
@@ -430,6 +450,8 @@ def _cmd_freqcov(config: RunConfig, outdir: str) -> None:
         raise UsageError(
             f"--logprior applies only to the prior_adjusted estimator, not {estimator}"
         )
+    if estimator == "prior_adjusted" and not opts["logprior"]:
+        raise UsageError("the prior_adjusted estimator requires --logprior")
     loglik = _load_loglik(config.inputs[0])
     stats = _load_stats(config.inputs[1], loglik)
     logprior = _load_logprior(opts["logprior"])
@@ -455,7 +477,6 @@ def _cmd_boot(config: RunConfig, outdir: str) -> None:
     import numpy as np
 
     from .bootstrap import (
-        _check_tensor_size,
         boot_first,
         boot_importance,
         boot_second,
@@ -466,33 +487,29 @@ def _cmd_boot(config: RunConfig, outdir: str) -> None:
     from .matio import save_matrix
 
     opts = config.options
-    method, rank, seed = opts["method"], opts["rank"], opts["seed"]
+    method, rank = opts["method"], opts["rank"]
     if rank is not None and method not in _PROJECTING_METHODS:
         raise UsageError(
             f"--rank applies only to methods {_PROJECTING_METHODS}, not {method}"
         )
     loglik = _load_loglik(config.inputs[0])
     stats = _load_stats(config.inputs[1], loglik)
-    if opts["n_b"] < 1:
-        raise UsageError("boot needs n_b >= 1 replicates")
     projection = None
     if method == "second_projected" or rank is not None:
         projection = _projection(loglik, rank)
-    if method in ("second_direct", "second_projected"):
-        width = loglik.n_obs if projection is None else projection.a_M
-        _check_tensor_size(stats.n_stats, width)
-    resamples = draw_resamples(loglik.n_obs, opts["n_b"], seed)
+    # drawn block by block inside the estimators, after their size checks
+    resamples = draw_resamples(loglik.n_obs, opts["n_b"], opts["seed"])
 
     diags = None
     if method == "first":
-        run = boot_first(stats, loglik, resamples, projection=projection, seed=seed)
+        run = boot_first(stats, loglik, resamples, projection=projection)
     elif method == "importance":
-        run, diags = boot_importance(stats, loglik, resamples, seed=seed)
+        run, diags = boot_importance(stats, loglik, resamples)
     elif method == "second_projected":
-        run = boot_second(stats, loglik, resamples, projection=projection, seed=seed)
+        run = boot_second(stats, loglik, resamples, projection=projection)
     else:
         mode = method.removeprefix("second_")
-        run = boot_second(stats, loglik, resamples, mode=mode, seed=seed)
+        run = boot_second(stats, loglik, resamples, mode=mode)
 
     save_matrix(
         os.path.join(outdir, "estimates.csv"),
@@ -535,14 +552,14 @@ def _cmd_diag(config: RunConfig, outdir: str) -> None:
     opts = config.options
     if opts["hessian"] and not opts["scores"]:
         raise UsageError("--hessian applies only with --scores")
+    if opts["scores"] and not opts["hessian"]:
+        raise UsageError("--scores requires --hessian for the curvature matrix")
     loglik = _load_loglik(config.inputs[0])
     stats = _load_stats(config.inputs[1], loglik)
     logprior = _load_logprior(opts["logprior"])
 
     info = None
     if opts["scores"]:
-        if not opts["hessian"]:
-            raise UsageError("--scores requires --hessian for the curvature matrix")
         s_arr, _ = load_matrix(opts["scores"])
         if s_arr.shape[0] != loglik.n_obs:
             raise InvalidInput(
@@ -640,7 +657,7 @@ def _cmd_demo(config: RunConfig, outdir: str) -> None:
     save_matrix(os.path.join(outdir, "sigma.csv"), sigma.values, header=list(stats.names))
 
     resamples = draw_resamples(bundle.n_obs, 200, seed)
-    run = boot_first(stats, bundle.loglik, resamples, seed=seed)
+    run = boot_first(stats, bundle.loglik, resamples)
     save_matrix(
         os.path.join(outdir, "estimates.csv"), run.estimates, header=list(stats.names)
     )

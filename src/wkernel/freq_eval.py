@@ -63,12 +63,11 @@ class SensitivityReport:
     """Derivatives of posterior means with respect to observation weights.
 
     first_order[j, i] is the derivative of statistic j's posterior mean
-    in observation i's weight at unit weights; second_order, when
-    present, holds the matching second derivatives as a cumulant tensor.
+    in observation i's weight at unit weights; ``sensitivity_second``
+    gives the matching second derivatives as a cumulant tensor.
     """
 
     first_order: np.ndarray
-    second_order: ThirdCumulantTensor | None = None
 
     def __post_init__(self):
         _freeze(self, "first_order")

@@ -56,22 +56,13 @@ def _eigh_descending(mat: np.ndarray, what: str):
 
 @dataclass(frozen=True)
 class WMatrix:
-    """n x n posterior covariance matrix of per-observation log-likelihoods.
-
-    ``kind`` records whether the per-draw mean log-likelihood across
-    observations was subtracted before taking covariances
-    ("double_centered") or not ("raw").  ``source_M`` is the number of
-    posterior draws the moments were estimated from.
-    """
+    """n x n posterior covariance matrix of per-observation log-likelihoods,
+    raw or double centered as ``build_w``'s ``kind`` chose."""
 
     values: np.ndarray
-    kind: str
-    source_M: int
 
     def __post_init__(self):
         _symmetric(self, "W")
-        if self.kind not in _W_KINDS:
-            raise InvalidInput(f"kind must be one of {_W_KINDS}, got {self.kind!r}")
 
     @property
     def n(self) -> int:
@@ -98,21 +89,18 @@ class WMatrix:
 class CenteredLogLik:
     """M x n centered log-likelihoods C, the factor of W = C^T C / M.
 
-    Each observation column has its mean over the draws removed and, for
-    kind="double_centered", each draw row its mean over the observations
-    first.  W's column p is C^T C[:, p] / M and its diagonal the column
+    Each observation column has its mean over the draws removed and, when
+    ``center_loglik`` was given kind="double_centered", each draw row its
+    mean over the observations first.  W's column p is C^T C[:, p] / M and its diagonal the column
     sums of squares over M, so W can be read a column at a time
     (``diagonal``, ``column``, ``trace``, as from a WMatrix) without
     forming it; ``gram`` forms it.
     """
 
     values: np.ndarray
-    kind: str
 
     def __post_init__(self):
         _freeze(self, "values", ndim=2, what="centered log-likelihood matrix")
-        if self.kind not in _W_KINDS:
-            raise InvalidInput(f"kind must be one of {_W_KINDS}, got {self.kind!r}")
 
     @property
     def n(self) -> int:
@@ -143,7 +131,7 @@ class CenteredLogLik:
         symmetric."""
         w = self.values.T @ self.values
         w /= self.source_M
-        return WMatrix(values=_frozen(w), kind=self.kind, source_M=self.source_M)
+        return WMatrix(values=_frozen(w))
 
 
 @dataclass(frozen=True)
@@ -194,12 +182,10 @@ class ScoreMatrix:
 
     values: np.ndarray
     hessian_sum: np.ndarray
-    theta_hat: np.ndarray | None = None
 
     def __post_init__(self):
         _freeze(self, "values", ndim=2, what="score matrix")
         _freeze(self, "hessian_sum", what="hessian sum")
-        _freeze(self, "theta_hat")
         k = self.n_params
         if self.hessian_sum.shape != (k, k):
             raise InvalidInput(
@@ -229,8 +215,6 @@ class InfoMatrices:
     I_hat: np.ndarray
     J_hat: np.ndarray
     sandwich: np.ndarray
-    theta_hat: np.ndarray | None = None
-    prior_weight: float = 0.0
 
     def __post_init__(self):
         for name in ("I_hat", "J_hat", "sandwich"):
@@ -238,7 +222,6 @@ class InfoMatrices:
             rows, cols = getattr(self, name).shape
             if rows != cols:
                 raise InvalidInput(f"{name} must be square")
-        _freeze(self, "theta_hat")
 
     @property
     def n_params(self) -> int:
@@ -294,7 +277,7 @@ def center_loglik(values: np.ndarray, kind: str = "raw") -> CenteredLogLik:
     if kind == "double_centered":
         values -= values.mean(axis=1, keepdims=True)
     values -= values.mean(axis=0)
-    return CenteredLogLik(values=_frozen(values), kind=kind)
+    return CenteredLogLik(values=_frozen(values))
 
 
 def build_w(loglik: LogLikMatrix, kind: str = "raw") -> WMatrix:
@@ -455,13 +438,7 @@ def build_info_matrices(
     j_inv_sqrt = sym_inv_sqrt(j_hat, "J_hat")
     sandwich = j_inv_sqrt @ i_hat @ j_inv_sqrt
     sandwich = (sandwich + sandwich.T) / 2.0
-    return InfoMatrices(
-        I_hat=i_hat,
-        J_hat=j_hat,
-        sandwich=sandwich,
-        theta_hat=scores.theta_hat,
-        prior_weight=prior_weight,
-    )
+    return InfoMatrices(I_hat=i_hat, J_hat=j_hat, sandwich=sandwich)
 
 
 _METRICS = ("fisher", "modified_fisher", "plain")

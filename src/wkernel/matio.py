@@ -77,14 +77,16 @@ def load_matrix(path):
                     ndmin=2,
                     dtype=float,
                 )
-            except ValueError:
+            except ValueError:  # UnicodeDecodeError too; the re-read reports it
                 arr = None
-    except OSError as exc:
+        rows = None
+        if arr is None or not np.isfinite(arr).all():
+            # the slow path holds every line, as its Python floats outweigh them
+            with open(path, "r", encoding="utf-8") as fh:
+                rows = list(_data_lines(fh))[header is not None :]
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read file: {exc}", path=path) from exc
-    if arr is None or not np.isfinite(arr).all():
-        # the slow path holds every line, as its Python floats outweigh them
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = list(_data_lines(fh))[header is not None :]
+    if rows is not None:
         arr = _parse_rows(rows, path, offset=2 if header is not None else 1)
     if header is not None and len(header) != arr.shape[1]:
         raise ParseError(
@@ -186,7 +188,7 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config: {exc}", path=path) from exc
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()

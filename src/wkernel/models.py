@@ -235,8 +235,6 @@ class ModelBundle:
     theta_hat: np.ndarray
     param_names: tuple
     scores: ScoreMatrix | None = None
-    prior_score: np.ndarray | None = None
-    prior_hessian: np.ndarray | None = None
     exact_weighted_mean: object = None
     loglik_fn: object = None
     acceptance_rate: float | None = None
@@ -342,11 +340,8 @@ def _run_normal_mean(config: NormalMeanConfig) -> ModelBundle:
         )
 
     loglik = LogLikMatrix(values=loglik_fn(draws, x))
-    theta_hat = np.array([xbar])
     scores = ScoreMatrix(
-        values=((x - xbar) / sig2).reshape(-1, 1),
-        hessian_sum=np.array([[1.0 / sig2]]),
-        theta_hat=theta_hat,
+        values=((x - xbar) / sig2).reshape(-1, 1), hessian_sum=np.array([[1.0 / sig2]])
     )
 
     def exact_mean(w: WeightVector, stat: str = "theta_mean") -> float:
@@ -363,7 +358,7 @@ def _run_normal_mean(config: NormalMeanConfig) -> ModelBundle:
         draws=draws,
         loglik=loglik,
         logprior=LogPriorVector(values=np.zeros(config.m_draws)),
-        theta_hat=theta_hat,
+        theta_hat=np.array([xbar]),
         param_names=("theta",),
         scores=scores,
         exact_weighted_mean=exact_mean,
@@ -418,25 +413,12 @@ def _run_beta_binomial(config: BetaBinomialConfig) -> ModelBundle:
         )
     else:
         q_hat = x.sum() / (n * N)
-    theta_hat = np.array([q_hat])
 
     scores = None
-    prior_score = None
-    prior_hessian = None
     if 0.0 < q_hat < 1.0:
         s = x / q_hat - (N - x) / (1 - q_hat)
         hess = np.mean(x / q_hat**2 + (N - x) / (1 - q_hat) ** 2)
-        scores = ScoreMatrix(
-            values=s.reshape(-1, 1),
-            hessian_sum=np.array([[hess]]),
-            theta_hat=theta_hat,
-        )
-        prior_score = np.array(
-            [(config.alpha - 1.0) / q_hat - (config.beta - 1.0) / (1 - q_hat)]
-        )
-        prior_hessian = np.array(
-            [[-(config.alpha - 1.0) / q_hat**2 - (config.beta - 1.0) / (1 - q_hat) ** 2]]
-        )
+        scores = ScoreMatrix(values=s.reshape(-1, 1), hessian_sum=np.array([[hess]]))
 
     def exact_mean(w: WeightVector, stat: str = "q_mean") -> float:
         if stat not in ("q_mean",):
@@ -451,11 +433,9 @@ def _run_beta_binomial(config: BetaBinomialConfig) -> ModelBundle:
         draws=draws,
         loglik=loglik,
         logprior=logprior,
-        theta_hat=theta_hat,
+        theta_hat=np.array([q_hat]),
         param_names=("q",),
         scores=scores,
-        prior_score=prior_score,
-        prior_hessian=prior_hessian,
         exact_weighted_mean=exact_mean,
         loglik_fn=loglik_fn,
     )
@@ -522,9 +502,7 @@ def _run_weibull(config: WeibullConfig) -> ModelBundle:
     draws = np.exp(u_draws)
     loglik = LogLikMatrix(values=loglik_fn(draws, x))
     logprior = LogPriorVector(values=u_draws[:, 0] + u_draws[:, 1])
-    theta_hat = np.array([gamma_hat, lam_hat])
     s_vals, hess = _weibull_scores(x, gamma_hat, lam_hat)
-    scores = ScoreMatrix(values=s_vals, hessian_sum=hess, theta_hat=theta_hat)
 
     return ModelBundle(
         model="weibull",
@@ -532,9 +510,9 @@ def _run_weibull(config: WeibullConfig) -> ModelBundle:
         draws=draws,
         loglik=loglik,
         logprior=logprior,
-        theta_hat=theta_hat,
+        theta_hat=np.array([gamma_hat, lam_hat]),
         param_names=("gamma", "lambda"),
-        scores=scores,
+        scores=ScoreMatrix(values=s_vals, hessian_sum=hess),
         loglik_fn=loglik_fn,
         acceptance_rate=rate,
     )
@@ -607,7 +585,7 @@ def _run_regression(config: RegressionConfig) -> ModelBundle:
         resid_hat = x - design @ beta_ols
         s_vals = design * (resid_hat / config.sigma_lik**2)[:, None]
         hess = (design.T @ design) / (n * config.sigma_lik**2)
-        scores = ScoreMatrix(values=s_vals, hessian_sum=hess, theta_hat=theta_hat)
+        scores = ScoreMatrix(values=s_vals, hessian_sum=hess)
     elif config.likelihood == "normal_est_sigma":
         theta_hat = np.concatenate([beta_ols, [sigma_mle]])
         r = resid / sigma_mle
@@ -622,7 +600,7 @@ def _run_regression(config: RegressionConfig) -> ModelBundle:
         hess[:k_beta, k_beta] = h_bs
         hess[k_beta, :k_beta] = h_bs
         hess[k_beta, k_beta] = h_ss
-        scores = ScoreMatrix(values=s_vals, hessian_sum=hess / n, theta_hat=theta_hat)
+        scores = ScoreMatrix(values=s_vals, hessian_sum=hess / n)
     else:
         theta_hat = np.concatenate([beta_ols, [sigma_mle]])
         scores = None

@@ -53,7 +53,6 @@ class PivotedCholesky:
     pivots: np.ndarray
     residual_trace_history: np.ndarray
     trace_w: float
-    n: int
     stopped_by: str = "rel_tol"
 
     def __post_init__(self):
@@ -176,11 +175,12 @@ def _as_eta(eta, n: int) -> np.ndarray:
 
 
 def _leading(basis: SpectralBasis, a_M: int | None) -> int:
-    """How many leading directions to use: all retained ones for None."""
+    """How many leading directions to use: all retained ones for None;
+    RankOutOfRange unless 1 to the retained rank."""
     if a_M is None:
         return basis.rank_retained
-    if not 0 <= a_M <= basis.rank_retained:
-        raise InvalidInput(f"a_M must be in [0, {basis.rank_retained}], got {a_M}")
+    if not 1 <= a_M <= basis.rank_retained:
+        raise RankOutOfRange(a_M, basis.rank_retained)
     return a_M
 
 
@@ -279,7 +279,6 @@ def incomplete_cholesky(
         pivots=np.array(pivots, dtype=int),
         residual_trace_history=np.array(history),
         trace_w=trace_w,
-        n=n,
         stopped_by=stopped_by,
     )
 

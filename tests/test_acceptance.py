@@ -104,7 +104,7 @@ def test_criterion_02_pivoted_cholesky():
         planted = trial % 2 == 1
         rank = int(rng.integers(1, n)) if planted else n
         b = rng.standard_normal((n, rank))
-        w = WMatrix(values=b @ b.T, kind="raw", source_M=0)
+        w = WMatrix(values=b @ b.T)
         chol = incomplete_cholesky(w, rel_tol=1e-10, max_rank=n)
         recon_gap = abs(
             np.trace(w.values - chol.reconstruct()) - chol.residual_trace
@@ -131,7 +131,7 @@ def test_criterion_03_dual_equals_full_eigensolver():
     for _ in range(30):
         n = int(rng.integers(5, 51))
         b = rng.standard_normal((n, int(rng.integers(2, n + 1))))
-        w = WMatrix(values=b @ b.T, kind="raw", source_M=0)
+        w = WMatrix(values=b @ b.T)
         basis_d = dual_eigen(incomplete_cholesky(w, rel_tol=1e-14, max_rank=n))
         basis_f = full_eigen(w)
         k = basis_d.rank_retained
@@ -402,7 +402,7 @@ def test_criterion_12_bound_suites():
         n = int(rng.integers(2, 9))
         ll = LogLikMatrix(rng.standard_normal((m, n)) * rng.uniform(0.3, 2.0))
         basis = full_eigen(build_w(ll))
-        a_m = int(rng.integers(0, basis.rank_retained + 1))
+        a_m = int(rng.integers(1, basis.rank_retained + 1))
         proj = project_loglik(ll, basis, a_m)
         tail = basis.eigenvalues[a_m:].sum()
         lam1 = basis.eigenvalues[0] if basis.rank_retained else 0.0
@@ -417,7 +417,7 @@ def test_criterion_12_bound_suites():
         ll = LogLikMatrix(rng.standard_normal((m, n)))
         a = rng.standard_normal(m)
         basis = full_eigen(build_w(ll))
-        a_m = int(rng.integers(0, basis.rank_retained + 1))
+        a_m = int(rng.integers(1, basis.rank_retained + 1))
         proj = project_loglik(ll, basis, a_m)
         bound = np.sqrt(posterior_var(a) * basis.eigenvalues[a_m:].sum()) + 1e-9
         for i in range(n):
@@ -434,7 +434,7 @@ def test_criterion_12_bound_suites():
         ll = LogLikMatrix(rng.standard_normal((m, n)))
         a = np.tanh(rng.standard_normal(m))
         basis = full_eigen(build_w(ll))
-        a_m = int(rng.integers(0, basis.rank_retained + 1))
+        a_m = int(rng.integers(1, basis.rank_retained + 1))
         proj = project_loglik(ll, basis, a_m)
         sup_a = np.max(np.abs(a - a.mean()))
         tail_root = np.sqrt(basis.eigenvalues[a_m:].sum())

@@ -516,7 +516,8 @@ class TestCommands:
         def refuse(*args, **kwargs):
             raise AssertionError("resamples drawn before the checks")
 
-        monkeypatch.setattr("wkernel.bootstrap.draw_resamples", refuse)
+        # the one place that draws count rows
+        monkeypatch.setattr("wkernel.bootstrap.Resamples._rows", refuse)
         if budget is not None:
             monkeypatch.setattr("wkernel.bootstrap.DIRECT_TENSOR_BUDGET", budget)
         argv = ["boot", str(ll), str(st), *argv, "--n-b", "20000"]
@@ -559,6 +560,27 @@ class TestCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"n_b x n = {10**12} x" in err and str(2**27) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("ll.csv", b"a,b\n1,2\n3,\xff\n"),  # met by the cell parser's re-read
+            ("ll.csv", b"\xff,b\n1,2\n"),  # met by the first-line read
+            ("run.cfg", b"n_b = \xff\n"),  # met by load_config
+        ],
+        ids=["data-row", "first-line", "config"],
+    )
+    def test_file_that_is_not_utf8_is_parse_error(self, tmp_path, capsys, name, data):
+        ll = tmp_path / "ll.csv"
+        make_loglik_csv(ll)
+        (tmp_path / name).write_bytes(data)
+        argv = ["zmat", str(ll), "--out", str(tmp_path / "o")]
+        if name == "run.cfg":
+            argv += ["--config", str(tmp_path / name)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "parse error: cannot read" in err and str(tmp_path / name) in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("cell", ["1e400", "nan"])
@@ -927,6 +949,48 @@ class TestIgnoredOption:
         extra = _option(tmp_path, "hessian", hess, by_file)
         assert main(["diag", *inputs, *extra, "--out", str(tmp_path / "o")]) == 2
         assert "--hessian applies only with --scores" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eigen", "rep"])
+    def test_kind_with_w_matrix(self, tmp_path, capsys, by_file, command):
+        w = tmp_path / "w.csv"
+        save_matrix(w, np.eye(3))
+        extra = _option(tmp_path, "kind", "double_centered", by_file)
+        argv = [command, str(w), "--matrix", "w", *extra, "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "--kind applies only with --matrix loglik" in capsys.readouterr().err
+
+
+# invocations refused by their options alone -> the usage message
+_REFUSED_BY_OPTIONS = [
+    (["freqcov", "{ll}", "{st}", "--estimator", "prior_adjusted"], "requires --logprior"),
+    (["freqcov", "{ll}", "{st}", "--logprior", "{lp}"], "--logprior applies only"),
+    (["freqcov", "{ll}", "{st}", "--rank", "2"], "--rank applies only"),
+    (["diag", "{ll}", "{st}", "--scores", "{sc}"], "--scores requires --hessian"),
+    (["diag", "{ll}", "{st}", "--hessian", "{sc}"], "--hessian applies only"),
+    (["boot", "{ll}", "{st}", "--n-b", "0"], "--n-b must be at least 1"),
+    (["boot", "{ll}", "{st}", "--seed", "-1"], "--seed must be in [0, 2^64)"),
+    (["demo", "normal_mean", "--seed", str(2**64)], "--seed must be in [0, 2^64)"),
+    (["eigen", "{ll}", "--rel-tol", "1"], "--rel-tol must be in (0, 1)"),
+    (["rep", "{ll}", "--max-rank", "0"], "--max-rank must be at least 1"),
+    (["boot", "{ll}", "{st}", "--method", "importance", "--rank", "2"], "--rank applies only"),
+    (["eigen", "{ll}", "--matrix", "w", "--kind", "double_centered"], "--kind applies only"),
+    (["rep", "{ll}", "--matrix", "w", "--kind", "raw"], "--kind applies only"),
+]
+
+
+class TestUsageBeforeLoading:
+    @pytest.mark.parametrize(
+        "argv, needle",
+        _REFUSED_BY_OPTIONS,
+        ids=[f"{argv[0]}: {needle}" for argv, needle in _REFUSED_BY_OPTIONS],
+    )
+    def test_usage_error_with_missing_inputs(self, tmp_path, capsys, argv, needle):
+        # none of these files exists: the options alone decide, before a read
+        names = {key: str(tmp_path / f"missing_{key}.csv") for key in ("ll", "st", "lp", "sc")}
+        argv = [a.format(**names) for a in argv] + ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert needle in err and "parse error" not in err
 
 
 # the invocations that project onto W's leading directions

@@ -181,7 +181,7 @@ class TestFreqCov:
             basis = full_eigen(build_w(ll))
             var_a = posterior_var(stats.values[:, 0])
             grid = sensitivity_first(stats, ll).first_order[0]
-            for a_m in range(basis.rank_retained + 1):
+            for a_m in range(1, basis.rank_retained + 1):
                 proj = project_loglik(ll, basis, a_m)
                 tail = basis.eigenvalues[a_m:].sum()
                 delta = np.sqrt(var_a * tail)

@@ -314,11 +314,7 @@ class TestInfoMatrices:
     def test_normal_mean_analytic(self):
         x, _, _ = normal_mean_setup(300, 10, seed=2)
         xbar = x.mean()
-        scores = ScoreMatrix(
-            values=(x - xbar).reshape(-1, 1),
-            hessian_sum=np.array([[1.0]]),
-            theta_hat=np.array([xbar]),
-        )
+        scores = ScoreMatrix(values=(x - xbar).reshape(-1, 1), hessian_sum=np.array([[1.0]]))
         info = build_info_matrices(scores)
         sample_var = np.mean((x - xbar) ** 2)
         assert info.J_hat[0, 0] == pytest.approx(1.0)

@@ -28,7 +28,7 @@ from wkernel.spectral import (
 
 
 def wmat(values):
-    return WMatrix(values=np.asarray(values, dtype=float), kind="raw", source_M=0)
+    return WMatrix(values=np.asarray(values, dtype=float))
 
 
 def random_psd(rng, n, rank=None):
@@ -405,6 +405,28 @@ class TestPrincipalBasisLeading:
         assert info.value.retained == 8
 
 
+class TestLeadingRank:
+    """principal_basis, project_loglik and project_perturbation keep one
+    rule: from 1 to the retained rank of leading directions."""
+
+    @pytest.mark.parametrize("beyond", [False, True], ids=["zero", "retained+1"])
+    @pytest.mark.parametrize(
+        "func", ["principal_basis", "project_loglik", "project_perturbation"]
+    )
+    def test_rank_outside_one_to_retained_is_refused(self, func, beyond):
+        ll = LogLikMatrix(np.random.default_rng(14).standard_normal((60, 8)))
+        basis = principal_basis(ll)
+        a_M = basis.rank_retained + 1 if beyond else 0
+        calls = {
+            "principal_basis": lambda: principal_basis(ll, a_M),
+            "project_loglik": lambda: project_loglik(ll, basis, a_M),
+            "project_perturbation": lambda: project_perturbation(np.zeros(8), basis, a_M),
+        }
+        with pytest.raises(RankOutOfRange, match="retained rank 8") as info:
+            calls[func]()
+        assert (info.value.rank, info.value.retained) == (a_M, 8)
+
+
 class TestFullEigen:
     def test_diagonal(self):
         basis = full_eigen(wmat(np.diag([5.0, 2.0, 0.0])))
@@ -447,16 +469,6 @@ class TestProjectLogLik:
         proj = project_loglik(ll, basis, basis.rank_retained)
         np.testing.assert_allclose(proj.projected_loglik, ll.values, atol=1e-9)
 
-    def test_rank_zero(self):
-        ll, basis = self._setup()
-        proj = project_loglik(ll, basis, 0)
-        np.testing.assert_allclose(proj.projected_loglik, 0.0)
-        for i in range(ll.n_obs):
-            resid = ll.values[:, i] - proj.projected_loglik[:, i]
-            assert posterior_var(resid) == pytest.approx(
-                posterior_var(ll.values[:, i]), rel=1e-12
-            )
-
     def test_projection_covariance_is_diagonal(self):
         ll, basis = self._setup()
         proj = project_loglik(ll, basis)
@@ -474,7 +486,7 @@ class TestProjectLogLik:
             n = int(rng.integers(2, 10))
             ll = LogLikMatrix(rng.standard_normal((m, n)) * 2.0)
             basis = full_eigen(build_w(ll))
-            for a_m in range(basis.rank_retained + 1):
+            for a_m in range(1, basis.rank_retained + 1):
                 proj = project_loglik(ll, basis, a_m)
                 tail = basis.eigenvalues[a_m:].sum()
                 for i in range(n):
@@ -486,7 +498,7 @@ class TestProjectLogLik:
         ll = LogLikMatrix(rng.standard_normal((25, 6)))
         basis = full_eigen(build_w(ll))
         a = rng.standard_normal(25)
-        for a_m in (0, 2, 4, 6):
+        for a_m in (1, 2, 4, 6):
             proj = project_loglik(ll, basis, a_m)
             tail = basis.eigenvalues[a_m:].sum()
             bound = np.sqrt(posterior_var(a) * tail) + 1e-9
