@@ -36,6 +36,7 @@ from .core import (
     StatMatrix,
     _check_draws,
     _check_paired,
+    _check_seed,
     _freeze,
     _frozen,
     _readonly,
@@ -210,8 +211,9 @@ def draw_resamples(n: int, n_b: int, seed: int) -> Resamples:
     exactly the multinomial distribution with equal cell probabilities.
     Nothing is drawn here: the rows are drawn block by block as the
     estimators reach them.  Raises InvalidInput when n_b x n exceeds
-    MAX_RESAMPLE_CELLS.
+    MAX_RESAMPLE_CELLS, and for a seed outside [0, 2^128).
     """
+    _check_seed(seed)
     if n < 1:
         raise InvalidInput("need at least one observation")
     if n_b < 1:

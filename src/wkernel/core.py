@@ -99,6 +99,13 @@ def _check_draws(a, b, what: str) -> None:
         raise InvalidInput(f"{what} disagree on draw count")
 
 
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not an integer in [0, 2^128), the range of
+    Philox's key, before any stream is drawn from it."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**128):
+        raise InvalidInput(f"seed must be an integer in [0, 2^128), got {seed!r}")
+
+
 def _stream(seed: int, jumps: int = 0) -> np.random.Generator:
     """Counter-based Philox 4x64 stream keyed by the 64-bit seed and jumped
     ``jumps`` times, identical on every platform."""

@@ -170,9 +170,13 @@ def penalties(
     Missing inputs leave the corresponding field as None.
     """
     vals = loglik.values
-    centered = vals - vals.mean(axis=0)
+    mean = vals.mean(axis=0)
     m = loglik.n_draws
-    waic = float(np.sum(centered * centered)) / m
+    # one M x n buffer: the centered values squared, then the centered
+    # values again times the centered log prior
+    buf = vals - mean
+    buf *= buf
+    waic = float(np.sum(buf)) / m
 
     tic = None
     if info is not None:
@@ -183,7 +187,9 @@ def penalties(
         _check_draws(logprior, loglik, "log-prior and log-likelihoods")
         prior_c = logprior.values - logprior.values.mean()
         # cov of each column with itself plus (1/n) log prior, summed over i
-        pcic = waic + float(np.sum(centered * prior_c[:, None])) / (m * loglik.n_obs)
+        np.subtract(vals, mean, out=buf)
+        buf *= prior_c[:, None]
+        pcic = waic + float(np.sum(buf)) / (m * loglik.n_obs)
 
     return PenaltyReport(waic_penalty=waic, tic_penalty=tic, pcic_penalty=pcic)
 

@@ -23,7 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LogLikMatrix, LogPriorVector, StatMatrix, WeightVector, _stream
+from .core import (
+    LogLikMatrix,
+    LogPriorVector,
+    StatMatrix,
+    WeightVector,
+    _check_seed,
+    _frozen,
+    _stream,
+)
 from .errors import ConvergenceWarning, InvalidInput, NumericalFailure, Unsupported
 from .kernels import ScoreMatrix
 
@@ -45,13 +53,20 @@ def weibull_logpdf(x, gamma, lam):
         raise InvalidInput("Weibull shape and scale must be positive")
     if np.any(x < 0):
         raise InvalidInput("Weibull support is x >= 0")
-    ratio = x / lam
+    # the result and ratio = x / lam are the only arrays of the broadcast
+    # shape: log(gamma / lam) + (gamma - 1) log(ratio) - ratio^gamma, in place
+    out = np.empty(np.broadcast(x, gamma, lam).shape)
+    ratio = np.divide(x, lam, out=np.empty_like(out))
     # overflow to inf (and hence logpdf -inf) is the correct limit for
     # far-tail shape proposals; keep it quiet.  At gamma = 1 the power
     # term is 0 even at x = 0.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        power_term = np.where(gamma == 1.0, 0.0, (gamma - 1.0) * np.log(ratio))
-        out = np.log(gamma / lam) + power_term - ratio**gamma
+        np.log(ratio, out=out)
+        out *= gamma - 1.0
+        np.copyto(out, 0.0, where=gamma == 1.0)
+        out += np.log(gamma / lam)
+        ratio **= gamma
+        out -= ratio
     return out if out.ndim else float(out)
 
 
@@ -112,6 +127,7 @@ class McmcConfig:
     target_acceptance: float = 0.3
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.chains < 1 or self.iters < 2 or not 0 <= self.burn_in < self.iters:
             raise InvalidInput("bad MCMC configuration")
         if self.step_size <= 0:
@@ -129,6 +145,7 @@ class NormalMeanConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.n < 2 or self.m_draws < 2 or self.sigma <= 0:
             raise InvalidInput("bad normal-mean configuration")
 
@@ -154,6 +171,7 @@ class BetaBinomialConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if not 0 < self.q0 < 1:
             raise InvalidInput("q0 must be in (0, 1)")
         if not 0 <= self.rho < 1:
@@ -179,6 +197,7 @@ class WeibullConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.gamma <= 0 or self.lam <= 0 or self.n < 3:
             raise InvalidInput("bad Weibull configuration")
 
@@ -208,6 +227,7 @@ class RegressionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.likelihood not in REGRESSION_LIKELIHOODS:
             raise InvalidInput(
                 f"likelihood must be one of {REGRESSION_LIKELIHOODS}"
@@ -339,7 +359,7 @@ def _run_normal_mean(config: NormalMeanConfig) -> ModelBundle:
             2 * sig2
         )
 
-    loglik = LogLikMatrix(values=loglik_fn(draws, x))
+    loglik = LogLikMatrix(values=_frozen(loglik_fn(draws, x)))
     scores = ScoreMatrix(
         values=((x - xbar) / sig2).reshape(-1, 1), hessian_sum=np.array([[1.0 / sig2]])
     )
@@ -398,7 +418,7 @@ def _run_beta_binomial(config: BetaBinomialConfig) -> ModelBundle:
         return _binom_loglik(data_, N, np.asarray(draws_).ravel())
 
     draws = q.reshape(-1, 1)
-    loglik = LogLikMatrix(values=loglik_fn(draws, x))
+    loglik = LogLikMatrix(values=_frozen(loglik_fn(draws, x)))
 
     base = (config.alpha - 1.0) * np.log(q) + (config.beta - 1.0) * np.log1p(-q)
     base = base - betaln(config.alpha, config.beta)
@@ -500,7 +520,7 @@ def _run_weibull(config: WeibullConfig) -> ModelBundle:
     u0 = np.log([gamma_hat, lam_hat])
     u_draws, rate = _adaptive_rwm(logpost, u0, 2, config.mcmc)
     draws = np.exp(u_draws)
-    loglik = LogLikMatrix(values=loglik_fn(draws, x))
+    loglik = LogLikMatrix(values=_frozen(loglik_fn(draws, x)))
     logprior = LogPriorVector(values=u_draws[:, 0] + u_draws[:, 1])
     s_vals, hess = _weibull_scores(x, gamma_hat, lam_hat)
 
@@ -578,7 +598,7 @@ def _run_regression(config: RegressionConfig) -> ModelBundle:
     u_draws, rate = _adaptive_rwm(logpost, u0, k, config.mcmc)
     draws, log_jacobian = natural_scale(u_draws)
     logprior = LogPriorVector(values=log_jacobian)
-    loglik = LogLikMatrix(values=loglik_fn(draws, x))
+    loglik = LogLikMatrix(values=_frozen(loglik_fn(draws, x)))
 
     if config.likelihood == "normal_known_sigma":
         theta_hat = beta_ols

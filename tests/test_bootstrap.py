@@ -104,6 +104,15 @@ class TestDrawResamples:
             not np.array_equal(da, dc) for da, dc in zip(a.counts, c.counts)
         )
 
+    @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, None])
+    def test_seed_philox_refuses_is_refused_at_call(self, seed):
+        with pytest.raises(InvalidInput, match=r"seed must be an integer in \[0, 2\^128\)"):
+            draw_resamples(5, 3, seed=seed)
+
+    def test_largest_seed_draws(self):
+        counts = draw_resamples(5, 3, seed=2**128 - 1).counts
+        np.testing.assert_array_equal(counts.sum(axis=1), 5)
+
     def test_replicate_streams_independent_of_order(self):
         full = draw_resamples(6, 20, seed=9)
         # drawing fewer replicates reproduces the same leading draws

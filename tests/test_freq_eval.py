@@ -6,6 +6,8 @@ differences of that exact function check the covariance/cumulant
 formulas independently of the sampling machinery.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -314,6 +316,31 @@ class TestPenalties:
         report = penalties(ll, info=info)
         assert report.tic_penalty is not None
         assert abs(report.waic_penalty - report.tic_penalty) / report.tic_penalty < 0.15
+
+    def test_penalties_are_the_two_temporary_sums(self):
+        # reference: centered values and each product as its own M x n array
+        rng = np.random.default_rng(18)
+        for shape in [(40, 7), (500, 59), (3, 1)]:
+            ll = LogLikMatrix(rng.standard_normal(shape) * 3.0 - 1.0)
+            lp = LogPriorVector(rng.standard_normal(shape[0]) * 10.0)
+            centered = ll.values - ll.values.mean(axis=0)
+            waic = float(np.sum(centered * centered)) / ll.n_draws
+            prior_c = lp.values - lp.values.mean()
+            pcic = waic + float(np.sum(centered * prior_c[:, None])) / ll.values.size
+            report = penalties(ll, logprior=lp)
+            assert (report.waic_penalty, report.pcic_penalty) == (waic, pcic)
+
+    def test_one_loglik_size_buffer(self):
+        rng = np.random.default_rng(19)
+        ll = LogLikMatrix(rng.standard_normal((3000, 40)))
+        lp = LogPriorVector(rng.standard_normal(3000))
+        tracemalloc.start()
+        try:
+            penalties(ll, logprior=lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * ll.values.nbytes
 
     def test_flat_prior_correction_equals_variance_penalty(self):
         rng = np.random.default_rng(17)

@@ -3,10 +3,13 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -69,6 +72,55 @@ class TestWeibullDensity:
         np.testing.assert_allclose(out, -np.log(lam), rtol=1e-15)
         assert weibull_logpdf(0.0, 1.0, 2.0) == pytest.approx(-np.log(2.0), rel=1e-15)
         assert isinstance(weibull_logpdf(0.0, 1.0, 2.0), float)
+
+    @staticmethod
+    def three_temporary_logpdf(x, gamma, lam):
+        """Reference: the density as one broadcast expression, with the
+        power term, its sum and its difference each a new array."""
+        gamma, lam, x = (np.asarray(a, dtype=float) for a in (gamma, lam, x))
+        ratio = x / lam
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            power_term = np.where(gamma == 1.0, 0.0, (gamma - 1.0) * np.log(ratio))
+            out = np.log(gamma / lam) + power_term - ratio**gamma
+        return out if out.ndim else float(out)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        gamma=st.lists(st.floats(0.05, 30.0), min_size=0, max_size=10),
+        lam=st.lists(st.floats(1e-3, 1e3), min_size=13, max_size=13),
+        x=st.lists(st.floats(0.0, 1e4), min_size=0, max_size=30),
+        scalar_gamma=st.sampled_from([0.5, 1.0, 2.0, 3.7, 1500.0]),
+    )
+    def test_in_place_density_is_the_broadcast_expression(
+        self, gamma, lam, x, scalar_gamma
+    ):
+        # (M, 1) draws with a unit shape and one large enough that
+        # ratio**gamma overflows, against data holding 0
+        g = np.array([1.0, 1500.0, *gamma]).reshape(-1, 1)
+        l = np.array(lam[: len(g)]).reshape(-1, 1)
+        xs = np.array([0.0, 1e4, *x])
+        out = weibull_logpdf(xs, g, l)
+        ref = self.three_temporary_logpdf(xs, g, l)
+        assert out.shape == ref.shape == (len(g), len(xs))
+        assert out.tobytes() == ref.tobytes()
+        assert np.isneginf(out[1, 1]) and np.isfinite(out[0, 0])
+        for xi in xs[:3]:
+            value = weibull_logpdf(float(xi), scalar_gamma, lam[0])
+            assert isinstance(value, float)
+            assert value == self.three_temporary_logpdf(float(xi), scalar_gamma, lam[0])
+
+    def test_holds_two_results(self):
+        rng = np.random.default_rng(5)
+        x = rng.weibull(2.0, size=59) * 50.0
+        gamma = rng.uniform(0.5, 4.0, size=(4000, 1))
+        lam = rng.uniform(20.0, 80.0, size=(4000, 1))
+        tracemalloc.start()
+        try:
+            out = weibull_logpdf(x, gamma, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * out.nbytes
 
     def test_non_positive_array_entry_rejected(self):
         for gamma, lam in [([[2.0], [0.0]], 1.0), (2.0, [[1.0], [-1.0]])]:
@@ -211,6 +263,26 @@ class TestBetaBinomialDensity:
             betabinom_logpmf(6, 5, 0.25, 0.65)
         with pytest.raises(InvalidInput):
             betabinom_logpmf(2, 5, 0.25, 1.5)
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, None])
+    @pytest.mark.parametrize(
+        "cls",
+        [McmcConfig, NormalMeanConfig, BetaBinomialConfig, WeibullConfig, RegressionConfig],
+    )
+    def test_seed_philox_refuses_is_refused_at_construction(self, cls, seed):
+        with pytest.raises(InvalidInput, match=r"seed must be an integer in \[0, 2\^128\)"):
+            cls(seed=seed)
+
+    def test_largest_seed_runs(self):
+        seed = 2**128 - 1
+        bundle = run_model(NormalMeanConfig(n=5, m_draws=10, seed=seed))
+        assert bundle.n_draws == 10
+        mcmc = McmcConfig(chains=1, iters=20, burn_in=10, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            assert run_model(WeibullConfig(mcmc=mcmc, seed=seed)).n_draws == 10
 
 
 class TestRunModelConjugate:
