@@ -6,32 +6,9 @@ and its principal space, and uses them for sensitivity analysis,
 frequentist covariance estimation, approximate bootstraps, and
 information-matrix comparisons.
 
-Submodules are imported lazily so the command-line driver can pin the
-numerical thread pools before numpy loads.
+Import the submodules themselves (``from wkernel import spectral``).  The
+package loads none of them, so ``import wkernel.cli`` loads no numpy and
+the command-line driver can pin the numerical thread pools first.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "bootstrap",
-    "cli",
-    "core",
-    "errors",
-    "freq_eval",
-    "kernels",
-    "matio",
-    "models",
-    "spectral",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

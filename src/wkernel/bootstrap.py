@@ -35,7 +35,6 @@ from .core import (
     LogLikMatrix,
     StatMatrix,
     _check_draws,
-    _check_paired,
     _check_seed,
     _freeze,
     _frozen,
@@ -228,7 +227,7 @@ def draw_resamples(n: int, n_b: int, seed: int) -> Resamples:
 
 def _check_resamples(stats, loglik, resamples: Resamples) -> None:
     """Refuse statistics, log-likelihoods and resamples that do not pair up."""
-    _check_paired(stats, loglik)
+    _check_draws(stats, loglik)
     if resamples.n_obs != loglik.n_obs:
         raise InvalidInput(
             f"resamples have {resamples.n_obs} observations, expected {loglik.n_obs}"
@@ -252,7 +251,7 @@ def boot_first(
     mean = stats.values.mean(axis=0)
     rank = None
     if projection is not None:
-        _check_draws(projection, stats, "projection and statistics")
+        _check_draws(projection, stats, "projections", "statistics")
         grid = posterior_cov_grid(stats.values, projection.projections)
         rank = projection.a_M
     else:
@@ -332,7 +331,7 @@ def boot_second(
     first_grid = posterior_cov_grid(stats.values, loglik.values)
 
     if projection is not None:
-        _check_draws(projection, stats, "projection and statistics")
+        _check_draws(projection, stats, "projections", "statistics")
         second = _second_term_direct(
             stats, projection.projections, projection.basis.vectors
         )

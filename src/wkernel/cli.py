@@ -2,10 +2,14 @@
 
 Commands: eigen, freqcov, boot, rep, diag, zmat, demo.  Inputs are CSV
 matrices; outputs are CSV files (plus a scree SVG) in the output
-directory.  Every option is declared once, in ``_OPTIONS``; a flat
-``key = value`` config file can supply any option under its name, with
-the same checks as the flag.  A value comes from the flag, else the
-config file, else the default.
+directory.  Every option is declared once, in ``_OPTIONS``, with its range,
+and every command once, in ``_COMMANDS``, with its handler and the rules
+on which of its options go together; a flat ``key = value`` config file
+can supply any option under its name, with the same checks as the flag.
+A value comes from the flag, else the config file, else the default.
+Whatever the options alone decide is refused before any input is read
+or the output directory made; each handler then only loads, computes
+and writes.
 
 Determinism: all stochastic commands take a 64-bit seed (counter-based
 generator), and ``--threads 1`` pins the numerical thread pools before
@@ -33,31 +37,39 @@ _THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-# option name -> (type, or tuple of allowed values; default; help).  The flag
-# is --name with "_" written "-", and the config-file key is the name itself.
+# option name -> (type, or tuple of allowed values; default; help; range, or
+# None).  The flag is --name with "_" written "-", and the config-file key is
+# the name itself.  A range (test, text) refuses a set value that fails test
+# (nan fails them all) as "--name must be <text>".
 _OPTIONS = {
-    # unset means raw; set, it needs --matrix loglik
-    "kind": (("raw", "double_centered"), None, "W variant (default raw)"),
-    "rel_tol": (float, 1e-8, "relative residual-trace tolerance of the Cholesky"),
-    "max_rank": (int, None, "Cholesky rank cap"),
-    "log_scree": (bool, False, "log10 scale for scree.svg"),
+    "kind": (("raw", "double_centered"), None, "W variant (default raw)", None),
+    "rel_tol": (
+        float,
+        1e-8,
+        "relative residual-trace tolerance of the Cholesky",
+        (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ),
+    "max_rank": (int, None, "Cholesky rank cap", (lambda v: v >= 1, "at least 1")),
+    "log_scree": (bool, False, "log10 scale for scree.svg", None),
     "matrix": (
         ("loglik", "w"),
         "loglik",
         "input layout: draws x observations, or a precomputed covariance",
+        None,
     ),
-    "estimator": (("plain", "centered", "prior_adjusted", "projected"), "plain", None),
-    "logprior": (str, None, "CSV vector, log prior at draws"),
-    "rank": (int, None, "retained rank (projected estimator, first/second_projected)"),
+    "estimator": (("plain", "centered", "prior_adjusted", "projected"), "plain", None, None),
+    "logprior": (str, None, "CSV vector, log prior at draws", None),
+    "rank": (int, None, "retained rank (projected estimator, first/second_projected)", None),
     "method": (
         ("first", "second_direct", "second_efficient", "second_projected", "importance"),
         "first",
         None,
+        None,
     ),
-    "n_b": (int, 1000, "replicates"),
-    "seed": (int, 0, "64-bit seed"),
-    "scores": (str, None, "CSV, observations x parameters"),
-    "hessian": (str, None, "CSV, k x k averaged neg. Hessian"),
+    "n_b": (int, 1000, "replicates", (lambda v: v >= 1, "at least 1")),
+    "seed": (int, 0, "64-bit seed", (lambda v: 0 <= v < 2**64, "in [0, 2^64)")),
+    "scores": (str, None, "CSV, observations x parameters", None),
+    "hessian": (str, None, "CSV, k x k averaged neg. Hessian", None),
 }
 
 # demo model -> (config class in wkernel.models, the scalar fields a config
@@ -79,39 +91,62 @@ _INPUTS = {
     "model": (tuple(_DEMO), "bundled model"),
 }
 
-# command -> (help, positional inputs, option names)
+# command -> (help, positional inputs, option names, handler, rules).  A rule
+# (name, values, verb, other, allowed): when option name is set, or with values
+# has one of them, option other must be set, or with allowed have one of those;
+# the verb only words the refusal.
 _COMMANDS = {
     "eigen": (
         "spectrum of the observation covariance matrix",
         ("loglik",),
         ("kind", "rel_tol", "max_rank", "log_scree", "matrix"),
+        "_cmd_eigen",
+        (("kind", None, "applies only with", "matrix", ("loglik",)),),
     ),
     "freqcov": (
         "frequentist covariance of posterior means",
         ("loglik", "stats"),
         ("estimator", "logprior", "rank"),
+        "_cmd_freqcov",
+        (
+            ("rank", None, "applies only with", "estimator", ("projected",)),
+            ("logprior", None, "applies only with", "estimator", ("prior_adjusted",)),
+            ("estimator", ("prior_adjusted",), "requires", "logprior", None),
+        ),
     ),
     "boot": (
         "approximate bootstrap of posterior means",
         ("loglik", "stats"),
         ("method", "n_b", "rank", "seed"),
+        "_cmd_boot",
+        (("rank", None, "applies only with", "method", ("first", "second_projected")),),
     ),
     "rep": (
         "representative observation subset",
         ("loglik",),
         ("kind", "rel_tol", "max_rank", "matrix"),
+        "_cmd_rep",
+        (("kind", None, "applies only with", "matrix", ("loglik",)),),
     ),
     "diag": (
         "penalties and centering diagnostics",
         ("loglik", "stats"),
         ("logprior", "scores", "hessian"),
+        "_cmd_diag",
+        (
+            ("hessian", None, "applies only with", "scores", None),
+            ("scores", None, "requires", "hessian", None),
+        ),
     ),
-    "zmat": ("spectrum of the dual matrix Z and duality check", ("loglik",), ()),
-    "demo": ("run a bundled model end to end", ("model",), ("seed",)),
+    "zmat": (
+        "spectrum of the dual matrix Z and duality check",
+        ("loglik",),
+        (),
+        "_cmd_zmat",
+        (),
+    ),
+    "demo": ("run a bundled model end to end", ("model",), ("seed",), "_cmd_demo", ()),
 }
-
-# boot methods that project onto the leading directions of W
-_PROJECTING_METHODS = ("first", "second_projected")
 
 
 @dataclass
@@ -147,21 +182,20 @@ def _build_parser() -> argparse.ArgumentParser:
     # a command's copies set nothing unless given, so that they do not
     # overwrite a value given before the command
     after = _common_options(argparse.SUPPRESS)
-    for command, (help_text, inputs, options) in _COMMANDS.items():
+    for command, (help_text, inputs, options, _, _) in _COMMANDS.items():
         p = sub.add_parser(command, parents=[after], help=help_text)
         for name in inputs:
             choices, text = _INPUTS[name]
             p.add_argument(name, choices=choices, help=text)
         for name in options:
-            kind, _, text = _OPTIONS[name]
+            kind, _, text, _ = _OPTIONS[name]
             if kind is bool:
                 how = {"action": "store_true"}
             elif isinstance(kind, tuple):
                 how = {"choices": kind}
             else:
                 how = {"type": kind}
-            flag = "--" + name.replace("_", "-")
-            p.add_argument(flag, dest=name, default=None, help=text, **how)
+            p.add_argument(_flag(name), dest=name, default=None, help=text, **how)
     return parser
 
 
@@ -191,7 +225,7 @@ def _resolve_options(command: str, args, file_cfg: dict) -> dict:
     """Every option of the command: the flag, else the config file, else the default."""
     opts = {}
     for name in _COMMANDS[command][2]:
-        kind, default, _ = _OPTIONS[name]
+        kind, default, _, _ = _OPTIONS[name]
         value = getattr(args, name)
         if value is None and name in file_cfg:
             value = _convert(name, file_cfg[name], kind)
@@ -271,40 +305,40 @@ def main(argv=None) -> int:
 
 def run_command(config: RunConfig) -> None:
     """Execute one resolved command, writing artifacts to config.outdir."""
-    from .errors import UsageError
     from .matio import resolve_outdir
 
-    handlers = {
-        "eigen": _cmd_eigen,
-        "freqcov": _cmd_freqcov,
-        "boot": _cmd_boot,
-        "rep": _cmd_rep,
-        "diag": _cmd_diag,
-        "zmat": _cmd_zmat,
-        "demo": _cmd_demo,
-    }
-    handler = handlers.get(config.command)
-    if handler is None:
-        raise UsageError(f"unknown command {config.command!r}")
-    _check_ranges(config.options)
+    _check_options(config.command, config.options)
     outdir = resolve_outdir(config.outdir)
-    handler(config, outdir)
+    globals()[_COMMANDS[config.command][3]](config, outdir)
 
 
-def _check_ranges(opts: dict) -> None:
-    """Refuse an option value outside its range, whatever the inputs; the
-    rules that need the data (--rank, --max-rank above n) come later."""
+def _check_options(command: str, opts: dict) -> None:
+    """Refuse what the options alone decide, before any input is read or the
+    output directory made: a value outside its option's range, or a broken
+    rule of the command.  The rules that need the data (--rank, --max-rank
+    above n) come later."""
     from .errors import UsageError
 
-    if not 0 <= opts.get("seed", 0) < 2**64:
-        raise UsageError(f"--seed must be in [0, 2^64), got {opts['seed']}")
-    if opts.get("n_b", 1) < 1:
-        raise UsageError(f"--n-b must be at least 1, got {opts['n_b']}")
-    if not 0.0 < opts.get("rel_tol", 0.5) < 1.0:
-        raise UsageError(f"--rel-tol must be in (0, 1), got {opts['rel_tol']}")
-    max_rank = opts.get("max_rank")
-    if max_rank is not None and max_rank < 1:
-        raise UsageError(f"--max-rank must be at least 1, got {max_rank}")
+    def holds(name, values):
+        return opts[name] is not None if values is None else opts[name] in values
+
+    def words(name, values):
+        return f"{_flag(name)} {' or '.join(values)}" if values else _flag(name)
+
+    for name, value in opts.items():
+        valid = _OPTIONS[name][3]
+        if valid and value is not None and not valid[0](value):
+            raise UsageError(f"{_flag(name)} must be {valid[1]}, got {value}")
+    for name, values, verb, other, allowed in _COMMANDS[command][4]:
+        if holds(name, values) and not holds(other, allowed):
+            actual = f", not {opts[other]}" if allowed else ""
+            raise UsageError(
+                f"{words(name, values)} {verb} {words(other, allowed)}{actual}"
+            )
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +357,12 @@ def _load_loglik(path):
 def _load_stats(path, loglik):
     """The statistics, refused before any costly work when their draw count
     is not the log-likelihood's."""
-    from .core import StatMatrix, _check_paired, _frozen
+    from .core import StatMatrix, _check_draws, _frozen
     from .matio import load_matrix
 
     arr, header = load_matrix(path)
     stats = StatMatrix(values=_frozen(arr), names=tuple(header) if header else ())
-    _check_paired(stats, loglik)
+    _check_draws(stats, loglik)
     return stats
 
 
@@ -385,15 +419,12 @@ def _cholesky(config: RunConfig):
     most twice their size and its columns come cheaper than from C.  A stop
     at the rank cap with the residual above rel_tol x tr W is said on stderr."""
     from .core import _frozen
-    from .errors import UsageError
     from .kernels import WMatrix, center_loglik
     from .matio import load_matrix
     from .spectral import incomplete_cholesky
 
     opts, path = config.options, config.inputs[0]
     if opts["matrix"] == "w":
-        if opts["kind"] is not None:
-            raise UsageError("--kind applies only with --matrix loglik")
         source = WMatrix(values=_frozen(load_matrix(path)[0]))
     else:
         source = center_loglik(load_matrix(path)[0], opts["kind"] or "raw")
@@ -436,22 +467,11 @@ def _cmd_eigen(config: RunConfig, outdir: str) -> None:
 
 
 def _cmd_freqcov(config: RunConfig, outdir: str) -> None:
-    from .errors import UsageError
     from .freq_eval import freq_cov
     from .matio import save_keyvalue, save_matrix
 
     opts = config.options
     estimator = opts["estimator"]
-    if opts["rank"] is not None and estimator != "projected":
-        raise UsageError(
-            f"--rank applies only to the projected estimator, not {estimator}"
-        )
-    if opts["logprior"] and estimator != "prior_adjusted":
-        raise UsageError(
-            f"--logprior applies only to the prior_adjusted estimator, not {estimator}"
-        )
-    if estimator == "prior_adjusted" and not opts["logprior"]:
-        raise UsageError("the prior_adjusted estimator requires --logprior")
     loglik = _load_loglik(config.inputs[0])
     stats = _load_stats(config.inputs[1], loglik)
     logprior = _load_logprior(opts["logprior"])
@@ -483,15 +503,10 @@ def _cmd_boot(config: RunConfig, outdir: str) -> None:
         draw_resamples,
         summarize_bootstrap,
     )
-    from .errors import UsageError
     from .matio import save_matrix
 
     opts = config.options
     method, rank = opts["method"], opts["rank"]
-    if rank is not None and method not in _PROJECTING_METHODS:
-        raise UsageError(
-            f"--rank applies only to methods {_PROJECTING_METHODS}, not {method}"
-        )
     loglik = _load_loglik(config.inputs[0])
     stats = _load_stats(config.inputs[1], loglik)
     projection = None
@@ -544,16 +559,12 @@ def _cmd_rep(config: RunConfig, outdir: str) -> None:
 def _cmd_diag(config: RunConfig, outdir: str) -> None:
     import numpy as np
 
-    from .errors import InvalidInput, UsageError
+    from .errors import InvalidInput
     from .freq_eval import centering_diagnostic, penalties
     from .kernels import ScoreMatrix, build_info_matrices
     from .matio import load_matrix, save_keyvalue, save_matrix
 
     opts = config.options
-    if opts["hessian"] and not opts["scores"]:
-        raise UsageError("--hessian applies only with --scores")
-    if opts["scores"] and not opts["hessian"]:
-        raise UsageError("--scores requires --hessian for the curvature matrix")
     loglik = _load_loglik(config.inputs[0])
     stats = _load_stats(config.inputs[1], loglik)
     logprior = _load_logprior(opts["logprior"])
@@ -609,20 +620,19 @@ def _cmd_zmat(config: RunConfig, outdir: str) -> None:
 def _demo_config(model: str, seed: int, file_cfg: dict):
     """The model's config class at its defaults, with config-file overrides
     of its scalar fields converted to the default's type; ``seed`` is the
-    option's, and also seeds the class's default MCMC settings."""
+    option's."""
     import dataclasses
 
     from . import models
 
     cls_name, keys = _DEMO[model]
     cls = getattr(models, cls_name)
-    kwargs = {"seed": seed}
-    for f in dataclasses.fields(cls):
-        if f.name in keys and f.name in file_cfg:
-            kwargs[f.name] = _convert(f.name, file_cfg[f.name], type(f.default))
-        elif f.name == "mcmc":
-            kwargs["mcmc"] = dataclasses.replace(f.default_factory(), seed=seed)
-    return cls(**kwargs)
+    overrides = {
+        f.name: _convert(f.name, file_cfg[f.name], type(f.default))
+        for f in dataclasses.fields(cls)
+        if f.name in keys and f.name in file_cfg
+    }
+    return cls(seed=seed, **overrides)
 
 
 def _cmd_demo(config: RunConfig, outdir: str) -> None:

@@ -86,17 +86,12 @@ def _check_loglik(arr: np.ndarray) -> None:
         raise InvalidInput("need at least 1 observation")
 
 
-def _check_paired(stats: StatMatrix, loglik: LogLikMatrix) -> None:
-    if stats.n_draws != loglik.n_draws:
-        raise InvalidInput(
-            f"statistics have {stats.n_draws} draws, log-likelihoods have "
-            f"{loglik.n_draws}"
-        )
-
-
-def _check_draws(a, b, what: str) -> None:
+def _check_draws(a, b, a_name="statistics", b_name="log-likelihoods") -> None:
+    """Refuse two containers of posterior draws whose draw counts differ."""
     if a.n_draws != b.n_draws:
-        raise InvalidInput(f"{what} disagree on draw count")
+        raise InvalidInput(
+            f"{a_name} have {a.n_draws} draws, {b_name} have {b.n_draws}"
+        )
 
 
 def _check_seed(seed) -> None:

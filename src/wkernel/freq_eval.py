@@ -29,7 +29,6 @@ from .core import (
     StatMatrix,
     ThirdCumulantTensor,
     _check_draws,
-    _check_paired,
     _freeze,
     _frozen,
     posterior_cov_grid,
@@ -100,7 +99,7 @@ class CenteringDiagnostic:
 
 def sensitivity_first(stats: StatMatrix, loglik: LogLikMatrix) -> SensitivityReport:
     """First-order weight sensitivities: the p x n posterior covariance grid."""
-    _check_paired(stats, loglik)
+    _check_draws(stats, loglik)
     grid = posterior_cov_grid(stats.values, loglik.values)
     return SensitivityReport(first_order=_frozen(grid))
 
@@ -131,19 +130,19 @@ def freq_cov(
     """
     if estimator not in _ESTIMATORS:
         raise InvalidInput(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
-    _check_paired(stats, loglik)
+    _check_draws(stats, loglik)
 
     rank_used = "full"
     if estimator == "projected":
         if projection is None:
             raise InvalidInput("projected estimator requires a projection")
-        _check_draws(projection, stats, "projection and statistics")
+        _check_draws(projection, stats, "projections", "statistics")
         grid = posterior_cov_grid(stats.values, projection.projections)
         rank_used = projection.a_M
     elif estimator == "prior_adjusted":
         if logprior is None:
             raise InvalidInput("prior_adjusted estimator requires a log-prior")
-        _check_draws(logprior, loglik, "log-prior and log-likelihoods")
+        _check_draws(logprior, loglik, "log-prior values")
         shifted = loglik.values + logprior.values[:, None] / loglik.n_obs
         grid = posterior_cov_grid(stats.values, shifted)
     else:
@@ -184,7 +183,7 @@ def penalties(
 
     pcic = None
     if logprior is not None:
-        _check_draws(logprior, loglik, "log-prior and log-likelihoods")
+        _check_draws(logprior, loglik, "log-prior values")
         prior_c = logprior.values - logprior.values.mean()
         # cov of each column with itself plus (1/n) log prior, summed over i
         np.subtract(vals, mean, out=buf)
@@ -217,12 +216,12 @@ def centering_diagnostic(
     rather than the MLE).  Values small against ``scale`` mean the plain
     and centered covariance estimators agree.
     """
-    _check_paired(stats, loglik)
+    _check_draws(stats, loglik)
     grid = posterior_cov_grid(stats.values, loglik.values)
     scale = np.sum(np.abs(grid), axis=1)
     total = grid.sum(axis=1)
     if logprior is not None:
-        _check_draws(logprior, loglik, "log-prior and log-likelihoods")
+        _check_draws(logprior, loglik, "log-prior values")
         prior_grid = posterior_cov_grid(
             stats.values, logprior.values.reshape(-1, 1)
         )[:, 0]

@@ -49,9 +49,11 @@ def weibull_logpdf(x, gamma, lam):
     scalar input gives a float.
     """
     gamma, lam, x = (np.asarray(a, dtype=float) for a in (gamma, lam, x))
-    if np.any(gamma <= 0) or np.any(lam <= 0):
+    # written so that nan fails them; an inf shape or scale is a proposal's
+    # overflow, whose density is the limit
+    if not (np.all(gamma > 0) and np.all(lam > 0)):
         raise InvalidInput("Weibull shape and scale must be positive")
-    if np.any(x < 0):
+    if not np.all(x >= 0):
         raise InvalidInput("Weibull support is x >= 0")
     # the result and ratio = x / lam are the only arrays of the broadcast
     # shape: log(gamma / lam) + (gamma - 1) log(ratio) - ratio^gamma, in place
@@ -123,15 +125,15 @@ class McmcConfig:
     iters: int = 4000
     burn_in: int = 1000
     step_size: float = 0.5
-    seed: int = 0
     target_acceptance: float = 0.3
 
     def __post_init__(self):
-        _check_seed(self.seed)
         if self.chains < 1 or self.iters < 2 or not 0 <= self.burn_in < self.iters:
             raise InvalidInput("bad MCMC configuration")
-        if self.step_size <= 0:
-            raise InvalidInput("step_size must be positive")
+        if not 0 < self.step_size < np.inf:
+            raise InvalidInput("step_size must be positive and finite")
+        if not 0 < self.target_acceptance < 1:
+            raise InvalidInput("target_acceptance must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -146,8 +148,10 @@ class NormalMeanConfig:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        if self.n < 2 or self.m_draws < 2 or self.sigma <= 0:
+        if self.n < 2 or self.m_draws < 2 or not np.isfinite(self.mu):
             raise InvalidInput("bad normal-mean configuration")
+        if not 0 < self.sigma < np.inf:
+            raise InvalidInput("sigma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,11 @@ class BetaBinomialConfig:
             raise InvalidInput("rho must be in [0, 1)")
         if self.N < 1 or self.n < 1 or self.m_draws < 2:
             raise InvalidInput("bad beta-binomial configuration")
-        if self.alpha <= 0 or self.beta <= 0 or self.prior_weight < 0:
+        if not (
+            0 < self.alpha < np.inf
+            and 0 < self.beta < np.inf
+            and 0 <= self.prior_weight < np.inf
+        ):
             raise InvalidInput("bad prior configuration")
 
 
@@ -198,7 +206,7 @@ class WeibullConfig:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        if self.gamma <= 0 or self.lam <= 0 or self.n < 3:
+        if not (0 < self.gamma < np.inf and 0 < self.lam < np.inf) or self.n < 3:
             raise InvalidInput("bad Weibull configuration")
 
 
@@ -234,8 +242,10 @@ class RegressionConfig:
             )
         if self.n < self.degree + 2:
             raise InvalidInput("need n >= degree + 2 observations")
-        if self.sigma_true <= 0 or self.sigma_lik <= 0 or self.student_df <= 0:
-            raise InvalidInput("scales and degrees of freedom must be positive")
+        if not all(
+            0 < v < np.inf for v in (self.sigma_true, self.sigma_lik, self.student_df)
+        ):
+            raise InvalidInput("scales and degrees of freedom must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +295,7 @@ class ModelBundle:
 # ---------------------------------------------------------------------------
 
 
-def _adaptive_rwm(logpost, x0, k, mcmc: McmcConfig):
+def _adaptive_rwm(logpost, x0, k, mcmc: McmcConfig, seed: int):
     """Adaptive random-walk Metropolis; returns merged draws (chain-major).
 
     Proposal: x + scale * spread * N(0, I), with ``spread`` a running
@@ -294,12 +304,12 @@ def _adaptive_rwm(logpost, x0, k, mcmc: McmcConfig):
     are frozen after burn-in so the retained chain is a proper
     Metropolis chain.  The chains advance together: ``logpost`` maps a
     (chains x k) array to one log density per chain, and chain c draws
-    from its own stream ``_stream(seed, c + 1)``, so each chain is the
-    one it would be if run alone.  Warns (non-fatally) when the
-    post-adaptation acceptance rate leaves [0.1, 0.6].
+    from its own stream ``_stream(seed, c + 1)`` of the model's seed, so
+    each chain is the one it would be if run alone.  Warns (non-fatally)
+    when the post-adaptation acceptance rate leaves [0.1, 0.6].
     """
     keep = mcmc.iters - mcmc.burn_in
-    rngs = [_stream(mcmc.seed, chain + 1) for chain in range(mcmc.chains)]
+    rngs = [_stream(seed, chain + 1) for chain in range(mcmc.chains)]
     all_draws = np.empty((mcmc.chains, keep, k))
     x = np.array(x0, dtype=float) + 0.01 * np.array([rng.standard_normal(k) for rng in rngs])
     lp = logpost(x)
@@ -518,7 +528,7 @@ def _run_weibull(config: WeibullConfig) -> ModelBundle:
 
     gamma_hat, lam_hat = _weibull_mle(x)
     u0 = np.log([gamma_hat, lam_hat])
-    u_draws, rate = _adaptive_rwm(logpost, u0, 2, config.mcmc)
+    u_draws, rate = _adaptive_rwm(logpost, u0, 2, config.mcmc, config.seed)
     draws = np.exp(u_draws)
     loglik = LogLikMatrix(values=_frozen(loglik_fn(draws, x)))
     logprior = LogPriorVector(values=u_draws[:, 0] + u_draws[:, 1])
@@ -595,7 +605,7 @@ def _run_regression(config: RegressionConfig) -> ModelBundle:
         u0 = np.concatenate([beta_ols, [np.log(max(sigma_mle, 1e-3))]])
     else:
         u0 = beta_ols
-    u_draws, rate = _adaptive_rwm(logpost, u0, k, config.mcmc)
+    u_draws, rate = _adaptive_rwm(logpost, u0, k, config.mcmc, config.seed)
     draws, log_jacobian = natural_scale(u_draws)
     logprior = LogPriorVector(values=log_jacobian)
     loglik = LogLikMatrix(values=_frozen(loglik_fn(draws, x)))

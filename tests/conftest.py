@@ -16,11 +16,7 @@ REGRESSION_SEED = 3
 
 @pytest.fixture(scope="session")
 def weibull_bundle():
-    cfg = WeibullConfig(
-        seed=WEIBULL_SEED,
-        mcmc=McmcConfig(chains=4, iters=4500, burn_in=1500, seed=WEIBULL_SEED),
-    )
-    return run_model(cfg)
+    return run_model(WeibullConfig(seed=WEIBULL_SEED))
 
 
 @pytest.fixture(scope="session")
@@ -28,28 +24,19 @@ def weibull_small_bundle():
     # minimum-size variant (M = 4000): importance-sampling weight collapse
     # only shows at this scale
     cfg = WeibullConfig(
-        seed=WEIBULL_SEED,
-        mcmc=McmcConfig(chains=2, iters=3000, burn_in=1000, seed=WEIBULL_SEED),
+        seed=WEIBULL_SEED, mcmc=McmcConfig(chains=2, iters=3000, burn_in=1000)
     )
     return run_model(cfg)
 
 
 @pytest.fixture(scope="session")
 def regression_bundle():
-    cfg = RegressionConfig(
-        seed=REGRESSION_SEED,
-        mcmc=McmcConfig(chains=4, iters=14000, burn_in=2000, seed=REGRESSION_SEED),
-    )
-    return run_model(cfg)
+    return run_model(RegressionConfig(seed=REGRESSION_SEED))
 
 
 @pytest.fixture(scope="session")
 def regression_est_sigma_bundle():
-    cfg = RegressionConfig(
-        seed=REGRESSION_SEED,
-        likelihood="normal_est_sigma",
-        mcmc=McmcConfig(chains=4, iters=14000, burn_in=2000, seed=REGRESSION_SEED),
-    )
+    cfg = RegressionConfig(seed=REGRESSION_SEED, likelihood="normal_est_sigma")
     return run_model(cfg)
 
 

@@ -38,7 +38,6 @@ from wkernel.kernels import (
 from wkernel.matio import save_matrix
 from wkernel.models import (
     BetaBinomialConfig,
-    McmcConfig,
     NormalMeanConfig,
     RegressionConfig,
     WeibullConfig,
@@ -192,21 +191,13 @@ def test_criterion_05_second_order_identity(weibull_bundle):
 
 def test_criterion_06_eigenvalue_counts():
     t0 = time.time()
-    wb = run_model(
-        WeibullConfig(
-            seed=7, mcmc=McmcConfig(chains=4, iters=4500, burn_in=1500, seed=7)
-        )
-    )
+    wb = run_model(WeibullConfig(seed=7))
     evals_w = full_eigen(build_w(wb.loglik)).eigenvalues
     share_w = float(evals_w[:2].sum() / evals_w.sum())
     t_weibull = time.time() - t0
 
     t0 = time.time()
-    reg = run_model(
-        RegressionConfig(
-            seed=3, mcmc=McmcConfig(chains=4, iters=14000, burn_in=2000, seed=3)
-        )
-    )
+    reg = run_model(RegressionConfig(seed=3))
     evals_r = full_eigen(build_w(reg.loglik)).eigenvalues
     share_r = float(evals_r[:4].sum() / evals_r.sum())
     t_reg = time.time() - t0

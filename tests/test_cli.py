@@ -834,11 +834,11 @@ def sample_value(kind, default):
 class TestOptionTable:
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_flag_and_config_key_resolve_alike(self, tmp_path, command):
-        _, inputs, options = cli._COMMANDS[command]
+        _, inputs, options, _, _ = cli._COMMANDS[command]
         base = [command] + [SAMPLE_INPUTS[name] for name in inputs]
         parser = cli._build_parser()
         for name in options:
-            kind, default, _ = cli._OPTIONS[name]
+            kind, default, _, _ = cli._OPTIONS[name]
             value = sample_value(kind, default)
             flag = ["--" + name.replace("_", "-")] + ([] if kind is bool else [value])
             cfg = tmp_path / f"{name}.cfg"
@@ -880,6 +880,15 @@ class TestOptionTable:
 
 
 class TestDemoConfig:
+    def test_nan_model_parameter_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write(cfg, "prior_weight = nan\n")
+        out = tmp_path / "o"
+        argv = ["demo", "betabinom", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        assert "bad prior configuration" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_weibull_shape_mle_outside_bracket_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         write(cfg, "gamma = 5e6\n")
@@ -906,7 +915,7 @@ class TestDemoConfig:
     )
     def test_defaults_are_the_model_class_own(self, model, mcmc, key, text, value):
         cls = getattr(models, cli._DEMO[model][0])
-        seeded = {} if mcmc is None else {"mcmc": models.McmcConfig(**mcmc, seed=11)}
+        seeded = {} if mcmc is None else {"mcmc": models.McmcConfig(**mcmc)}
         expected = cls(seed=11, **seeded)
         assert cli._demo_config(model, 11, {}) == expected
         overridden = cli._demo_config(model, 11, {key: text})
@@ -971,6 +980,7 @@ _REFUSED_BY_OPTIONS = [
     (["boot", "{ll}", "{st}", "--seed", "-1"], "--seed must be in [0, 2^64)"),
     (["demo", "normal_mean", "--seed", str(2**64)], "--seed must be in [0, 2^64)"),
     (["eigen", "{ll}", "--rel-tol", "1"], "--rel-tol must be in (0, 1)"),
+    (["rep", "{ll}", "--rel-tol", "nan"], "--rel-tol must be in (0, 1)"),
     (["rep", "{ll}", "--max-rank", "0"], "--max-rank must be at least 1"),
     (["boot", "{ll}", "{st}", "--method", "importance", "--rank", "2"], "--rank applies only"),
     (["eigen", "{ll}", "--matrix", "w", "--kind", "double_centered"], "--kind applies only"),
@@ -987,10 +997,26 @@ class TestUsageBeforeLoading:
     def test_usage_error_with_missing_inputs(self, tmp_path, capsys, argv, needle):
         # none of these files exists: the options alone decide, before a read
         names = {key: str(tmp_path / f"missing_{key}.csv") for key in ("ll", "st", "lp", "sc")}
-        argv = [a.format(**names) for a in argv] + ["--out", str(tmp_path / "o")]
+        out = tmp_path / "o"
+        argv = [a.format(**names) for a in argv] + ["--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert needle in err and "parse error" not in err
+        assert not out.exists()
+
+
+class TestOptionRules:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_rules_name_options_and_choices_of_their_command(self, command):
+        # a typo in a rule would otherwise turn it off without a word
+        options = cli._COMMANDS[command][2]
+        for name, values, verb, other, allowed in cli._COMMANDS[command][4]:
+            assert verb in ("applies only with", "requires")
+            for option, chosen in ((name, values), (other, allowed)):
+                assert option in options
+                if chosen is not None:
+                    choices = cli._OPTIONS[option][0]
+                    assert isinstance(choices, tuple) and set(chosen) <= set(choices)
 
 
 # the invocations that project onto W's leading directions

@@ -293,6 +293,20 @@ class TestFreqCov:
         with pytest.raises(InvalidInput):
             freq_cov(stats, ll, estimator="projected")
 
+    def test_draw_count_mismatch_names_both_counts(self):
+        rng = np.random.default_rng(15)
+        ll = LogLikMatrix(rng.standard_normal((10, 3)))
+        stats = StatMatrix(rng.standard_normal((10, 1)))
+        short = StatMatrix(stats.values[:9])
+        with pytest.raises(InvalidInput, match="statistics have 9 draws, log-likelihoods have 10"):
+            freq_cov(short, ll)
+        lp = LogPriorVector(np.zeros(8))
+        with pytest.raises(InvalidInput, match="log-prior values have 8 draws, log-"):
+            freq_cov(stats, ll, estimator="prior_adjusted", logprior=lp)
+        proj = project_loglik(LogLikMatrix(ll.values[:9]), full_eigen(build_w(ll)), a_M=1)
+        with pytest.raises(InvalidInput, match="projections have 9 draws, statistics have 10"):
+            freq_cov(stats, ll, estimator="projected", projection=proj)
+
 
 class TestPenalties:
     def test_constant_loglik_zero_variance_penalty(self):

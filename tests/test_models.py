@@ -1,5 +1,6 @@
 """Toy-model densities, samplers, and conjugate oracles."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -55,6 +56,9 @@ class TestWeibullDensity:
             weibull_logpdf(-1.0, 2.0, 1.0)
         with pytest.raises(InvalidInput):
             weibull_logpdf(1.0, -2.0, 1.0)
+        for args in [(np.nan, 2.0, 1.0), (1.0, np.nan, 1.0), (1.0, 2.0, np.nan)]:
+            with pytest.raises(InvalidInput):
+                weibull_logpdf(*args)
 
     def test_array_parameters_equal_per_draw_calls(self):
         rng = np.random.default_rng(0)
@@ -123,7 +127,12 @@ class TestWeibullDensity:
         assert peak <= 2.2 * out.nbytes
 
     def test_non_positive_array_entry_rejected(self):
-        for gamma, lam in [([[2.0], [0.0]], 1.0), (2.0, [[1.0], [-1.0]])]:
+        for gamma, lam in [
+            ([[2.0], [0.0]], 1.0),
+            (2.0, [[1.0], [-1.0]]),
+            ([[2.0], [np.nan]], 1.0),
+            (2.0, [[np.nan], [1.0]]),
+        ]:
             with pytest.raises(InvalidInput, match="must be positive"):
                 weibull_logpdf(np.ones(3), gamma, lam)
 
@@ -177,14 +186,14 @@ def test_weibull_path_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def _per_chain_rwm(logpost, x0, k, mcmc):
+def _per_chain_rwm(logpost, x0, k, mcmc, seed):
     """Reference: the sampler as it was before the chains moved in lockstep,
     one chain after another with a scalar log density."""
     keep = mcmc.iters - mcmc.burn_in
     all_draws = np.empty((mcmc.chains, keep, k))
     accept_counts = 0
     for chain in range(mcmc.chains):
-        rng = _stream(mcmc.seed, chain + 1)
+        rng = _stream(seed, chain + 1)
         x = np.array(x0, dtype=float) + 0.01 * rng.standard_normal(k)
         lp = logpost(x)
         log_scale = np.log(mcmc.step_size)
@@ -229,12 +238,12 @@ class TestLockstepSampler:
     @pytest.mark.parametrize("chains", [1, 3])
     @pytest.mark.parametrize("target", [_gaussian_target, _holed_target])
     def test_equals_per_chain_reference(self, chains, target):
-        mcmc = McmcConfig(chains=chains, iters=600, burn_in=200, seed=5)
+        mcmc = McmcConfig(chains=chains, iters=600, burn_in=200)
         x0 = np.array([0.2, -0.1, 0.4])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
-            draws, rate = _adaptive_rwm(target, x0, 3, mcmc)
-        ref_draws, ref_rate = _per_chain_rwm(lambda u: target(u[None, :])[0], x0, 3, mcmc)
+            draws, rate = _adaptive_rwm(target, x0, 3, mcmc, 5)
+        ref_draws, ref_rate = _per_chain_rwm(lambda u: target(u[None, :])[0], x0, 3, mcmc, 5)
         np.testing.assert_array_equal(draws, ref_draws)
         assert rate == ref_rate
 
@@ -269,7 +278,7 @@ class TestSeeds:
     @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, None])
     @pytest.mark.parametrize(
         "cls",
-        [McmcConfig, NormalMeanConfig, BetaBinomialConfig, WeibullConfig, RegressionConfig],
+        [NormalMeanConfig, BetaBinomialConfig, WeibullConfig, RegressionConfig],
     )
     def test_seed_philox_refuses_is_refused_at_construction(self, cls, seed):
         with pytest.raises(InvalidInput, match=r"seed must be an integer in \[0, 2\^128\)"):
@@ -279,10 +288,34 @@ class TestSeeds:
         seed = 2**128 - 1
         bundle = run_model(NormalMeanConfig(n=5, m_draws=10, seed=seed))
         assert bundle.n_draws == 10
-        mcmc = McmcConfig(chains=1, iters=20, burn_in=10, seed=seed)
+        mcmc = McmcConfig(chains=1, iters=20, burn_in=10)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
             assert run_model(WeibullConfig(mcmc=mcmc, seed=seed)).n_draws == 10
+
+
+_CONFIGS = [McmcConfig, NormalMeanConfig, BetaBinomialConfig, WeibullConfig, RegressionConfig]
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "cls, name",
+        [
+            (cls, f.name)
+            for cls in _CONFIGS
+            for f in dataclasses.fields(cls)
+            if type(f.default) is float
+        ],
+    )
+    def test_float_field_must_be_finite(self, cls, name, value):
+        with pytest.raises(InvalidInput):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_target_acceptance_inside_zero_one(self, value):
+        with pytest.raises(InvalidInput, match=r"target_acceptance must be in \(0, 1\)"):
+            McmcConfig(target_acceptance=value)
 
 
 class TestRunModelConjugate:
@@ -327,14 +360,14 @@ class TestRunModelMcmc:
             lam=50.0,
             n=200,
             seed=3,
-            mcmc=McmcConfig(chains=2, iters=3000, burn_in=1000, seed=3),
+            mcmc=McmcConfig(chains=2, iters=3000, burn_in=1000),
         )
         bundle = run_model(cfg)
         gamma_draws = bundle.draws[:, 0]
         assert abs(gamma_draws.mean() - 2.0) < 3 * gamma_draws.std()
 
     def test_weibull_deterministic_under_seed(self):
-        cfg = WeibullConfig(seed=4, mcmc=McmcConfig(chains=2, iters=500, burn_in=200, seed=4))
+        cfg = WeibullConfig(seed=4, mcmc=McmcConfig(chains=2, iters=500, burn_in=200))
         a = run_model(cfg)
         b = run_model(cfg)
         np.testing.assert_array_equal(a.draws, b.draws)
@@ -353,7 +386,7 @@ class TestRunModelMcmc:
         cfg = RegressionConfig(
             likelihood="student_t",
             seed=5,
-            mcmc=McmcConfig(chains=2, iters=2000, burn_in=800, seed=5),
+            mcmc=McmcConfig(chains=2, iters=2000, burn_in=800),
         )
         bundle = run_model(cfg)
         assert bundle.loglik_gap() <= 1e-10
@@ -362,7 +395,7 @@ class TestRunModelMcmc:
     def test_frozen_bad_step_warns(self):
         cfg = WeibullConfig(
             seed=6,
-            mcmc=McmcConfig(chains=1, iters=300, burn_in=1, step_size=200.0, seed=6),
+            mcmc=McmcConfig(chains=1, iters=300, burn_in=1, step_size=200.0),
         )
         with pytest.warns(ConvergenceWarning):
             run_model(cfg)
