@@ -2,7 +2,10 @@
 
 All numeric output uses shortest round-trip decimal formatting, so
 save -> load is the identity and repeated runs are byte-identical.
-Every CSV written by the package carries a header row.
+Every CSV written by the package carries a header row.  A row whose
+float64 bits equal those of the row before it, as a rejected Metropolis
+step's draw does, is written with that row's text instead of being
+formatted again.
 
 A matrix is read in two steps.  numpy's C text reader parses the data
 rows first, streamed from the open file; when it refuses them, or reads
@@ -143,7 +146,9 @@ def save_matrix(path, arr, header=None, row_names=None) -> None:
     With ``row_names``, each row starts with its name in a text column,
     which ``header`` names too.  Rows are converted to Python floats
     about _SAVE_CHUNK_CELLS cells at a time, never the whole matrix at
-    once, and each row is written with its own call.
+    once, and each row is written with its own call.  A row equal bit for
+    bit to the row before it (``-0.0`` after ``0.0`` is not) is neither
+    converted nor formatted: its lead is followed by that row's text.
     """
     arr = np.asarray(arr, dtype=float)
     if arr.ndim == 1:
@@ -164,11 +169,21 @@ def save_matrix(path, arr, header=None, row_names=None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(str(h) for h in header) + "\n")
         step = max(1, _SAVE_CHUNK_CELLS // max(1, arr.shape[1]))
+        last = text = None  # the bits and text of the row before this chunk
         for start in range(0, arr.shape[0], step):
+            block = arr[start : start + step]
+            bits = block.view(np.uint64)
+            # a row whose bits equal the row before it reuses that row's text
+            repeat = np.empty(bits.shape[0], dtype=bool)
+            repeat[0] = last is not None and np.array_equal(bits[0], last)
+            np.all(bits[1:] == bits[:-1], axis=1, out=repeat[1:])
             # repr of a Python float is _fmt's shortest round-trip form
-            rows = arr[start : start + step].tolist()
-            for lead, row in zip(leads[start : start + step], rows):
-                fh.write(lead + ",".join(map(repr, row)) + "\n")
+            rows = iter((block[~repeat] if repeat.any() else block).tolist())
+            for lead, same in zip(leads[start : start + step], repeat.tolist()):
+                if not same:
+                    text = ",".join(map(repr, next(rows))) + "\n"
+                fh.write(lead + text)
+            last = bits[-1]
             del rows  # free this chunk's floats before the next is made
 
 

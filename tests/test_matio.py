@@ -1,4 +1,5 @@
-"""load_matrix against its cell-by-cell parser on generated CSV text.
+"""load_matrix against its cell-by-cell parser on generated CSV text,
+and save_matrix against a row-by-row ``repr`` of the same matrix.
 
 The reference is ``load_matrix`` with numpy's reader made to refuse
 every input, so only the cell parser runs.  Both must give the same
@@ -137,17 +138,87 @@ def test_load_matrix_holds_little_beyond_the_array(tmp_path):
     assert got.tobytes() == arr.tobytes()
 
 
+def _written(header, arr, row_names=None):
+    """The text save_matrix must write: each row's lead, then repr of each value."""
+    leads = [""] * len(arr) if row_names is None else [f"{name}," for name in row_names]
+    body = "".join(
+        lead + ",".join(map(repr, row)) + "\n" for lead, row in zip(leads, arr.tolist())
+    )
+    return ",".join(header) + "\n" + body
+
+
 def test_save_matrix_converts_in_bounded_chunks(tmp_path):
-    # a 12000 x 59 matrix as Python floats would take about 23 MB
-    arr = np.random.default_rng(5).standard_normal((12000, 59)) * 10.0 ** np.arange(-29, 30)
+    # a 12000 x 59 matrix as Python floats would take about 23 MB, whether its
+    # rows all differ or each is written three times, as a rejected
+    # Metropolis step repeats a draw
+    wide = np.random.default_rng(5).standard_normal((12000, 59)) * 10.0 ** np.arange(-29, 30)
     path = tmp_path / "m.csv"
     header = [f"c{j}" for j in range(59)]
-    tracemalloc.start()
-    try:
-        matio.save_matrix(path, arr, header)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
-    want = ",".join(header) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in arr.tolist())
-    assert path.read_text(encoding="utf-8") == want
+    for arr in (wide, np.repeat(wide[:4000], 3, axis=0)):
+        tracemalloc.start()
+        try:
+            matio.save_matrix(path, arr, header)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert path.read_text(encoding="utf-8") == _written(header, arr)
+
+
+def test_save_matrix_formats_a_repeated_row_once(tmp_path):
+    # 0.0 then -0.0 differ in their bits, so the third row is formatted anew
+    arr = np.array([[1.5, 0.0], [1.5, 0.0], [1.5, -0.0], [1.5, -0.0], [1.5, -0.0]])
+    with mock.patch.object(matio, "_SAVE_CHUNK_CELLS", 4), mock.patch.object(
+        matio, "repr", create=True, side_effect=repr
+    ) as formatted:
+        matio.save_matrix(tmp_path / "m.csv", arr, ["a", "b"])
+    assert formatted.call_count == 4
+    assert (tmp_path / "m.csv").read_text(encoding="utf-8") == _written(["a", "b"], arr)
+
+
+# values whose rows look alike: signed zeros, two NaN payloads, infinities
+_ALIKE = [0.0, -0.0, np.nan, np.uint64(0x7FF8000000000001).view(np.float64), np.inf, -np.inf]
+
+
+@st.composite
+def repeated_rows(draw):
+    """A matrix built from runs of repeated rows, the next run's row often
+    a copy of the last one with one cell changed; returns (array, row names)."""
+    n = draw(st.integers(1, 4))
+    cell = st.sampled_from(_ALIKE) | finite
+    row = [draw(cell) for _ in range(n)]
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            row = [draw(cell) for _ in range(n)]
+        else:
+            row = list(row)
+            row[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_ALIKE))
+        rows += [row] * draw(st.integers(1, 5))
+    arr = np.array(rows, dtype=float)
+    layout = draw(st.sampled_from(["C", "F", "transposed", "strided", "vector"]))
+    if layout == "F":
+        arr = np.asfortranarray(arr)
+    elif layout == "transposed":
+        arr = np.ascontiguousarray(arr.T).T
+    elif layout == "strided":
+        arr = np.repeat(arr, 2, axis=1)[:, 1::2]
+    elif layout == "vector" and n == 1:
+        arr = arr[:, 0]
+    names = draw(st.none() | st.lists(st.sampled_from("ab"), min_size=len(arr), max_size=len(arr)))
+    return arr, names
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=repeated_rows(), chunk=st.integers(1, 9))
+def test_save_matrix_matches_repr_of_every_row(case, chunk):
+    # a chunk of a few cells makes runs of repeated rows cross chunk boundaries
+    arr, names = case
+    width = arr.shape[1] if arr.ndim == 2 else 1
+    header = ["name"] * (names is not None) + [f"c{j}" for j in range(width)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.csv")
+        with mock.patch.object(matio, "_SAVE_CHUNK_CELLS", chunk):
+            matio.save_matrix(path, arr, header, row_names=names)
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == _written(header, arr.reshape(len(arr), -1), names)
