@@ -397,17 +397,19 @@ def boot_importance(stats: StatMatrix, loglik: LogLikMatrix, resamples: Resample
 def boot_gold(model_refitter, resamples: Resamples) -> BootstrapRun:
     """Gold-standard bootstrap: refit the model on every resample.
 
-    ``model_refitter`` maps one row of ``resamples.counts`` to the vector
+    ``model_refitter`` maps one replicate's row of counts to the vector
     of estimates for that replicate (an exact reweighted posterior for
-    conjugate models, or a full sampler rerun).  Failures carry the
+    conjugate models, or a full sampler rerun).  The rows come block by
+    block, so the whole count matrix is never built.  Failures carry the
     replicate index.
     """
     rows = []
-    for idx, counts in enumerate(resamples.counts):
-        try:
-            rows.append(np.atleast_1d(np.asarray(model_refitter(counts), dtype=float)))
-        except Exception as exc:
-            raise RuntimeError(f"refit callback failed at replicate {idx}") from exc
+    for block, counts in resamples.blocks():
+        for idx, row in zip(range(block.start, block.stop), counts):
+            try:
+                rows.append(np.atleast_1d(np.asarray(model_refitter(row), dtype=float)))
+            except Exception as exc:
+                raise RuntimeError(f"refit callback failed at replicate {idx}") from exc
     return BootstrapRun(estimates=np.vstack(rows), method="gold")
 
 

@@ -151,13 +151,15 @@ _COMMANDS = {
 
 @dataclass
 class RunConfig:
-    """Resolved command invocation: command name, inputs, options, outdir."""
+    """Resolved command invocation: command name, inputs, options, outdir,
+    and for ``demo`` the model's config."""
 
     command: str
     inputs: list = field(default_factory=list)
     options: dict = field(default_factory=dict)
     outdir: str = "."
     file_cfg: dict = field(default_factory=dict)
+    model: object = None
 
 
 def _common_options(default) -> argparse.ArgumentParser:
@@ -308,6 +310,11 @@ def run_command(config: RunConfig) -> None:
     from .matio import resolve_outdir
 
     _check_options(config.command, config.options)
+    if config.command == "demo":
+        # the model's config class refuses its own bad fields, also before --out
+        config.model = _demo_config(
+            config.inputs[0], config.options["seed"], config.file_cfg
+        )
     outdir = resolve_outdir(config.outdir)
     globals()[_COMMANDS[config.command][3]](config, outdir)
 
@@ -319,8 +326,8 @@ def _check_options(command: str, opts: dict) -> None:
     above n) come later."""
     from .errors import UsageError
 
-    def holds(name, values):
-        return opts[name] is not None if values is None else opts[name] in values
+    def holds(name, values):  # an empty path is unset, as for the loaders
+        return opts[name] not in (None, "") if values is None else opts[name] in values
 
     def words(name, values):
         return f"{_flag(name)} {' or '.join(values)}" if values else _flag(name)
@@ -646,7 +653,7 @@ def _cmd_demo(config: RunConfig, outdir: str) -> None:
 
     model = config.inputs[0]
     seed = config.options["seed"]
-    bundle = run_model(_demo_config(model, seed, config.file_cfg))
+    bundle = run_model(config.model)
     stats = bundle.default_stats()
 
     params = list(bundle.param_names)

@@ -455,6 +455,25 @@ class TestBootGold:
         with pytest.raises(RuntimeError, match="replicate 3"):
             boot_gold(refit, resamples)
 
+    def test_rows_come_by_block_without_the_count_matrix(self, monkeypatch):
+        # 600 replicates span three blocks; the refit sees each row once, in order
+        resamples = draw_resamples(7, 600, seed=26)
+        want = np.vstack([counts for _, counts in resamples.blocks()])
+        monkeypatch.setattr(
+            bootstrap.Resamples, "counts", property(lambda self: pytest.fail("counts built"))
+        )
+        seen = []
+
+        def refit(counts):
+            if len(seen) == 300:
+                raise ValueError("boom")
+            seen.append(counts.copy())
+            return [float(counts[0])]
+
+        with pytest.raises(RuntimeError, match="replicate 300"):
+            boot_gold(refit, resamples)
+        np.testing.assert_array_equal(np.vstack(seen), want[:300])
+
     def test_conjugate_gold_correlates_with_first_order(self):
         from wkernel.models import BetaBinomialConfig, run_model
 

@@ -887,7 +887,7 @@ class TestDemoConfig:
         argv = ["demo", "betabinom", "--config", str(cfg), "--out", str(out)]
         assert main(argv) == 2
         assert "bad prior configuration" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_weibull_shape_mle_outside_bracket_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -973,6 +973,10 @@ class TestIgnoredOption:
 _REFUSED_BY_OPTIONS = [
     (["freqcov", "{ll}", "{st}", "--estimator", "prior_adjusted"], "requires --logprior"),
     (["freqcov", "{ll}", "{st}", "--logprior", "{lp}"], "--logprior applies only"),
+    (
+        ["freqcov", "{ll}", "{st}", "--estimator", "prior_adjusted", "--logprior", ""],
+        "--estimator prior_adjusted requires --logprior",
+    ),
     (["freqcov", "{ll}", "{st}", "--rank", "2"], "--rank applies only"),
     (["diag", "{ll}", "{st}", "--scores", "{sc}"], "--scores requires --hessian"),
     (["diag", "{ll}", "{st}", "--hessian", "{sc}"], "--hessian applies only"),
