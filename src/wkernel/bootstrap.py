@@ -39,11 +39,13 @@ from .core import (
     _freeze,
     _frozen,
     _readonly,
+    _cumulant_tensor,
     _stream,
     posterior_cov_grid,
-    third_cumulant_grid,
 )
 from .errors import InvalidInput
+from .freq_eval import sensitivity_first
+from .kernels import centered
 from .spectral import ProjectedLogLik
 
 _METHODS = (
@@ -70,9 +72,8 @@ class Resamples:
     observation was drawn in replicate r; every row sums to n.  Built
     from a count matrix, which is checked and kept as a read-only copy,
     or by ``draw_resamples``, which keeps only the seed and draws rows
-    when they are asked for.
-    ``blocks`` hands the rows out _BLOCK at a time; ``counts`` and
-    ``eta`` build the whole matrix.
+    when they are asked for.  ``blocks`` hands the rows out _BLOCK at a
+    time.
     """
 
     def __init__(self, counts):
@@ -139,15 +140,6 @@ class Resamples:
         for start in range(0, self._n_b, _BLOCK):
             stop = min(start + _BLOCK, self._n_b)
             yield slice(start, stop), self._rows(start, stop)
-
-    @property
-    def counts(self) -> np.ndarray:
-        """The whole read-only (n_b x n) count matrix."""
-        return self._rows(0, self._n_b)
-
-    @property
-    def eta(self) -> np.ndarray:
-        return self.counts - 1.0
 
 
 @dataclass(frozen=True)
@@ -234,6 +226,25 @@ def _check_resamples(stats, loglik, resamples: Resamples) -> None:
         )
 
 
+def _expansion(stats, resamples, method, grid, basis=None, second=None, rank=None):
+    """The run of replicate estimates mean + h' grid^T (+ second(h)) over the
+    blocks of perturbations h = counts - 1, with h' = h mapped onto
+    ``basis`` if given, else h."""
+    mean = stats.values.mean(axis=0)
+    estimates = np.empty((len(resamples), stats.n_stats))
+    for rows, counts in resamples.blocks():
+        h = counts - 1.0
+        estimates[rows] = mean[None, :] + (h if basis is None else h @ basis) @ grid.T
+        if second is not None:
+            estimates[rows] += second(h)
+    return BootstrapRun(
+        estimates=_frozen(estimates),
+        method=method,
+        rank_used=rank,
+        draws_used=stats.n_draws,
+    )
+
+
 def boot_first(
     stats: StatMatrix,
     loglik: LogLikMatrix,
@@ -248,42 +259,27 @@ def boot_first(
     nothing when the projection keeps the full rank.
     """
     _check_resamples(stats, loglik, resamples)
-    mean = stats.values.mean(axis=0)
-    rank = None
-    if projection is not None:
-        _check_draws(projection, stats, "projections", "statistics")
-        grid = posterior_cov_grid(stats.values, projection.projections)
-        rank = projection.a_M
-    else:
-        grid = posterior_cov_grid(stats.values, loglik.values)
-    estimates = np.empty((len(resamples), stats.n_stats))
-    for rows, counts in resamples.blocks():
-        h = counts - 1.0
-        if projection is not None:
-            h = h @ projection.basis.vectors
-        estimates[rows] = mean[None, :] + h @ grid.T
-    return BootstrapRun(
-        estimates=_frozen(estimates),
-        method="first",
-        rank_used=rank,
-        draws_used=stats.n_draws,
+    if projection is None:
+        grid = sensitivity_first(stats, loglik).first_order
+        return _expansion(stats, resamples, "first", grid)
+    _check_draws(projection, stats, "projections", "statistics")
+    grid = posterior_cov_grid(stats.values, projection.projections)
+    return _expansion(
+        stats, resamples, "first", grid, projection.basis.vectors, rank=projection.a_M
     )
 
 
-def _check_tensor_size(p: int, n: int) -> None:
-    """Refuse a p x n x n second-order tensor over DIRECT_TENSOR_BUDGET."""
+def _second_term_direct(stats, fc, basis=None):
+    """The quadratic term of a block of perturbations h, from the cumulant
+    tensor of the function columns ``fc``, centered over the draws already;
+    with a basis, h is first mapped onto it."""
+    p, n = stats.n_stats, fc.shape[1]
     if p * n**2 > DIRECT_TENSOR_BUDGET:
         raise InvalidInput(
             f"p x n^2 = {p} x {n}^2 second-order tensor entries exceed the "
             f"limit of {DIRECT_TENSOR_BUDGET}"
         )
-
-
-def _second_term_direct(stats, funcs, basis=None):
-    """The quadratic term of a block of perturbations h, from the cumulant
-    tensor of ``funcs``; with a basis, h is first mapped onto it."""
-    _check_tensor_size(stats.n_stats, funcs.shape[1])
-    tensor = third_cumulant_grid(stats, funcs)
+    tensor = _cumulant_tensor(stats, fc)
 
     def term(h):
         if basis is not None:
@@ -293,15 +289,14 @@ def _second_term_direct(stats, funcs, basis=None):
     return term
 
 
-def _second_term_efficient(stats, loglik_values):
-    """The quadratic term of a block of perturbations h, from the
-    log-likelihoods collapsed against h."""
+def _second_term_efficient(stats, c):
+    """The quadratic term of a block of perturbations h, from the centered
+    log-likelihoods C collapsed against h: C h^T is centered over draws."""
     m = stats.n_draws
     ac = stats.values - stats.values.mean(axis=0)
 
     def term(h):
-        collapsed = loglik_values @ h.T  # draws x replicates
-        collapsed -= collapsed.mean(axis=0)
+        collapsed = c @ h.T  # draws x replicates
         np.square(collapsed, out=collapsed)
         collapsed *= 0.5
         return collapsed.T @ ac / m
@@ -327,34 +322,21 @@ def boot_second(
     if mode not in ("direct", "efficient"):
         raise InvalidInput(f"mode must be direct/efficient, got {mode!r}")
     _check_resamples(stats, loglik, resamples)
-    mean = stats.values.mean(axis=0)
-    first_grid = posterior_cov_grid(stats.values, loglik.values)
-
+    c = centered(loglik)
+    method, rank = f"second_{mode}", None
     if projection is not None:
         _check_draws(projection, stats, "projections", "statistics")
+        proj = projection.projections
         second = _second_term_direct(
-            stats, projection.projections, projection.basis.vectors
+            stats, proj - proj.mean(axis=0), projection.basis.vectors
         )
-        method = "second_projected"
-        rank = projection.a_M
+        method, rank = "second_projected", projection.a_M
+    elif mode == "direct":
+        second = _second_term_direct(stats, c.values)
     else:
-        if mode == "direct":
-            second = _second_term_direct(stats, loglik.values)
-        else:
-            second = _second_term_efficient(stats, loglik.values)
-        method = f"second_{mode}"
-        rank = None
-
-    estimates = np.empty((len(resamples), stats.n_stats))
-    for rows, counts in resamples.blocks():
-        h = counts - 1.0
-        estimates[rows] = mean[None, :] + h @ first_grid.T + second(h)
-    return BootstrapRun(
-        estimates=_frozen(estimates),
-        method=method,
-        rank_used=rank,
-        draws_used=stats.n_draws,
-    )
+        second = _second_term_efficient(stats, c.values)
+    grid = sensitivity_first(stats, c).first_order
+    return _expansion(stats, resamples, method, grid, second=second, rank=rank)
 
 
 def boot_importance(stats: StatMatrix, loglik: LogLikMatrix, resamples: Resamples):
@@ -366,6 +348,7 @@ def boot_importance(stats: StatMatrix, loglik: LogLikMatrix, resamples: Resample
     flagged as degenerate and their estimates left NaN.
     """
     _check_resamples(stats, loglik, resamples)
+    c = centered(loglik).values  # shifts each replicate's log-weights alike
     n_b = len(resamples)
     m = loglik.n_draws
     estimates = np.empty((n_b, stats.n_stats))
@@ -374,7 +357,7 @@ def boot_importance(stats: StatMatrix, loglik: LogLikMatrix, resamples: Resample
     degenerate = np.empty(n_b, dtype=bool)
 
     for rows, counts in resamples.blocks():
-        w = (counts - 1.0) @ loglik.values.T  # replicates x draws, log-weights
+        w = (counts - 1.0) @ c.T  # replicates x draws, log-weights
         w -= w.max(axis=1, keepdims=True)
         np.exp(w, out=w)
         norm = w.sum(axis=1)

@@ -353,12 +353,13 @@ def _flag(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load_loglik(path):
-    from .core import LogLikMatrix, _frozen
+def _load_loglik(path, kind="raw"):
+    """The log-likelihood file, centered in place as ``kind`` says: the one
+    centering of a command, whose result every consumer reads."""
+    from .kernels import center_loglik
     from .matio import load_matrix
 
-    arr, _ = load_matrix(path)
-    return LogLikMatrix(values=_frozen(arr))
+    return center_loglik(load_matrix(path)[0], kind)
 
 
 def _load_stats(path, loglik):
@@ -426,7 +427,7 @@ def _cholesky(config: RunConfig):
     most twice their size and its columns come cheaper than from C.  A stop
     at the rank cap with the residual above rel_tol x tr W is said on stderr."""
     from .core import _frozen
-    from .kernels import WMatrix, center_loglik
+    from .kernels import WMatrix
     from .matio import load_matrix
     from .spectral import incomplete_cholesky
 
@@ -434,8 +435,8 @@ def _cholesky(config: RunConfig):
     if opts["matrix"] == "w":
         source = WMatrix(values=_frozen(load_matrix(path)[0]))
     else:
-        source = center_loglik(load_matrix(path)[0], opts["kind"] or "raw")
-        if source.n <= 2 * source.source_M:
+        source = _load_loglik(path, opts["kind"] or "raw")
+        if source.n <= 2 * source.n_draws:
             source = source.gram()
     chol = incomplete_cholesky(source, rel_tol=opts["rel_tol"], max_rank=opts["max_rank"])
     if chol.stopped_by == "max_rank":
@@ -588,11 +589,7 @@ def _cmd_diag(config: RunConfig, outdir: str) -> None:
         info = build_info_matrices(ScoreMatrix(values=s_arr, hessian_sum=h_arr))
 
     report = penalties(loglik, logprior=logprior, info=info)
-    pairs = [("waic_penalty", report.waic_penalty)]
-    if report.tic_penalty is not None:
-        pairs.append(("tic_penalty", report.tic_penalty))
-    if report.pcic_penalty is not None:
-        pairs.append(("pcic_penalty", report.pcic_penalty))
+    pairs = [(name, value) for name, value in vars(report).items() if value is not None]
     save_keyvalue(os.path.join(outdir, "penalties.csv"), pairs)
 
     diag = centering_diagnostic(stats, loglik, logprior=logprior)
@@ -608,7 +605,7 @@ def _cmd_zmat(config: RunConfig, outdir: str) -> None:
     from .kernels import z_spectrum
     from .matio import save_keyvalue
 
-    loglik = _load_loglik(config.inputs[0])
+    loglik = _load_loglik(config.inputs[0], "double_centered")
     z_eigs, max_rel = z_spectrum(loglik)
     _save_indexed(
         os.path.join(outdir, "z_eigenvalues.csv"), z_eigs, ["index", "eigenvalue"]
@@ -647,6 +644,7 @@ def _cmd_demo(config: RunConfig, outdir: str) -> None:
 
     from .bootstrap import boot_first, draw_resamples, summarize_bootstrap
     from .freq_eval import freq_cov, penalties
+    from .kernels import centered
     from .matio import save_keyvalue, save_matrix
     from .models import run_model
     from .spectral import principal_basis
@@ -667,26 +665,27 @@ def _cmd_demo(config: RunConfig, outdir: str) -> None:
     ):
         save_matrix(os.path.join(outdir, name), arr, header=header)
 
-    basis = principal_basis(bundle.loglik)
+    loglik = centered(bundle.loglik)
+    basis = principal_basis(loglik)
     _save_spectrum(outdir, basis.eigenvalues, False)
 
-    sigma = freq_cov(stats, bundle.loglik, estimator="centered")
+    sigma = freq_cov(stats, loglik, estimator="centered")
     save_matrix(os.path.join(outdir, "sigma.csv"), sigma.values, header=list(stats.names))
 
     resamples = draw_resamples(bundle.n_obs, 200, seed)
-    run = boot_first(stats, bundle.loglik, resamples)
+    run = boot_first(stats, loglik, resamples)
     save_matrix(
         os.path.join(outdir, "estimates.csv"), run.estimates, header=list(stats.names)
     )
     summary = summarize_bootstrap(run)
 
-    pen = penalties(bundle.loglik, logprior=bundle.logprior)
+    pen = penalties(loglik, logprior=bundle.logprior)
     top = basis.eigenvalues[: min(6, basis.rank_retained)]
     pairs = [
         ("model", model),
         ("n_obs", bundle.n_obs),
         ("n_draws", bundle.n_draws),
-        ("trace_w", float(np.sum(np.var(bundle.loglik.values, axis=0)))),
+        ("trace_w", loglik.trace),
         ("waic_penalty", pen.waic_penalty),
         ("pcic_penalty", pen.pcic_penalty),
     ]

@@ -305,7 +305,9 @@ def centered_cov_star(stats_col, loglik: LogLikMatrix, i: int) -> float:
         )
     if not 0 <= i < loglik.n_obs:
         raise InvalidInput(f"observation index {i} out of range [0, {loglik.n_obs})")
-    grid = posterior_cov_grid(a.reshape(-1, 1), loglik.values)[0]
+    from .freq_eval import sensitivity_first  # which imports this module
+
+    grid = sensitivity_first(StatMatrix(a), loglik).first_order[0]
     return float(grid[i] - grid.mean())
 
 
@@ -344,14 +346,18 @@ def third_cumulant_grid(stats: StatMatrix, funcs: np.ndarray) -> np.ndarray:
         raise InvalidInput(
             f"function matrix has {f.shape[0]} draws, statistics have {stats.n_draws}"
         )
-    if f.shape[0] < 3:
+    return _cumulant_tensor(stats, f - f.mean(axis=0))
+
+
+def _cumulant_tensor(stats: StatMatrix, fc: np.ndarray) -> np.ndarray:
+    """``third_cumulant_grid`` of function columns ``fc`` centered already."""
+    if fc.shape[0] < 3:
         raise InvalidInput("third cumulant needs at least 3 draws")
     ac = stats.values - stats.values.mean(axis=0)
-    fc = f - f.mean(axis=0)
-    tensor = np.einsum("up,ua,ub->pab", ac, fc, fc, optimize=True) / f.shape[0]
+    tensor = np.einsum("up,ua,ub->pab", ac, fc, fc, optimize=True) / fc.shape[0]
     # einsum's BLAS contraction ignores np.errstate, so its overflow is
     # reported here rather than as infs in the caller's estimates
-    if not np.isfinite(tensor).all() and np.isfinite(f).all():
+    if not np.isfinite(tensor).all() and np.isfinite(fc).all():
         raise FloatingPointError("overflow encountered in third cumulant tensor")
     return tensor
 

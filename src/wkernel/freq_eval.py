@@ -35,7 +35,7 @@ from .core import (
     third_cumulant_grid,
 )
 from .errors import InvalidInput
-from .kernels import InfoMatrices, WMatrix
+from .kernels import InfoMatrices, WMatrix, centered
 from .spectral import ProjectedLogLik, _as_eta
 
 _ESTIMATORS = ("plain", "centered", "prior_adjusted", "projected")
@@ -98,9 +98,11 @@ class CenteringDiagnostic:
 
 
 def sensitivity_first(stats: StatMatrix, loglik: LogLikMatrix) -> SensitivityReport:
-    """First-order weight sensitivities: the p x n posterior covariance grid."""
+    """First-order weight sensitivities: the p x n posterior covariance grid
+    (A - mean A)^T C / M, which every estimator reads from log-likelihoods."""
     _check_draws(stats, loglik)
-    grid = posterior_cov_grid(stats.values, loglik.values)
+    ac = stats.values - stats.values.mean(axis=0)
+    grid = ac.T @ centered(loglik).values / loglik.n_draws
     return SensitivityReport(first_order=_frozen(grid))
 
 
@@ -143,10 +145,11 @@ def freq_cov(
         if logprior is None:
             raise InvalidInput("prior_adjusted estimator requires a log-prior")
         _check_draws(logprior, loglik, "log-prior values")
-        shifted = loglik.values + logprior.values[:, None] / loglik.n_obs
-        grid = posterior_cov_grid(stats.values, shifted)
+        # covariances with l_i + (1/n) log prior, by linearity
+        prior = posterior_cov_grid(stats.values, logprior.values[:, None])
+        grid = sensitivity_first(stats, loglik).first_order + prior / loglik.n_obs
     else:
-        grid = posterior_cov_grid(stats.values, loglik.values)
+        grid = sensitivity_first(stats, loglik).first_order
         if estimator == "centered":
             grid = grid - grid.mean(axis=1, keepdims=True)
 
@@ -168,14 +171,8 @@ def penalties(
     the prior-corrected penalty needs the log prior at the draws.
     Missing inputs leave the corresponding field as None.
     """
-    vals = loglik.values
-    mean = vals.mean(axis=0)
-    m = loglik.n_draws
-    # one M x n buffer: the centered values squared, then the centered
-    # values again times the centered log prior
-    buf = vals - mean
-    buf *= buf
-    waic = float(np.sum(buf)) / m
+    c = centered(loglik)
+    waic = c.trace
 
     tic = None
     if info is not None:
@@ -183,12 +180,10 @@ def penalties(
 
     pcic = None
     if logprior is not None:
-        _check_draws(logprior, loglik, "log-prior values")
+        _check_draws(logprior, c, "log-prior values")
         prior_c = logprior.values - logprior.values.mean()
         # cov of each column with itself plus (1/n) log prior, summed over i
-        np.subtract(vals, mean, out=buf)
-        buf *= prior_c[:, None]
-        pcic = waic + float(np.sum(buf)) / (m * loglik.n_obs)
+        pcic = waic + float(np.sum(prior_c @ c.values)) / (c.n_draws * c.n_obs)
 
     return PenaltyReport(waic_penalty=waic, tic_penalty=tic, pcic_penalty=pcic)
 
@@ -217,13 +212,10 @@ def centering_diagnostic(
     and centered covariance estimators agree.
     """
     _check_draws(stats, loglik)
-    grid = posterior_cov_grid(stats.values, loglik.values)
+    grid = sensitivity_first(stats, loglik).first_order
     scale = np.sum(np.abs(grid), axis=1)
     total = grid.sum(axis=1)
     if logprior is not None:
         _check_draws(logprior, loglik, "log-prior values")
-        prior_grid = posterior_cov_grid(
-            stats.values, logprior.values.reshape(-1, 1)
-        )[:, 0]
-        total = total + prior_grid
+        total += posterior_cov_grid(stats.values, logprior.values[:, None])[:, 0]
     return CenteringDiagnostic(values=_frozen(total), scale=_frozen(scale))

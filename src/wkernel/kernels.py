@@ -8,14 +8,18 @@ Three families of objects live here:
   kernel on observation space.
 * The Z matrix: the M x M empirical covariance (over observations) of
   draw-centered log-likelihood rows.  Z is the exact PCA dual of the
-  double-centered W: both are Gram matrices of the same doubly centered
-  deviation matrix, so (1/M) Z and (1/n) W_centered share their nonzero
-  spectra, which ``z_spectrum`` reads from the smaller Gram product.
+  double-centered W: with C the doubly centered log-likelihoods (the
+  deviation matrix is C^T), W is C^T C / M and Z is C C^T / n, so (1/M) Z
+  and (1/n) W_centered share their nonzero spectra, which ``z_spectrum``
+  reads from the smaller Gram product through ``_gram_eigen``.
 * Score-based kernels (Fisher, modified Fisher, plain) built from the
   per-observation score vectors at the MLE/MAP, together with the
   information matrices that act as their metrics and the sandwich
   matrix whose eigenvalues asymptotically match those of W under weak
   priors.
+
+``center_loglik`` is the one centering; the functions that read centered
+log-likelihoods also take its CenteredLogLik, through ``centered``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LogLikMatrix, _check_loglik, _freeze, _frozen, posterior_cov
-from .errors import InvalidInput, NumericalFailure, SingularInformation
+from .errors import InvalidInput, NumericalFailure, RankOutOfRange, SingularInformation
 
 _W_KINDS = ("raw", "double_centered")
 # eigenvalues this far below the largest are treated as zero rank
@@ -52,6 +56,58 @@ def _eigh_descending(mat: np.ndarray, what: str):
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"{what} did not converge") from exc
     return evals[::-1], evecs[:, ::-1]
+
+
+def _signs(vectors: np.ndarray) -> np.ndarray:
+    """Column signs of the convention: the largest-magnitude component of
+    each column is positive; among ties, the first such component decides;
+    a zero column keeps +1.  Read from each column's extremes, so only a
+    column whose maximum and minimum tie in magnitude is searched."""
+    hi = np.max(vectors, axis=0, initial=0.0)
+    lo = np.min(vectors, axis=0, initial=0.0)
+    signs = np.where(hi >= -lo, 1.0, -1.0)
+    for j in np.flatnonzero((hi == -lo) & (hi > 0.0)):
+        col = vectors[:, j]
+        if np.argmax(col == lo[j]) < np.argmax(col == hi[j]):
+            signs[j] = -1.0
+    return signs
+
+
+def _gram_eigen(
+    gram: np.ndarray,
+    factor: np.ndarray | None,
+    tail_tol: float = 0.0,
+    a_M: int | None = None,
+):
+    """Eigenpairs of W = F F^T from the Gram product ``gram`` = F^T F of the
+    n x k ``factor`` F (or of W itself for None), exactly symmetric as numpy
+    returns it.  Eigenvalues at relative level 1e-14 or below go, as does
+    the longest tail summing to <= tail_tol of the total.  Of the retained
+    V_a, the leading ``a_M`` (all for None; RankOutOfRange unless 1 to the
+    retained rank) lift to F V_a / sqrt(lambda_a), signed like ``gram``'s
+    own, which are returned read-only too (the same array for None)."""
+    evals, evecs = _eigh_descending(gram, "Gram eigenproblem")
+    tail = np.cumsum(np.maximum(evals[::-1], 0.0))[::-1]
+    keep = evals > _RANK_DROP * np.max(evals, initial=0.0)
+    keep &= tail > tail_tol * np.max(tail, initial=0.0)
+    evals, evecs = evals[keep], evecs[:, keep]
+    retained = evals.size
+    if a_M is not None and not 1 <= a_M <= retained:
+        raise RankOutOfRange(a_M, retained)
+    a = retained if a_M is None else a_M
+    if factor is None:
+        vectors = evecs[:, :a]
+    else:
+        # numpy multiplies by one column with gemv, which rounds unlike gemm:
+        # a second column keeps a_M = 1 bitwise equal to the full lift's first
+        vectors = (factor @ evecs[:, : max(a, min(2, retained))])[:, :a]
+        vectors /= np.sqrt(evals[:a])
+    evals, evecs = evals[:a], evecs[:, :a]
+    signs = _signs(vectors)
+    vectors *= signs
+    if factor is not None:
+        evecs *= signs
+    return _frozen(evals), _frozen(vectors), _frozen(evecs)
 
 
 @dataclass(frozen=True)
@@ -89,26 +145,31 @@ class WMatrix:
 class CenteredLogLik:
     """M x n centered log-likelihoods C, the factor of W = C^T C / M.
 
-    Each observation column has its mean over the draws removed and, when
-    ``center_loglik`` was given kind="double_centered", each draw row its
-    mean over the observations first.  W's column p is C^T C[:, p] / M and its diagonal the column
-    sums of squares over M, so W can be read a column at a time
+    Each observation column has its mean over the draws removed and, for
+    ``kind`` "double_centered", each draw row its mean over the
+    observations first.  W's column p is C^T C[:, p] / M and its diagonal
+    the column sums of squares over M, so W can be read a column at a time
     (``diagonal``, ``column``, ``trace``, as from a WMatrix) without
     forming it; ``gram`` forms it.
     """
 
     values: np.ndarray
+    kind: str = "raw"
 
     def __post_init__(self):
         _freeze(self, "values", ndim=2, what="centered log-likelihood matrix")
 
     @property
-    def n(self) -> int:
+    def n_draws(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def n_obs(self) -> int:
         return self.values.shape[1]
 
     @property
-    def source_M(self) -> int:
-        return self.values.shape[0]
+    def n(self) -> int:
+        return self.values.shape[1]
 
     @property
     def trace(self) -> float:
@@ -117,20 +178,23 @@ class CenteredLogLik:
     def diagonal(self) -> np.ndarray:
         """W's diagonal, as a new writable array."""
         d = np.einsum("ij,ij->j", self.values, self.values)
-        d /= self.source_M
+        # einsum ignores np.errstate, so its overflow is reported here
+        if not np.isfinite(d).all():
+            raise FloatingPointError("overflow encountered in W's diagonal")
+        d /= self.n_draws
         return d
 
     def column(self, p: int) -> np.ndarray:
         """Column p of W, computed in O(M n)."""
         col = self.values.T @ self.values[:, p]
-        col /= self.source_M
+        col /= self.n_draws
         return col
 
     def gram(self) -> WMatrix:
         """W itself; the Gram product of one contiguous array is exactly
         symmetric."""
         w = self.values.T @ self.values
-        w /= self.source_M
+        w /= self.n_draws
         return WMatrix(values=_frozen(w))
 
 
@@ -277,7 +341,18 @@ def center_loglik(values: np.ndarray, kind: str = "raw") -> CenteredLogLik:
     if kind == "double_centered":
         values -= values.mean(axis=1, keepdims=True)
     values -= values.mean(axis=0)
-    return CenteredLogLik(values=_frozen(values))
+    return CenteredLogLik(values=_frozen(values), kind=kind)
+
+
+def centered(loglik: LogLikMatrix | CenteredLogLik, kind: str = "raw") -> CenteredLogLik:
+    """The log-likelihoods centered as ``kind`` says: a CenteredLogLik as it
+    is (InvalidInput if centered another way), a LogLikMatrix as a centered
+    copy."""
+    if not isinstance(loglik, CenteredLogLik):
+        return center_loglik(np.array(loglik.values), kind)
+    if loglik.kind != kind:
+        raise InvalidInput(f"log-likelihoods are centered {loglik.kind}, not {kind}")
+    return loglik
 
 
 def build_w(loglik: LogLikMatrix, kind: str = "raw") -> WMatrix:
@@ -290,7 +365,7 @@ def build_w(loglik: LogLikMatrix, kind: str = "raw") -> WMatrix:
     only under strong priors.  Holds one copy of the log-likelihoods
     besides W.
     """
-    return center_loglik(np.array(loglik.values), kind).gram()
+    return centered(loglik, kind).gram()
 
 
 def eval_w_kernel(loglik_x, loglik_y, n: int) -> float:
@@ -308,13 +383,10 @@ def eval_w_kernel(loglik_x, loglik_y, n: int) -> float:
 
 
 def build_deviation(loglik: LogLikMatrix) -> CenteredDeviationMatrix:
-    """Doubly centered n x M deviation matrix of the log-likelihoods."""
+    """Doubly centered n x M deviation matrix of the log-likelihoods: C^T."""
     if loglik.n_obs < 2:
         raise InvalidInput("deviation matrix needs at least 2 observations")
-    vals = loglik.values
-    # built transposed, so that the container holds this array, not a view
-    centered = vals.T - vals.mean(axis=0)[:, None] - vals.mean(axis=1) + vals.mean()
-    return CenteredDeviationMatrix(values=_frozen(centered))
+    return CenteredDeviationMatrix(values=centered(loglik, "double_centered").values.T)
 
 
 def build_z(loglik: LogLikMatrix) -> ZMatrix:
@@ -336,30 +408,27 @@ def build_z(loglik: LogLikMatrix) -> ZMatrix:
 def z_spectrum(loglik: LogLikMatrix) -> tuple[np.ndarray, float]:
     """Z's M eigenvalues, descending, and the duality check, without Z.
 
-    Only the smaller Gram product small @ small.T is eigendecomposed, with
-    small = A or A^T for the deviation matrix A.  Its eigenvalues over n
-    are Z's leading min(n, M); the rest are exactly 0.  The check pairs
-    each of the min(n, M) - 1 shared eigenvalues with the larger product's
-    Rayleigh quotient |small v|^2 at the lifted unit vector v ~ small^T u
-    (0 at rank-drop level, where the lift can be the zero vector), and
-    returns the largest gap over the largest eigenvalue: the relative
+    ``_gram_eigen`` reads the smaller of C^T C and C C^T and lifts its
+    eigenvectors through C; its eigenvalues over n are Z's leading
+    min(n, M), and the rest, rank-drop level included, are exactly 0.  The
+    check pairs each of the min(n, M) - 1 shared eigenvalues with the
+    larger product's Rayleigh quotient at its lifted vector and returns the
+    largest gap over the largest eigenvalue: the relative
     max |lambda_Z / M - lambda_Wc / n| that ``zmat`` reports.
     """
-    n, m = loglik.n_obs, loglik.n_draws
-    dev = build_deviation(loglik).values
-    small = dev if n <= m else dev.T
-    evals, evecs = _eigh_descending(small @ small.T, "Gram eigenproblem")
-    evals = np.maximum(evals, 0.0)
+    if loglik.n_obs < 2:
+        raise InvalidInput("deviation matrix needs at least 2 observations")
+    c = centered(loglik, "double_centered").values
+    m, n = c.shape
+    f = c.T if m < n else c  # the side of the smaller Gram product f^T f
+    evals, lifted, _ = _gram_eigen(f.T @ f, f)
+    back = f.T @ lifted
+    rayleigh = np.sum(back * back, axis=0) / np.einsum("ij,ij->j", lifted, lifted)
     shared = min(n, m) - 1
-    lift = evals[:shared] > _RANK_DROP * evals[0]
-    lifted = small.T @ evecs[:, :shared][:, lift]
-    lifted /= np.linalg.norm(lifted, axis=0)
-    rayleigh = np.zeros(shared)
-    rayleigh[lift] = np.sum((small @ lifted) ** 2, axis=0)
-    diff = np.max(np.abs(evals[:shared] - rayleigh))
+    diff = np.max(np.abs(evals[:shared] - rayleigh[:shared]), initial=0.0)
     z_eigs = np.zeros(m)
     z_eigs[: evals.size] = evals / n
-    return z_eigs, float(diff / evals[0]) if evals[0] > 0 else 0.0
+    return z_eigs, float(diff / evals[0]) if evals.size else 0.0
 
 
 # ---------------------------------------------------------------------------

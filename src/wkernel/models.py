@@ -725,7 +725,7 @@ def merge_shift_experiment(bundle: ModelBundle, from_i: int, into_j: int, grid=N
         stats = curve_stats(bundle, grid)
     else:
         stats = bundle.default_stats()
-    from .core import posterior_cov_grid
+    from .freq_eval import sensitivity_first
 
-    sens = posterior_cov_grid(stats.values, bundle.loglik.values)
+    sens = sensitivity_first(stats, bundle.loglik).first_order
     return sens[:, into_j] - sens[:, from_i]

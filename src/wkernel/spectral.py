@@ -1,14 +1,15 @@
 """Principal-space machinery for the observation-covariance matrix.
 
 The leading eigenvectors of the W matrix span the directions of
-observation space that posterior means actually respond to.  One engine,
-``principal_basis``, reads that space from the smaller Gram product of
-the centered log-likelihoods without forming W.  The incomplete pivoted
-Cholesky factorization (greedy diagonal pivoting, kept in observation
-order, O(n * rank^2) plus one W column per step) remains for its pivots,
-a representative subset of observations, with the small dual
-eigenproblem that ``eigen`` reports beside them; it reads W's columns
-from W or from the centered log-likelihoods.  A full dense
+observation space that posterior means actually respond to.
+``principal_basis`` reads that space from the smaller Gram product of
+the centered log-likelihoods without forming W.  It, ``dual_eigen`` and
+``kernels.z_spectrum`` share one eigen engine, ``kernels._gram_eigen``.
+The incomplete pivoted Cholesky factorization (greedy diagonal
+pivoting, kept in observation order, O(n * rank^2) plus one W column per
+step) remains for its pivots, a representative subset of observations,
+with the small dual eigenproblem that ``eigen`` reports beside them; it
+reads W's columns from W or from the centered log-likelihoods.  A full dense
 eigendecomposition serves as oracle.  Projection helpers map
 log-likelihoods and perturbation vectors onto the retained directions.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from .core import LogLikMatrix, WeightVector, _freeze, _frozen, _stream
 from .errors import InvalidInput, NotPSD, RankOutOfRange
-from .kernels import _RANK_DROP, CenteredLogLik, WMatrix, _eigh_descending
+from .kernels import CenteredLogLik, WMatrix, _eigh_descending, _gram_eigen, _signs, centered
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_MAX_RANK = 500
@@ -184,21 +185,6 @@ def _leading(basis: SpectralBasis, a_M: int | None) -> int:
     return a_M
 
 
-def _signs(vectors: np.ndarray) -> np.ndarray:
-    """Column signs of the convention: the largest-magnitude component of
-    each column is positive; among ties, the first such component decides;
-    a zero column keeps +1.  Read from each column's extremes, so only a
-    column whose maximum and minimum tie in magnitude is searched."""
-    hi = np.max(vectors, axis=0, initial=0.0)
-    lo = np.min(vectors, axis=0, initial=0.0)
-    signs = np.where(hi >= -lo, 1.0, -1.0)
-    for j in np.flatnonzero((hi == -lo) & (hi > 0.0)):
-        col = vectors[:, j]
-        if np.argmax(col == lo[j]) < np.argmax(col == hi[j]):
-            signs[j] = -1.0
-    return signs
-
-
 # ---------------------------------------------------------------------------
 # factorizations
 # ---------------------------------------------------------------------------
@@ -283,43 +269,6 @@ def incomplete_cholesky(
     )
 
 
-def _gram_eigen(
-    gram: np.ndarray,
-    factor: np.ndarray | None,
-    tail_tol: float = 0.0,
-    a_M: int | None = None,
-):
-    """Eigenpairs of W = F F^T from the Gram product ``gram`` = F^T F of the
-    n x k ``factor`` F (or of W itself for None), exactly symmetric as numpy
-    returns it.  Eigenvalues at relative level 1e-14 or below go, as does
-    the longest tail summing to <= tail_tol of the total.  Of the retained
-    V_a, the leading ``a_M`` (all for None; RankOutOfRange unless 1 to the
-    retained rank) lift to F V_a / sqrt(lambda_a), signed like ``gram``'s
-    own, which are returned read-only too (the same array for None)."""
-    evals, evecs = _eigh_descending(gram, "Gram eigenproblem")
-    tail = np.cumsum(np.maximum(evals[::-1], 0.0))[::-1]
-    keep = evals > _RANK_DROP * np.max(evals, initial=0.0)
-    keep &= tail > tail_tol * np.max(tail, initial=0.0)
-    evals, evecs = evals[keep], evecs[:, keep]
-    retained = evals.size
-    if a_M is not None and not 1 <= a_M <= retained:
-        raise RankOutOfRange(a_M, retained)
-    a = retained if a_M is None else a_M
-    if factor is None:
-        vectors = evecs[:, :a]
-    else:
-        # numpy multiplies by one column with gemv, which rounds unlike gemm:
-        # a second column keeps a_M = 1 bitwise equal to the full lift's first
-        vectors = (factor @ evecs[:, : max(a, min(2, retained))])[:, :a]
-        vectors /= np.sqrt(evals[:a])
-    evals, evecs = evals[:a], evecs[:, :a]
-    signs = _signs(vectors)
-    vectors *= signs
-    if factor is not None:
-        evecs *= signs
-    return _frozen(evals), _frozen(vectors), _frozen(evecs)
-
-
 def dual_eigen(chol: PivotedCholesky) -> SpectralBasis:
     """Spectrum of W from the small dual problem of its Cholesky factor.
 
@@ -336,20 +285,20 @@ def dual_eigen(chol: PivotedCholesky) -> SpectralBasis:
 def principal_basis(loglik: LogLikMatrix, a_M: int | None = None) -> SpectralBasis:
     """W's retained principal space from the smaller Gram product.
 
-    With C the draw-centered log-likelihoods over sqrt(M), W = C^T C; for
-    M < n the M x M C C^T is eigendecomposed instead and lifted through
-    C^T, so no n x n array exists.  The fewest leading directions are kept
-    whose dropped eigenvalues sum to at most 1e-10 tr W (none if constant).
-    With ``a_M``, only the leading a_M of them are returned, and an a_M
-    outside 1 to that retained rank raises RankOutOfRange.
+    With C the draw-centered log-likelihoods, W = C^T C / M; for M < n the
+    M x M C C^T is eigendecomposed instead and lifted through C^T, so no
+    n x n array exists, and the eigenvalues are divided by M after the
+    lift, so no scaled copy of C exists either.  The fewest leading
+    directions are kept whose dropped eigenvalues sum to at most 1e-10 tr W
+    (none if constant).  With ``a_M``, only the leading a_M of them are
+    returned, and an a_M outside 1 to that retained rank raises
+    RankOutOfRange.
     """
-    centered = loglik.values - loglik.values.mean(axis=0)
-    centered /= np.sqrt(loglik.n_draws)
-    wide = loglik.n_draws < loglik.n_obs
-    gram = centered @ centered.T if wide else centered.T @ centered
-    factor = centered.T if wide else None
-    evals, vectors, _ = _gram_eigen(gram, factor, _TAIL_TOL, a_M)
-    return SpectralBasis(eigenvalues=evals, vectors=vectors)
+    c = centered(loglik).values
+    wide = c.shape[0] < c.shape[1]
+    gram = c @ c.T if wide else c.T @ c
+    evals, vectors, _ = _gram_eigen(gram, c.T if wide else None, _TAIL_TOL, a_M)
+    return SpectralBasis(eigenvalues=_frozen(evals / c.shape[0]), vectors=vectors)
 
 
 def full_eigen(w: WMatrix, cap: int = FULL_EIGEN_CAP) -> SpectralBasis:

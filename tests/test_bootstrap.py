@@ -31,6 +31,11 @@ def all_ones_resample(n):
     return Resamples(counts=np.ones(n, dtype=int)[None, :])
 
 
+def all_counts(resamples):
+    """The whole (n_b x n) count matrix, stacked from ``blocks()``."""
+    return np.vstack([counts for _, counts in resamples.blocks()])
+
+
 def random_case(seed, m=30, n=6, p=2):
     rng = np.random.default_rng(seed)
     ll = LogLikMatrix(rng.standard_normal((m, n)))
@@ -44,15 +49,16 @@ class TestResamples:
             Resamples(counts=np.array([2, 0, 0, 0, 1])[None, :])
         Resamples(counts=np.array([2, 0, 0, 2, 1])[None, :])  # sums to 5
 
-    def test_eta(self):
+    def test_counts_are_kept_as_given(self):
         resamples = Resamples(counts=np.array([3, 0, 0])[None, :])
-        np.testing.assert_allclose(resamples.eta[0], [2.0, -1.0, -1.0])
+        np.testing.assert_array_equal(all_counts(resamples), [[3, 0, 0]])
 
     def test_counts_are_read_only(self):
         resamples = Resamples(counts=np.ones((2, 3), dtype=int))
         assert len(resamples) == 2 and resamples.n_obs == 3
+        (_, counts), = resamples.blocks()
         with pytest.raises(ValueError):
-            resamples.counts[0, 0] = 5
+            counts[0, 0] = 5
 
     @pytest.mark.parametrize(
         "counts, message",
@@ -73,7 +79,7 @@ class TestResamples:
         resamples = Resamples(counts=counts)
         assert counts.flags.writeable
         counts[0, 0] = 5
-        assert resamples.counts[0, 0] == 1
+        assert all_counts(resamples)[0, 0] == 1
 
     def test_observation_count_must_match(self):
         stats, ll = random_case(31)
@@ -83,25 +89,24 @@ class TestResamples:
 
 class TestDrawResamples:
     def test_single_observation(self):
-        for counts in draw_resamples(1, 5, seed=0).counts:
+        for counts in all_counts(draw_resamples(1, 5, seed=0)):
             assert counts.tolist() == [1]
 
     def test_counts_mean_near_one(self):
         n, n_b = 10, 100000
         resamples = draw_resamples(n, n_b, seed=1)
         totals = np.zeros(n)
-        for counts in resamples.counts:
-            totals += counts
+        for _, counts in resamples.blocks():
+            totals += counts.sum(axis=0)
         np.testing.assert_allclose(totals / n_b, 1.0, atol=0.02)
 
     def test_seed_reproducibility(self):
         a = draw_resamples(8, 50, seed=42)
         b = draw_resamples(8, 50, seed=42)
-        for da, db in zip(a.counts, b.counts):
-            np.testing.assert_array_equal(da, db)
+        np.testing.assert_array_equal(all_counts(a), all_counts(b))
         c = draw_resamples(8, 50, seed=43)
         assert any(
-            not np.array_equal(da, dc) for da, dc in zip(a.counts, c.counts)
+            not np.array_equal(da, dc) for da, dc in zip(all_counts(a), all_counts(c))
         )
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, None])
@@ -110,15 +115,14 @@ class TestDrawResamples:
             draw_resamples(5, 3, seed=seed)
 
     def test_largest_seed_draws(self):
-        counts = draw_resamples(5, 3, seed=2**128 - 1).counts
+        counts = all_counts(draw_resamples(5, 3, seed=2**128 - 1))
         np.testing.assert_array_equal(counts.sum(axis=1), 5)
 
     def test_replicate_streams_independent_of_order(self):
         full = draw_resamples(6, 20, seed=9)
         # drawing fewer replicates reproduces the same leading draws
         head = draw_resamples(6, 5, seed=9)
-        for da, db in zip(head.counts, full.counts[:5]):
-            np.testing.assert_array_equal(da, db)
+        np.testing.assert_array_equal(all_counts(head), all_counts(full)[:5])
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -131,23 +135,24 @@ class TestDrawResamples:
     )
     def test_rows_are_the_jumped_streams(self, n, n_b, seed):
         # replicate r is Philox(key=seed) jumped r times, bit for bit
-        counts = draw_resamples(n, n_b, seed).counts
+        counts = all_counts(draw_resamples(n, n_b, seed))
         assert counts.shape == (n_b, n)
         for r in range(n_b):
             cats = replicate_rng(seed, r).integers(0, n, size=n)
             np.testing.assert_array_equal(counts[r], np.bincount(cats, minlength=n))
 
-    def test_counts_are_not_copied(self):
-        # drawing holds nothing; the whole matrix is filled once, not copied
+    def test_counts_are_drawn_a_block_at_a_time(self):
+        # drawing holds nothing, and the blocks never hold the whole matrix
         tracemalloc.start()
         try:
             resamples = draw_resamples(120, 10000, seed=1)
             assert tracemalloc.get_traced_memory()[0] < 2**12
-            counts = resamples.counts
+            for _ in resamples.blocks():
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * counts.nbytes
+        assert peak <= 2.2 * bootstrap._BLOCK * 120 * 8
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -167,7 +172,7 @@ class TestDrawResamples:
             assert counts.shape == (rows.stop - rows.start, n)
             assert not counts.flags.writeable
         joined = np.concatenate([counts for _, counts in blocks])
-        np.testing.assert_array_equal(joined, resamples.counts)
+        np.testing.assert_array_equal(joined, all_counts(resamples))
         for r in range(n_b):
             cats = replicate_rng(seed, r).integers(0, n, size=n)
             np.testing.assert_array_equal(joined[r], np.bincount(cats, minlength=n))
@@ -322,7 +327,7 @@ class TestBootSecond:
             )
         )
         pair_bound = sd_l[:, None] + sd_l[None, :]
-        for r, eta in enumerate(resamples.eta):
+        for r, eta in enumerate(all_counts(resamples) - 1.0):
             eta = np.abs(eta)
             weight = eta @ pair_bound @ eta
             for j in range(stats.n_stats):
@@ -458,10 +463,14 @@ class TestBootGold:
     def test_rows_come_by_block_without_the_count_matrix(self, monkeypatch):
         # 600 replicates span three blocks; the refit sees each row once, in order
         resamples = draw_resamples(7, 600, seed=26)
-        want = np.vstack([counts for _, counts in resamples.blocks()])
-        monkeypatch.setattr(
-            bootstrap.Resamples, "counts", property(lambda self: pytest.fail("counts built"))
-        )
+        want = all_counts(resamples)
+        rows = bootstrap.Resamples._rows
+
+        def one_block(self, start, stop):
+            assert stop - start <= bootstrap._BLOCK, "count matrix built"
+            return rows(self, start, stop)
+
+        monkeypatch.setattr(bootstrap.Resamples, "_rows", one_block)
         seen = []
 
         def refit(counts):

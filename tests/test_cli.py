@@ -648,9 +648,9 @@ class TestCommands:
         assert sorted(os.listdir(capped)) == sorted(os.listdir(full))
 
     def test_loaded_log_likelihood_is_not_copied(self, tmp_path, monkeypatch):
-        ll = tmp_path / "ll.csv"
-        make_loglik_csv(ll, m=200, n=300)
-        loaded = []
+        # centering in place takes numpy's ufunc buffer, whose size is fixed:
+        # what it takes may not grow with the draws
+        loaded, used = [], []
 
         def load_then_trace(path):
             arr, header = load_matrix(path)
@@ -659,13 +659,16 @@ class TestCommands:
             return arr, header
 
         monkeypatch.setattr("wkernel.matio.load_matrix", load_then_trace)
-        try:
-            held = cli._load_loglik(str(ll))
-            used = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.shares_memory(held.values, loaded[0])
-        assert used < 0.01 * loaded[0].nbytes
+        for m in (200, 2000):
+            ll = tmp_path / f"ll{m}.csv"
+            make_loglik_csv(ll, m=m, n=300)
+            try:
+                held = cli._load_loglik(str(ll))
+                used.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert np.shares_memory(held.values, loaded[-1])
+        assert used[1] - used[0] < 0.01 * loaded[0].nbytes
 
     @staticmethod
     def _run_capped(argv):
@@ -724,6 +727,9 @@ class TestCommands:
             ["eigen", "{ll}"],
             ["rep", "{ll}"],
             ["zmat", "{ll}"],
+            # n > 2M: the Cholesky reads W's diagonal and columns from C
+            ["eigen", "{wide}"],
+            ["rep", "{wide}"],
         ],
     )
     def test_overflow_is_numerical_failure(self, tmp_path, capsys, argv):
@@ -737,13 +743,16 @@ class TestCommands:
 
     @staticmethod
     def _run_scaled(tmp_path, argv):
-        """Run argv on a 20 x 5 log-likelihood scaled by 1e160; no
-        RuntimeWarning may escape."""
-        ll, st = tmp_path / "ll.csv", tmp_path / "st.csv"
-        arr = np.random.default_rng(0).standard_normal((20, 5)) * 1e160
-        save_matrix(ll, arr, header=[f"obs_{i}" for i in range(5)])
+        """Run argv on a 20 x 5 log-likelihood ({wide}: 3 x 10) scaled by
+        1e160; no RuntimeWarning may escape."""
+        ll, st, wide = tmp_path / "ll.csv", tmp_path / "st.csv", tmp_path / "wide.csv"
+        rng = np.random.default_rng(0)
+        for path, shape in ((ll, (20, 5)), (wide, (3, 10))):
+            arr = rng.standard_normal(shape) * 1e160
+            save_matrix(path, arr, header=[f"obs_{i}" for i in range(shape[1])])
         make_stats_csv(st, m=20)
-        argv = [a.format(ll=ll, st=st) for a in argv] + ["--out", str(tmp_path / "o")]
+        argv = [a.format(ll=ll, st=st, wide=wide) for a in argv]
+        argv += ["--out", str(tmp_path / "o")]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(argv)
@@ -1143,6 +1152,51 @@ class TestPrincipalSpaceBuildsNoW:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+
+class TestCenteredOnce:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eigen", "{ll}"],
+            ["eigen", "{ll}", "--kind", "double_centered"],
+            ["eigen", "{wide}"],
+            ["rep", "{ll}"],
+            ["rep", "{wide}"],
+            ["freqcov", "{ll}", "{st}"],
+            ["freqcov", "{ll}", "{st}", "--estimator", "centered"],
+            ["freqcov", "{ll}", "{st}", "--estimator", "prior_adjusted", "--logprior", "{lp}"],
+            ["freqcov", "{ll}", "{st}", "--estimator", "projected"],
+            ["boot", "{ll}", "{st}", "--method", "first"],
+            ["boot", "{ll}", "{st}", "--method", "first", "--rank", "2"],
+            ["boot", "{ll}", "{st}", "--method", "second_direct"],
+            ["boot", "{ll}", "{st}", "--method", "second_efficient"],
+            ["boot", "{ll}", "{st}", "--method", "second_projected"],
+            ["boot", "{ll}", "{st}", "--method", "importance"],
+            ["diag", "{ll}", "{st}", "--logprior", "{lp}"],
+            ["zmat", "{ll}"],
+            ["demo", "normal_mean"],
+        ],
+    )
+    def test_each_command_centers_once(self, tmp_path, monkeypatch, argv):
+        from wkernel import kernels
+
+        kinds = []
+        center = kernels.center_loglik
+
+        def counted(values, kind="raw"):
+            kinds.append(kind)
+            return center(values, kind)
+
+        monkeypatch.setattr(kernels, "center_loglik", counted)
+        paths = {name: tmp_path / f"{name}.csv" for name in ("ll", "wide", "st", "lp")}
+        make_loglik_csv(paths["ll"])
+        make_loglik_csv(paths["wide"], m=5, n=20)
+        make_stats_csv(paths["st"])
+        save_matrix(paths["lp"], np.zeros(60), header=["logprior"])
+        argv = [a.format(**paths) for a in argv] + ["--n-b", "20"] * (argv[0] == "boot")
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+        assert len(kinds) == 1
 
 
 def _child_env(**extra):

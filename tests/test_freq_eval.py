@@ -30,7 +30,7 @@ from wkernel.freq_eval import (
     sensitivity_first,
     sensitivity_second,
 )
-from wkernel.kernels import ScoreMatrix, build_info_matrices, build_w
+from wkernel.kernels import ScoreMatrix, build_info_matrices, build_w, center_loglik
 from wkernel.models import BetaBinomialConfig, run_model
 from wkernel.spectral import full_eigen, project_loglik
 
@@ -332,17 +332,23 @@ class TestPenalties:
         assert abs(report.waic_penalty - report.tic_penalty) / report.tic_penalty < 0.15
 
     def test_penalties_are_the_two_temporary_sums(self):
+        # exactly tr W read from C and one product with the centered log prior;
         # reference: centered values and each product as its own M x n array
         rng = np.random.default_rng(18)
         for shape in [(40, 7), (500, 59), (3, 1)]:
             ll = LogLikMatrix(rng.standard_normal(shape) * 3.0 - 1.0)
             lp = LogPriorVector(rng.standard_normal(shape[0]) * 10.0)
+            c = center_loglik(np.array(ll.values))
+            prior_c = lp.values - lp.values.mean()
+            report = penalties(ll, logprior=lp)
+            assert report.waic_penalty == c.trace
+            exact = c.trace + float(np.sum(prior_c @ c.values)) / ll.values.size
+            assert report.pcic_penalty == exact
             centered = ll.values - ll.values.mean(axis=0)
             waic = float(np.sum(centered * centered)) / ll.n_draws
-            prior_c = lp.values - lp.values.mean()
             pcic = waic + float(np.sum(centered * prior_c[:, None])) / ll.values.size
-            report = penalties(ll, logprior=lp)
-            assert (report.waic_penalty, report.pcic_penalty) == (waic, pcic)
+            assert report.waic_penalty == pytest.approx(waic, rel=1e-12)
+            assert report.pcic_penalty == pytest.approx(pcic, rel=1e-12)
 
     def test_one_loglik_size_buffer(self):
         rng = np.random.default_rng(19)

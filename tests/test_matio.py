@@ -148,13 +148,13 @@ def _written(header, arr, row_names=None):
 
 
 def test_save_matrix_converts_in_bounded_chunks(tmp_path):
-    # a 12000 x 59 matrix as Python floats would take about 23 MB, whether its
+    # a 4000 x 59 matrix as Python floats would take about 7.6 MB, whether its
     # rows all differ or each is written three times, as a rejected
     # Metropolis step repeats a draw
-    wide = np.random.default_rng(5).standard_normal((12000, 59)) * 10.0 ** np.arange(-29, 30)
+    wide = np.random.default_rng(5).standard_normal((4000, 59)) * 10.0 ** np.arange(-29, 30)
     path = tmp_path / "m.csv"
     header = [f"c{j}" for j in range(59)]
-    for arr in (wide, np.repeat(wide[:4000], 3, axis=0)):
+    for arr in (wide, np.repeat(wide[::3], 3, axis=0)[: len(wide)]):
         tracemalloc.start()
         try:
             matio.save_matrix(path, arr, header)
