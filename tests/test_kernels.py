@@ -18,6 +18,7 @@ from wkernel.kernels import (
     build_w,
     build_z,
     center_loglik,
+    centered,
     embedding_report,
     eval_score_kernel,
     eval_w_kernel,
@@ -169,6 +170,28 @@ class TestCenteredLogLik:
         with pytest.raises(InvalidInput, match=message):
             center_loglik(values)
         np.testing.assert_array_equal(values, before)
+
+    def test_centered_passes_its_own_kind_through(self):
+        ll = LogLikMatrix(np.random.default_rng(24).standard_normal((8, 5)) - 3.0)
+        c = centered(ll, "double_centered")
+        assert (c.kind, c.n_draws, c.n_obs) == ("double_centered", 8, 5)
+        assert centered(c, "double_centered") is c
+        with pytest.raises(InvalidInput, match="centered double_centered, not raw"):
+            centered(c)
+        assert not np.shares_memory(centered(ll).values, ll.values)
+
+    def test_consumers_read_a_centered_one_as_the_raw_matrix(self):
+        rng = np.random.default_rng(25)
+        ll = LogLikMatrix(rng.standard_normal((40, 7)) * 2.0 - 3.0)
+        stats = StatMatrix(rng.standard_normal((40, 2)))
+        raw, dc = center_loglik(np.array(ll.values)), centered(ll, "double_centered")
+        for read, c in [
+            (lambda x: freq_cov(stats, x, estimator="centered").values, raw),
+            (lambda x: build_w(x).values, raw),
+            (lambda x: build_w(x, "double_centered").values, dc),
+            (lambda x: z_spectrum(x)[0], dc),
+        ]:
+            assert read(c).tobytes() == read(ll).tobytes()
 
 
 class TestWKernel:
