@@ -11,8 +11,10 @@ resample perturbation eta = counts - 1 around the original posterior:
                    once per replicate ("efficient", the default) or from
                    the precomputed p x n x n cumulant tensor ("direct" --
                    algebraically identical, the paper's formula)
-* projected        the same expansions with the log-likelihoods replaced
-                   by their principal-space projections
+* projected        the same sums in the principal coordinates: S V, h V,
+                   C V, for the sensitivity grid S, the perturbations h,
+                   the centered log-likelihoods C and W's leading
+                   eigenvectors V
 * importance       self-normalized reweighting of the original draws by
                    exp(sum_i eta_i l_i), exact as M grows but prone to
                    weight collapse
@@ -41,12 +43,11 @@ from .core import (
     _readonly,
     _cumulant_tensor,
     _stream,
-    posterior_cov_grid,
 )
 from .errors import InvalidInput
 from .freq_eval import sensitivity_first
 from .kernels import centered
-from .spectral import ProjectedLogLik
+from .spectral import SpectralBasis, _vectors
 
 _METHODS = (
     "first",
@@ -59,7 +60,8 @@ _METHODS = (
 
 # p * n^2 scalars above which the second-order tensor is refused
 DIRECT_TENSOR_BUDGET = 10**8
-# n_b * n above which resamples are refused: the whole count matrix takes 1 GiB
+# cells above which a resample block (B x n counts) or the n_b x p replicate
+# estimates are refused: 1 GiB of either
 MAX_RESAMPLE_CELLS = 2**27
 # replicates drawn and estimated together
 _BLOCK = 256
@@ -201,28 +203,35 @@ def draw_resamples(n: int, n_b: int, seed: int) -> Resamples:
     ``replicate_rng(seed, r)`` and counts them into row r, which is
     exactly the multinomial distribution with equal cell probabilities.
     Nothing is drawn here: the rows are drawn block by block as the
-    estimators reach them.  Raises InvalidInput when n_b x n exceeds
-    MAX_RESAMPLE_CELLS, and for a seed outside [0, 2^128).
+    estimators reach them.  Raises InvalidInput when one block of
+    min(n_b, _BLOCK) x n counts exceeds MAX_RESAMPLE_CELLS, and for a seed
+    outside [0, 2^128).
     """
     _check_seed(seed)
     if n < 1:
         raise InvalidInput("need at least one observation")
     if n_b < 1:
         raise InvalidInput("need at least one replicate")
-    if n_b * n > MAX_RESAMPLE_CELLS:
+    if min(n_b, _BLOCK) * n > MAX_RESAMPLE_CELLS:
         raise InvalidInput(
-            f"n_b x n = {n_b} x {n} resample counts exceed the limit of "
-            f"{MAX_RESAMPLE_CELLS}"
+            f"a block of {min(n_b, _BLOCK)} x {n} resample counts exceeds the "
+            f"limit of {MAX_RESAMPLE_CELLS}"
         )
     return Resamples._drawn(n, n_b, seed)
 
 
 def _check_resamples(stats, loglik, resamples: Resamples) -> None:
-    """Refuse statistics, log-likelihoods and resamples that do not pair up."""
+    """Refuse statistics, log-likelihoods and resamples that do not pair up,
+    and n_b x p estimates over MAX_RESAMPLE_CELLS, before any block is drawn."""
     _check_draws(stats, loglik)
     if resamples.n_obs != loglik.n_obs:
         raise InvalidInput(
             f"resamples have {resamples.n_obs} observations, expected {loglik.n_obs}"
+        )
+    if len(resamples) * stats.n_stats > MAX_RESAMPLE_CELLS:
+        raise InvalidInput(
+            f"n_b x p = {len(resamples)} x {stats.n_stats} replicate estimates "
+            f"exceed the limit of {MAX_RESAMPLE_CELLS}"
         )
 
 
@@ -249,24 +258,21 @@ def boot_first(
     stats: StatMatrix,
     loglik: LogLikMatrix,
     resamples: Resamples,
-    projection: ProjectedLogLik | None = None,
+    basis: SpectralBasis | None = None,
 ) -> BootstrapRun:
     """First-order replicate estimates, linear in the perturbations.
 
-    The p x n sensitivity grid is computed once; each block of
-    replicates is then one matrix product.  With a projection the grid
-    is taken against the principal combinations instead, which changes
-    nothing when the projection keeps the full rank.
+    The p x n sensitivity grid S is computed once; each block of
+    replicates is then one matrix product.  With a basis V the block's
+    perturbations h are taken as h V against S V instead, which changes
+    nothing when V keeps the full rank.
     """
     _check_resamples(stats, loglik, resamples)
-    if projection is None:
-        grid = sensitivity_first(stats, loglik).first_order
+    grid = sensitivity_first(stats, loglik).first_order
+    if basis is None:
         return _expansion(stats, resamples, "first", grid)
-    _check_draws(projection, stats, "projections", "statistics")
-    grid = posterior_cov_grid(stats.values, projection.projections)
-    return _expansion(
-        stats, resamples, "first", grid, projection.basis.vectors, rank=projection.a_M
-    )
+    v = _vectors(basis, loglik.n_obs)
+    return _expansion(stats, resamples, "first", grid @ v, v, rank=basis.rank_retained)
 
 
 def _second_term_direct(stats, fc, basis=None):
@@ -309,14 +315,15 @@ def boot_second(
     loglik: LogLikMatrix,
     resamples: Resamples,
     mode: str = "efficient",
-    projection: ProjectedLogLik | None = None,
+    basis: SpectralBasis | None = None,
 ) -> BootstrapRun:
     """Second-order replicate estimates.
 
     The first-order term is always computed directly; the quadratic term
     comes from per-replicate collapsed log-likelihoods ("efficient"),
-    from the cumulant tensor ("direct"), or from the projected tensor
-    when a projection is supplied.  A tensor of more than
+    from the cumulant tensor ("direct"), or, when a basis V is supplied,
+    from the tensor of the principal coordinates C V of the centered
+    log-likelihoods C.  A tensor of more than
     DIRECT_TENSOR_BUDGET scalars raises InvalidInput before allocation.
     """
     if mode not in ("direct", "efficient"):
@@ -324,13 +331,10 @@ def boot_second(
     _check_resamples(stats, loglik, resamples)
     c = centered(loglik)
     method, rank = f"second_{mode}", None
-    if projection is not None:
-        _check_draws(projection, stats, "projections", "statistics")
-        proj = projection.projections
-        second = _second_term_direct(
-            stats, proj - proj.mean(axis=0), projection.basis.vectors
-        )
-        method, rank = "second_projected", projection.a_M
+    if basis is not None:
+        v = _vectors(basis, c.n_obs)
+        second = _second_term_direct(stats, c.values @ v, v)
+        method, rank = "second_projected", basis.rank_retained
     elif mode == "direct":
         second = _second_term_direct(stats, c.values)
     else:

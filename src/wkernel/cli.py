@@ -386,19 +386,18 @@ def _load_logprior(path):
 
 
 def _projection(loglik, rank):
-    """Projection onto the leading ``rank`` directions of the raw W, or onto
-    all retained ones when rank is None; a rank outside 1 to the retained
+    """The basis of the leading ``rank`` directions of the raw W, or of all
+    retained ones when rank is None; a rank outside 1 to the retained
     rank is a usage error."""
     from .errors import RankOutOfRange, UsageError
-    from .spectral import principal_basis, project_loglik
+    from .spectral import principal_basis
 
     try:
-        basis = principal_basis(loglik, rank)
+        return principal_basis(loglik, rank)
     except RankOutOfRange as exc:
         raise UsageError(
             f"--rank {rank} is outside 1 to the retained rank {exc.retained}"
         ) from None
-    return project_loglik(loglik, basis)
 
 
 def _save_indexed(path, values, header, start=0) -> None:
@@ -483,11 +482,9 @@ def _cmd_freqcov(config: RunConfig, outdir: str) -> None:
     loglik = _load_loglik(config.inputs[0])
     stats = _load_stats(config.inputs[1], loglik)
     logprior = _load_logprior(opts["logprior"])
-    projection = _projection(loglik, opts["rank"]) if estimator == "projected" else None
+    basis = _projection(loglik, opts["rank"]) if estimator == "projected" else None
 
-    est = freq_cov(
-        stats, loglik, estimator=estimator, logprior=logprior, projection=projection
-    )
+    est = freq_cov(stats, loglik, estimator=estimator, logprior=logprior, basis=basis)
     save_matrix(os.path.join(outdir, "sigma.csv"), est.values, header=list(stats.names))
     save_keyvalue(
         os.path.join(outdir, "freqcov_meta.csv"),
@@ -517,19 +514,19 @@ def _cmd_boot(config: RunConfig, outdir: str) -> None:
     method, rank = opts["method"], opts["rank"]
     loglik = _load_loglik(config.inputs[0])
     stats = _load_stats(config.inputs[1], loglik)
-    projection = None
+    basis = None
     if method == "second_projected" or rank is not None:
-        projection = _projection(loglik, rank)
+        basis = _projection(loglik, rank)
     # drawn block by block inside the estimators, after their size checks
     resamples = draw_resamples(loglik.n_obs, opts["n_b"], opts["seed"])
 
     diags = None
     if method == "first":
-        run = boot_first(stats, loglik, resamples, projection=projection)
+        run = boot_first(stats, loglik, resamples, basis=basis)
     elif method == "importance":
         run, diags = boot_importance(stats, loglik, resamples)
     elif method == "second_projected":
-        run = boot_second(stats, loglik, resamples, projection=projection)
+        run = boot_second(stats, loglik, resamples, basis=basis)
     else:
         mode = method.removeprefix("second_")
         run = boot_second(stats, loglik, resamples, mode=mode)

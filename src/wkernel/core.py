@@ -172,22 +172,12 @@ class StatMatrix:
 
 @dataclass(frozen=True)
 class LogPriorVector:
-    """Log prior density at each posterior draw, plus its strength.
-
-    ``prior_weight`` is the dimensionless strength of an informative
-    prior whose log density scales with the sample size (log-prior =
-    n * prior_weight * log base density); 0 means an ordinary fixed
-    prior.  The weight is metadata: estimators always consume the raw
-    ``values``.
-    """
+    """Log prior density at each posterior draw."""
 
     values: np.ndarray
-    prior_weight: float = 0.0
 
     def __post_init__(self):
         _freeze(self, "values", ndim=1, what="log-prior vector")
-        if self.prior_weight < 0:
-            raise InvalidInput("prior_weight must be nonnegative")
 
     @property
     def n_draws(self) -> int:

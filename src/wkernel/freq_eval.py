@@ -10,7 +10,8 @@ covariance of the posterior means under IID resampling:
 * centered   same with the observation-mean covariance removed
              (the form that stays consistent under strong priors)
 * prior_adjusted   covariances taken against l_i + (1/n) log prior
-* projected  the plain sum restricted to the principal space of W
+* projected  the same sums in the principal coordinates: S V, for the
+             p x n sensitivity grid S and W's leading eigenvectors V
 
 plus the model-assessment penalties that are traces of the same
 objects, a quadratic form giving the posterior shift under a
@@ -36,7 +37,7 @@ from .core import (
 )
 from .errors import InvalidInput
 from .kernels import InfoMatrices, WMatrix, centered
-from .spectral import ProjectedLogLik, _as_eta
+from .spectral import SpectralBasis, _as_eta, _vectors
 
 _ESTIMATORS = ("plain", "centered", "prior_adjusted", "projected")
 
@@ -110,8 +111,8 @@ def sensitivity_second(stats: StatMatrix, funcs) -> ThirdCumulantTensor:
     """Second-order weight sensitivities as a third-cumulant tensor.
 
     ``funcs`` is an (M, a) matrix of draw values; pass log-likelihood
-    columns for raw sensitivities or principal projections for the
-    reduced tensor.
+    columns for raw sensitivities or their principal coordinates C V for
+    the reduced tensor.
     """
     tensor = third_cumulant_grid(stats, np.asarray(funcs, dtype=float))
     tensor = (tensor + tensor.transpose(0, 2, 1)) / 2.0
@@ -123,12 +124,13 @@ def freq_cov(
     loglik: LogLikMatrix,
     estimator: str = "plain",
     logprior: LogPriorVector | None = None,
-    projection: ProjectedLogLik | None = None,
+    basis: SpectralBasis | None = None,
 ) -> FreqCovEstimate:
     """Frequentist covariance of the posterior means, one of four forms.
 
     All four are Gram sums of per-observation (or per-direction)
     sensitivity vectors and therefore symmetric PSD by construction.
+    "projected" takes the sensitivity grid S along ``basis``: S V.
     """
     if estimator not in _ESTIMATORS:
         raise InvalidInput(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
@@ -136,11 +138,11 @@ def freq_cov(
 
     rank_used = "full"
     if estimator == "projected":
-        if projection is None:
-            raise InvalidInput("projected estimator requires a projection")
-        _check_draws(projection, stats, "projections", "statistics")
-        grid = posterior_cov_grid(stats.values, projection.projections)
-        rank_used = projection.a_M
+        if basis is None:
+            raise InvalidInput("projected estimator requires a basis")
+        v = _vectors(basis, loglik.n_obs)
+        grid = sensitivity_first(stats, loglik).first_order @ v
+        rank_used = basis.rank_retained
     elif estimator == "prior_adjusted":
         if logprior is None:
             raise InvalidInput("prior_adjusted estimator requires a log-prior")

@@ -432,9 +432,7 @@ def _run_beta_binomial(config: BetaBinomialConfig) -> ModelBundle:
 
     base = (config.alpha - 1.0) * np.log(q) + (config.beta - 1.0) * np.log1p(-q)
     base = base - betaln(config.alpha, config.beta)
-    logprior = LogPriorVector(
-        values=(n * lam * base) if lam > 0 else base, prior_weight=lam
-    )
+    logprior = LogPriorVector(values=(n * lam * base) if lam > 0 else base)
 
     # point estimate: MLE for the unscaled case, MAP of the scaled prior else
     if lam > 0:

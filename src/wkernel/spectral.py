@@ -185,6 +185,15 @@ def _leading(basis: SpectralBasis, a_M: int | None) -> int:
     return a_M
 
 
+def _vectors(basis: SpectralBasis, n_obs: int) -> np.ndarray:
+    """The basis vectors V, refused unless they span n_obs observations."""
+    if basis.n != n_obs:
+        raise InvalidInput(
+            f"basis is over {basis.n} observations, log-likelihood has {n_obs}"
+        )
+    return basis.vectors
+
+
 # ---------------------------------------------------------------------------
 # factorizations
 # ---------------------------------------------------------------------------
@@ -333,14 +342,9 @@ def project_loglik(
     dropped eigenvalues.
     """
     a_M = _leading(basis, a_M)
-    if basis.n != loglik.n_obs:
-        raise InvalidInput(
-            f"basis is over {basis.n} observations, log-likelihood has {loglik.n_obs}"
-        )
+    v = _vectors(basis, loglik.n_obs)[:, :a_M]
     if a_M < basis.rank_retained:
-        basis = SpectralBasis(
-            eigenvalues=basis.eigenvalues[:a_M], vectors=basis.vectors[:, :a_M]
-        )
+        basis = SpectralBasis(eigenvalues=basis.eigenvalues[:a_M], vectors=v)
     return ProjectedLogLik(projections=_frozen(loglik.values @ basis.vectors), basis=basis)
 
 

@@ -146,22 +146,22 @@ def test_criterion_04_projection_completeness(weibull_bundle):
     stats = bundle.default_stats()
     ll = bundle.loglik
     basis = full_eigen(build_w(ll))
-    proj = project_loglik(ll, basis, ll.n_obs)
+    assert basis.rank_retained == ll.n_obs
     resamples = draw_resamples(ll.n_obs, 200, seed=104)
 
     def rel_gap(a, b):
         return float(np.max(np.abs(a - b) / (np.abs(b) + 1e-300)))
 
     gap_cov = rel_gap(
-        freq_cov(stats, ll, estimator="projected", projection=proj).values,
+        freq_cov(stats, ll, estimator="projected", basis=basis).values,
         freq_cov(stats, ll).values,
     )
     gap_first = rel_gap(
-        boot_first(stats, ll, resamples, projection=proj).estimates,
+        boot_first(stats, ll, resamples, basis=basis).estimates,
         boot_first(stats, ll, resamples).estimates,
     )
     gap_second = rel_gap(
-        boot_second(stats, ll, resamples, projection=proj).estimates,
+        boot_second(stats, ll, resamples, basis=basis).estimates,
         boot_second(stats, ll, resamples, mode="direct").estimates,
     )
     ok = gap_cov < 1e-9 and gap_first < 1e-9 and gap_second < 1e-9

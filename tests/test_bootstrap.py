@@ -23,8 +23,13 @@ from wkernel.bootstrap import (
 from wkernel.core import LogLikMatrix, StatMatrix, WeightVector
 from wkernel.errors import InvalidInput
 from wkernel.freq_eval import freq_cov, sensitivity_first
-from wkernel.kernels import build_w
-from wkernel.spectral import full_eigen, project_loglik
+from wkernel.kernels import build_w, center_loglik
+from wkernel.spectral import SpectralBasis, full_eigen
+
+
+def leading(basis, a_m):
+    """The leading ``a_m`` directions of ``basis``."""
+    return SpectralBasis(basis.eigenvalues[:a_m], basis.vectors[:, :a_m])
 
 
 def all_ones_resample(n):
@@ -187,10 +192,33 @@ class TestDrawResamples:
         ]
         np.testing.assert_array_equal(np.concatenate([c for _, c in blocks]), counts)
 
-    def test_size_limit(self):
-        # 2**27 cells is the ceiling
-        with pytest.raises(InvalidInput, match="exceed the limit of 134217728"):
-            draw_resamples(2**14, 2**13 + 1, seed=0)
+    def test_size_limit(self, monkeypatch):
+        # 2**27 cells bound one block of counts, however many replicates
+        # there are in all ...
+        n = 2**27 // bootstrap._BLOCK
+        assert len(draw_resamples(n, 10**6, seed=0)) == 10**6
+        with pytest.raises(
+            InvalidInput, match=rf"block of 256 x {n + 1} .* limit of 134217728"
+        ):
+            draw_resamples(n + 1, 10**6, seed=0)
+        with pytest.raises(InvalidInput, match=rf"block of 1 x {2**27 + 1} "):
+            draw_resamples(2**27 + 1, 1, seed=0)
+        # ... and the n_b x p replicate estimates, refused before any block
+        # is drawn
+        stats, ll = random_case(1, n=1, p=2)
+        monkeypatch.setattr(bootstrap, "MAX_RESAMPLE_CELLS", 40)
+        assert boot_first(stats, ll, draw_resamples(1, 20, seed=0)).n_replicates == 20
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("resamples drawn before the size check")
+
+        monkeypatch.setattr(Resamples, "_rows", refuse)
+        resamples = draw_resamples(1, 21, seed=0)
+        for run in (boot_first, boot_second, boot_importance):
+            with pytest.raises(
+                InvalidInput, match=r"n_b x p = 21 x 2 replicate estimates .* limit of 40"
+            ):
+                run(stats, ll, resamples)
 
 
 class TestBootFirst:
@@ -227,10 +255,9 @@ class TestBootFirst:
     def test_projected_full_rank_matches(self):
         stats, ll = random_case(4)
         basis = full_eigen(build_w(ll))
-        proj = project_loglik(ll, basis, basis.rank_retained)
         resamples = draw_resamples(ll.n_obs, 50, seed=5)
         plain = boot_first(stats, ll, resamples)
-        projected = boot_first(stats, ll, resamples, projection=proj)
+        projected = boot_first(stats, ll, resamples, basis=basis)
         np.testing.assert_allclose(
             projected.estimates, plain.estimates, rtol=1e-9, atol=1e-12
         )
@@ -258,10 +285,9 @@ class TestBootSecond:
     def test_projected_full_rank_matches_direct(self):
         stats, ll = random_case(9, m=35, n=7)
         basis = full_eigen(build_w(ll))
-        proj = project_loglik(ll, basis, basis.rank_retained)
         resamples = draw_resamples(ll.n_obs, 60, seed=10)
         direct = boot_second(stats, ll, resamples, mode="direct")
-        projected = boot_second(stats, ll, resamples, projection=proj)
+        projected = boot_second(stats, ll, resamples, basis=basis)
         np.testing.assert_allclose(
             projected.estimates, direct.estimates, rtol=1e-9, atol=1e-12
         )
@@ -296,12 +322,11 @@ class TestBootSecond:
         stats, ll = random_case(seed, m=n + extra, n=n, p=p)
         resamples = draw_resamples(n, n_b, seed)
         basis = full_eigen(build_w(ll))
-        proj = project_loglik(ll, basis, basis.rank_retained)
         direct = boot_second(stats, ll, resamples, mode="direct").estimates
         scale = np.max(np.abs(direct))
         for other in (
             boot_second(stats, ll, resamples, mode="efficient"),
-            boot_second(stats, ll, resamples, projection=proj),
+            boot_second(stats, ll, resamples, basis=basis),
         ):
             np.testing.assert_allclose(
                 other.estimates, direct, rtol=1e-9, atol=1e-9 * scale
@@ -313,10 +338,9 @@ class TestBootSecond:
         stats = bundle.default_stats()
         ll = bundle.loglik
         basis = full_eigen(build_w(ll))
-        proj = project_loglik(ll, basis, 2)
         resamples = draw_resamples(ll.n_obs, 50, seed=13)
         direct = boot_second(stats, ll, resamples, mode="direct")
-        projected = boot_second(stats, ll, resamples, projection=proj)
+        projected = boot_second(stats, ll, resamples, basis=leading(basis, 2))
 
         tail = np.sqrt(basis.eigenvalues[2:].sum())
         a_vals = stats.values
@@ -499,6 +523,54 @@ class TestBootGold:
         assert corr > 0.9
 
 
+class TestProjectedDefinition:
+    """The projected estimators are the plain sums in W's principal
+    coordinates: S V, h V and C V for the basis vectors V."""
+
+    @pytest.mark.parametrize("centered_input", [False, True])
+    def test_sums_in_principal_coordinates_at_every_rank(self, centered_input):
+        stats, ll = random_case(51, m=40, n=6, p=3)
+        ac = stats.values - stats.values.mean(axis=0)
+        c = ll.values - ll.values.mean(axis=0)
+        s = ac.T @ c / ll.n_draws
+        if centered_input:
+            ll = center_loglik(np.array(ll.values))
+        full = full_eigen(build_w(ll))
+        resamples = draw_resamples(ll.n_obs, 30, seed=52)
+        h = all_counts(resamples) - 1.0
+        mean = stats.values.mean(axis=0)
+        for r in range(1, full.rank_retained + 1):
+            basis = leading(full, r)
+            sv, hv, cv = s @ basis.vectors, h @ basis.vectors, c @ basis.vectors
+            k3 = np.einsum("up,ua,ub->pab", ac, cv, cv) / ll.n_draws
+            cov = freq_cov(stats, ll, "projected", basis=basis)
+            first = boot_first(stats, ll, resamples, basis=basis)
+            second = boot_second(stats, ll, resamples, basis=basis)
+            quadratic = 0.5 * np.einsum("ra,pab,rb->rp", hv, k3, hv)
+            for got, want in [
+                (cov.values, sv @ sv.T),
+                (first.estimates, mean + hv @ sv.T),
+                (second.estimates, mean + h @ s.T + quadratic),
+            ]:
+                scale = np.max(np.abs(want))
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+            assert cov.rank_used == first.rank_used == second.rank_used == r
+
+    def test_basis_over_other_observation_count_is_refused(self):
+        stats, ll = random_case(53, n=6)
+        basis = full_eigen(build_w(random_case(53, n=5)[1]))
+        resamples = draw_resamples(ll.n_obs, 5, seed=54)
+        for run in (
+            lambda: freq_cov(stats, ll, "projected", basis=basis),
+            lambda: boot_first(stats, ll, resamples, basis=basis),
+            lambda: boot_second(stats, ll, resamples, basis=basis),
+        ):
+            with pytest.raises(
+                InvalidInput, match="basis is over 5 observations, log-likelihood has 6"
+            ):
+                run()
+
+
 class TestBlockedEstimates:
     """Estimates computed block by block against one block of every replicate."""
 
@@ -510,27 +582,26 @@ class TestBlockedEstimates:
         m, n = 2500, 120
         ll = LogLikMatrix(0.3 * rng.standard_normal((m, n)) + rng.standard_normal(n))
         stats = StatMatrix(rng.standard_normal((m, 3)) + ll.values[:, :3])
-        proj = project_loglik(ll, full_eigen(build_w(ll)), 5)
-        return stats, ll, proj
+        return stats, ll, leading(full_eigen(build_w(ll)), 5)
 
     RUNS = {
-        "first": lambda s, l, r, p: boot_first(s, l, r),
-        "first_projected": lambda s, l, r, p: boot_first(s, l, r, projection=p),
-        "second_efficient": lambda s, l, r, p: boot_second(s, l, r),
-        "second_direct": lambda s, l, r, p: boot_second(s, l, r, mode="direct"),
-        "second_projected": lambda s, l, r, p: boot_second(s, l, r, projection=p),
-        "importance": lambda s, l, r, p: boot_importance(s, l, r)[0],
+        "first": lambda s, l, r, b: boot_first(s, l, r),
+        "first_projected": lambda s, l, r, b: boot_first(s, l, r, basis=b),
+        "second_efficient": lambda s, l, r, b: boot_second(s, l, r),
+        "second_direct": lambda s, l, r, b: boot_second(s, l, r, mode="direct"),
+        "second_projected": lambda s, l, r, b: boot_second(s, l, r, basis=b),
+        "importance": lambda s, l, r, b: boot_importance(s, l, r)[0],
     }
 
     @pytest.mark.parametrize("method", sorted(RUNS))
     def test_blocks_match_one_block(self, case, monkeypatch, method):
-        stats, ll, proj = case
+        stats, ll, basis = case
         assert self.N_B % bootstrap._BLOCK and self.N_B > 2 * bootstrap._BLOCK
         resamples = draw_resamples(ll.n_obs, self.N_B, seed=42)
-        blocked = self.RUNS[method](stats, ll, resamples, proj).estimates
+        blocked = self.RUNS[method](stats, ll, resamples, basis).estimates
         monkeypatch.setattr(bootstrap, "_BLOCK", self.N_B)
         assert len(list(resamples.blocks())) == 1
-        whole = self.RUNS[method](stats, ll, resamples, proj).estimates
+        whole = self.RUNS[method](stats, ll, resamples, basis).estimates
         assert np.all(np.isfinite(whole))
         scale = np.abs(whole).max()
         np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-13 * scale)

@@ -524,6 +524,24 @@ class TestCommands:
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         assert needle in capsys.readouterr().err
 
+    def test_boot_estimate_size_limit_is_checked_before_drawing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        ll, st = tmp_path / "ll.csv", tmp_path / "st.csv"
+        make_loglik_csv(ll, m=60, n=8)
+        make_stats_csv(st, m=60, p=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("resamples drawn before the checks")
+
+        monkeypatch.setattr("wkernel.bootstrap.Resamples._rows", refuse)
+        # a block of 256 x 8 counts passes; 20000 x 2 estimates do not
+        monkeypatch.setattr("wkernel.bootstrap.MAX_RESAMPLE_CELLS", 39999)
+        argv = ["boot", str(ll), str(st), "--method", "first", "--n-b", "20000"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "n_b x p = 20000 x 2 replicate estimates exceed the limit of 39999" in err
+
     def test_freqcov_checks_draw_count_before_projecting(self, tmp_path, capsys, monkeypatch):
         ll, st = tmp_path / "ll.csv", tmp_path / "st.csv"
         make_loglik_csv(ll, m=60)
@@ -559,7 +577,7 @@ class TestCommands:
         ]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"n_b x n = {10**12} x" in err and str(2**27) in err
+        assert f"n_b x p = {10**12} x 2" in err and str(2**27) in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -1097,10 +1115,12 @@ class TestPrincipalSpaceBuildsNoW:
     @pytest.fixture
     def no_w(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("W or its pivoted Cholesky was built")
+            raise AssertionError("W, its pivoted Cholesky or projections were built")
 
         monkeypatch.setattr("wkernel.kernels.build_w", refuse)
         monkeypatch.setattr("wkernel.spectral.incomplete_cholesky", refuse)
+        # the projected estimators read the basis, not M x r projections
+        monkeypatch.setattr("wkernel.spectral.project_loglik", refuse)
 
     @pytest.mark.parametrize(
         "argv",

@@ -13,7 +13,6 @@ import pytest
 from wkernel.bootstrap import BootstrapRun
 from wkernel.core import (
     LogLikMatrix,
-    LogPriorVector,
     StatMatrix,
     ThirdCumulantTensor,
     WeightVector,
@@ -74,10 +73,6 @@ class TestContainers:
     def test_stat_vector_promoted_to_column(self):
         s = StatMatrix(np.arange(3.0))
         assert s.values.shape == (3, 1)
-
-    def test_logprior_rejects_negative_weight(self):
-        with pytest.raises(InvalidInput):
-            LogPriorVector(np.zeros(3), prior_weight=-0.1)
 
     def test_weight_vector_eta(self):
         w = WeightVector(np.array([1.0, 2.0, 0.0]))

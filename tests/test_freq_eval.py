@@ -32,7 +32,12 @@ from wkernel.freq_eval import (
 )
 from wkernel.kernels import ScoreMatrix, build_info_matrices, build_w, center_loglik
 from wkernel.models import BetaBinomialConfig, run_model
-from wkernel.spectral import full_eigen, project_loglik
+from wkernel.spectral import SpectralBasis, full_eigen
+
+
+def leading(basis, a_m):
+    """The leading ``a_m`` directions of ``basis``."""
+    return SpectralBasis(basis.eigenvalues[:a_m], basis.vectors[:, :a_m])
 
 
 def normal_mean_case(n, m, seed):
@@ -146,12 +151,11 @@ class TestFreqCov:
         stats = StatMatrix(np.full((20, 1), 1.0))
         logprior = LogPriorVector(rng.standard_normal(20))
         basis = full_eigen(build_w(ll))
-        proj = project_loglik(ll, basis)
         for est, kw in [
             ("plain", {}),
             ("centered", {}),
             ("prior_adjusted", {"logprior": logprior}),
-            ("projected", {"projection": proj}),
+            ("projected", {"basis": basis}),
         ]:
             out = freq_cov(stats, ll, estimator=est, **kw)
             np.testing.assert_allclose(out.values, 0.0, atol=1e-15)
@@ -168,8 +172,7 @@ class TestFreqCov:
         ll = LogLikMatrix(rng.standard_normal((30, 6)))
         stats = StatMatrix(rng.standard_normal((30, 2)))
         basis = full_eigen(build_w(ll))
-        proj = project_loglik(ll, basis, basis.rank_retained)
-        full = freq_cov(stats, ll, estimator="projected", projection=proj).values
+        full = freq_cov(stats, ll, estimator="projected", basis=basis).values
         plain = freq_cov(stats, ll).values
         np.testing.assert_allclose(full, plain, rtol=1e-10, atol=1e-14)
 
@@ -184,11 +187,10 @@ class TestFreqCov:
             var_a = posterior_var(stats.values[:, 0])
             grid = sensitivity_first(stats, ll).first_order[0]
             for a_m in range(1, basis.rank_retained + 1):
-                proj = project_loglik(ll, basis, a_m)
                 tail = basis.eigenvalues[a_m:].sum()
                 delta = np.sqrt(var_a * tail)
                 bound = np.sum(delta * (2 * np.abs(grid) + delta)) + 1e-9
-                got = freq_cov(stats, ll, estimator="projected", projection=proj)
+                got = freq_cov(stats, ll, "projected", basis=leading(basis, a_m))
                 plain = freq_cov(stats, ll)
                 assert abs(got.values[0, 0] - plain.values[0, 0]) <= bound
 
@@ -197,13 +199,12 @@ class TestFreqCov:
         ll = LogLikMatrix(rng.standard_normal((25, 7)))
         stats = StatMatrix(rng.standard_normal((25, 3)))
         logprior = LogPriorVector(rng.standard_normal(25))
-        basis = full_eigen(build_w(ll))
-        proj = project_loglik(ll, basis, 3)
+        basis = leading(full_eigen(build_w(ll)), 3)
         for est, kw in [
             ("plain", {}),
             ("centered", {}),
             ("prior_adjusted", {"logprior": logprior}),
-            ("projected", {"projection": proj}),
+            ("projected", {"basis": basis}),
         ]:
             out = freq_cov(stats, ll, estimator=est, **kw).values
             np.testing.assert_allclose(out, out.T, atol=1e-14)
@@ -223,12 +224,12 @@ class TestFreqCov:
         stats = StatMatrix(rng.standard_normal((m, p)))
         logprior = LogPriorVector(rng.standard_normal(m) * scale)
         basis = full_eigen(build_w(ll))
-        proj = project_loglik(ll, basis, int(rng.integers(1, basis.rank_retained + 1)))
+        basis = leading(basis, int(rng.integers(1, basis.rank_retained + 1)))
         for est, kw in [
             ("plain", {}),
             ("centered", {}),
             ("prior_adjusted", {"logprior": logprior}),
-            ("projected", {"projection": proj}),
+            ("projected", {"basis": basis}),
         ]:
             evals = np.linalg.eigvalsh(freq_cov(stats, ll, estimator=est, **kw).values)
             assert evals[0] >= -1e-12 * max(evals[-1], 0.0), est
@@ -303,9 +304,6 @@ class TestFreqCov:
         lp = LogPriorVector(np.zeros(8))
         with pytest.raises(InvalidInput, match="log-prior values have 8 draws, log-"):
             freq_cov(stats, ll, estimator="prior_adjusted", logprior=lp)
-        proj = project_loglik(LogLikMatrix(ll.values[:9]), full_eigen(build_w(ll)), a_M=1)
-        with pytest.raises(InvalidInput, match="projections have 9 draws, statistics have 10"):
-            freq_cov(stats, ll, estimator="projected", projection=proj)
 
 
 class TestPenalties:

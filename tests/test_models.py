@@ -345,7 +345,6 @@ class TestRunModelConjugate:
         a = 1.0 + n_lam * 1.0 + x.sum()
         b = 1.0 + x.size * cfg.N - x.sum()
         assert bundle.draws.mean() == pytest.approx(a / (a + b), abs=0.01)
-        assert bundle.logprior.prior_weight == 0.1
 
     def test_loglik_recomputes(self):
         for cfg in (NormalMeanConfig(n=20, m_draws=50, seed=1), BetaBinomialConfig(seed=2, m_draws=50)):
