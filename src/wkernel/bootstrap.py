@@ -79,7 +79,7 @@ class Resamples:
     """
 
     def __init__(self, counts):
-        arr = _readonly(counts, dtype=np.int64)
+        arr = np.asarray(counts)
         if arr.ndim != 2:
             raise InvalidInput(
                 "resample counts must be 2-D (replicates x observations), "
@@ -87,6 +87,13 @@ class Resamples:
             )
         if arr.shape[0] < 1:
             raise InvalidInput("need at least one replicate")
+        if arr.dtype.kind not in "biu":
+            values = np.asarray(arr, dtype=float)
+            whole = np.isfinite(values) & (np.floor(values) == values)
+            bad = np.flatnonzero(~whole.all(axis=1))
+            if bad.size:
+                raise InvalidInput(f"resample {bad[0]} has a count that is not an integer")
+        arr = _readonly(counts, dtype=np.int64)
         negative = np.flatnonzero(arr.min(axis=1, initial=0) < 0)
         if negative.size:
             raise InvalidInput(f"resample {negative[0]} has a negative count")
@@ -268,7 +275,7 @@ def boot_first(
     nothing when V keeps the full rank.
     """
     _check_resamples(stats, loglik, resamples)
-    grid = sensitivity_first(stats, loglik).first_order
+    grid = sensitivity_first(stats, loglik)
     if basis is None:
         return _expansion(stats, resamples, "first", grid)
     v = _vectors(basis, loglik.n_obs)
@@ -339,7 +346,7 @@ def boot_second(
         second = _second_term_direct(stats, c.values)
     else:
         second = _second_term_efficient(stats, c.values)
-    grid = sensitivity_first(stats, c).first_order
+    grid = sensitivity_first(stats, c)
     return _expansion(stats, resamples, method, grid, second=second, rank=rank)
 
 

@@ -307,16 +307,14 @@ def main(argv=None) -> int:
 
 def run_command(config: RunConfig) -> None:
     """Execute one resolved command, writing artifacts to config.outdir."""
-    from .matio import resolve_outdir
-
     _check_options(config.command, config.options)
     if config.command == "demo":
         # the model's config class refuses its own bad fields, also before --out
         config.model = _demo_config(
             config.inputs[0], config.options["seed"], config.file_cfg
         )
-    outdir = resolve_outdir(config.outdir)
-    globals()[_COMMANDS[config.command][3]](config, outdir)
+    os.makedirs(config.outdir, exist_ok=True)
+    globals()[_COMMANDS[config.command][3]](config, config.outdir)
 
 
 def _check_options(command: str, opts: dict) -> None:

@@ -203,22 +203,6 @@ class WeightVector:
         return self.w.shape[0]
 
 
-@dataclass(frozen=True)
-class ThirdCumulantTensor:
-    """p x a x a tensor of third posterior cumulants, symmetric in the last two axes."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        scale = _freeze(self, "values", ndim=3, what="cumulant tensor")
-        arr = self.values
-        if arr.shape[1] != arr.shape[2]:
-            raise InvalidInput(f"cumulant tensor must be (p, a, a), got {arr.shape}")
-        sym_gap = np.max(np.abs(arr - arr.transpose(0, 2, 1)), initial=0.0)
-        if sym_gap > 1e-10 * max(scale, 1.0):
-            raise InvalidInput("cumulant tensor is not symmetric in its last two axes")
-
-
 # ---------------------------------------------------------------------------
 # sample moments
 # ---------------------------------------------------------------------------
@@ -297,7 +281,7 @@ def centered_cov_star(stats_col, loglik: LogLikMatrix, i: int) -> float:
         raise InvalidInput(f"observation index {i} out of range [0, {loglik.n_obs})")
     from .freq_eval import sensitivity_first  # which imports this module
 
-    grid = sensitivity_first(StatMatrix(a), loglik).first_order[0]
+    grid = sensitivity_first(StatMatrix(a), loglik)[0]
     return float(grid[i] - grid.mean())
 
 
@@ -332,6 +316,7 @@ def third_cumulant_grid(stats: StatMatrix, funcs: np.ndarray) -> np.ndarray:
     f = np.asarray(funcs, dtype=float)
     if f.ndim != 2:
         raise InvalidInput("function matrix must be 2-D (draws x functions)")
+    _require_finite(f, "function matrix")
     if f.shape[0] != stats.n_draws:
         raise InvalidInput(
             f"function matrix has {f.shape[0]} draws, statistics have {stats.n_draws}"

@@ -28,7 +28,6 @@ from .core import (
     LogLikMatrix,
     LogPriorVector,
     StatMatrix,
-    ThirdCumulantTensor,
     _check_draws,
     _freeze,
     _frozen,
@@ -59,21 +58,6 @@ class FreqCovEstimate:
 
 
 @dataclass(frozen=True)
-class SensitivityReport:
-    """Derivatives of posterior means with respect to observation weights.
-
-    first_order[j, i] is the derivative of statistic j's posterior mean
-    in observation i's weight at unit weights; ``sensitivity_second``
-    gives the matching second derivatives as a cumulant tensor.
-    """
-
-    first_order: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, "first_order")
-
-
-@dataclass(frozen=True)
 class PenaltyReport:
     """Effective-parameter penalties; fields are None when inputs were absent."""
 
@@ -98,25 +82,33 @@ class CenteringDiagnostic:
         _freeze(self, "values", "scale")
 
 
-def sensitivity_first(stats: StatMatrix, loglik: LogLikMatrix) -> SensitivityReport:
-    """First-order weight sensitivities: the p x n posterior covariance grid
-    (A - mean A)^T C / M, which every estimator reads from log-likelihoods."""
+def sensitivity_first(stats: StatMatrix, loglik: LogLikMatrix) -> np.ndarray:
+    """First-order weight sensitivities: the read-only p x n posterior
+    covariance grid (A - mean A)^T C / M, whose entry [j, i] is the
+    derivative of statistic j's posterior mean in observation i's weight
+    at unit weights, and which every estimator reads from log-likelihoods."""
     _check_draws(stats, loglik)
     ac = stats.values - stats.values.mean(axis=0)
-    grid = ac.T @ centered(loglik).values / loglik.n_draws
-    return SensitivityReport(first_order=_frozen(grid))
+    return _frozen(ac.T @ centered(loglik).values / loglik.n_draws)
 
 
-def sensitivity_second(stats: StatMatrix, funcs) -> ThirdCumulantTensor:
-    """Second-order weight sensitivities as a third-cumulant tensor.
+def sensitivity_second(stats: StatMatrix, funcs) -> np.ndarray:
+    """Second-order weight sensitivities: the read-only p x a x a tensor of
+    third cumulants, exactly symmetric in its last two axes.
 
     ``funcs`` is an (M, a) matrix of draw values; pass log-likelihood
     columns for raw sensitivities or their principal coordinates C V for
     the reduced tensor.
     """
-    tensor = third_cumulant_grid(stats, np.asarray(funcs, dtype=float))
-    tensor = (tensor + tensor.transpose(0, 2, 1)) / 2.0
-    return ThirdCumulantTensor(values=_frozen(tensor))
+    tensor = third_cumulant_grid(stats, funcs)
+    return _frozen((tensor + tensor.transpose(0, 2, 1)) / 2.0)
+
+
+def _prior_cov(stats: StatMatrix, loglik: LogLikMatrix, logprior: LogPriorVector):
+    """Cov[A_j, log prior] for each statistic j, the log prior's draw count
+    checked against the log-likelihoods'."""
+    _check_draws(logprior, loglik, "log-prior values")
+    return posterior_cov_grid(stats.values, logprior.values[:, None])[:, 0]
 
 
 def freq_cov(
@@ -141,17 +133,16 @@ def freq_cov(
         if basis is None:
             raise InvalidInput("projected estimator requires a basis")
         v = _vectors(basis, loglik.n_obs)
-        grid = sensitivity_first(stats, loglik).first_order @ v
+        grid = sensitivity_first(stats, loglik) @ v
         rank_used = basis.rank_retained
     elif estimator == "prior_adjusted":
         if logprior is None:
             raise InvalidInput("prior_adjusted estimator requires a log-prior")
-        _check_draws(logprior, loglik, "log-prior values")
         # covariances with l_i + (1/n) log prior, by linearity
-        prior = posterior_cov_grid(stats.values, logprior.values[:, None])
-        grid = sensitivity_first(stats, loglik).first_order + prior / loglik.n_obs
+        prior = _prior_cov(stats, loglik, logprior)[:, None]
+        grid = sensitivity_first(stats, loglik) + prior / loglik.n_obs
     else:
-        grid = sensitivity_first(stats, loglik).first_order
+        grid = sensitivity_first(stats, loglik)
         if estimator == "centered":
             grid = grid - grid.mean(axis=1, keepdims=True)
 
@@ -213,11 +204,9 @@ def centering_diagnostic(
     rather than the MLE).  Values small against ``scale`` mean the plain
     and centered covariance estimators agree.
     """
-    _check_draws(stats, loglik)
-    grid = sensitivity_first(stats, loglik).first_order
+    grid = sensitivity_first(stats, loglik)
     scale = np.sum(np.abs(grid), axis=1)
     total = grid.sum(axis=1)
     if logprior is not None:
-        _check_draws(logprior, loglik, "log-prior values")
-        total += posterior_cov_grid(stats.values, logprior.values[:, None])[:, 0]
+        total += _prior_cov(stats, loglik, logprior)
     return CenteringDiagnostic(values=_frozen(total), scale=_frozen(scale))

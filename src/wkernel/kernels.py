@@ -73,6 +73,16 @@ def _signs(vectors: np.ndarray) -> np.ndarray:
     return signs
 
 
+def _rank(a_M: int | None, retained: int) -> int:
+    """How many leading directions to use: all ``retained`` ones for None;
+    RankOutOfRange unless 1 to ``retained``."""
+    if a_M is None:
+        return retained
+    if not 1 <= a_M <= retained:
+        raise RankOutOfRange(a_M, retained)
+    return a_M
+
+
 def _gram_eigen(
     gram: np.ndarray,
     factor: np.ndarray | None,
@@ -91,16 +101,13 @@ def _gram_eigen(
     keep = evals > _RANK_DROP * np.max(evals, initial=0.0)
     keep &= tail > tail_tol * np.max(tail, initial=0.0)
     evals, evecs = evals[keep], evecs[:, keep]
-    retained = evals.size
-    if a_M is not None and not 1 <= a_M <= retained:
-        raise RankOutOfRange(a_M, retained)
-    a = retained if a_M is None else a_M
+    a = _rank(a_M, evals.size)
     if factor is None:
         vectors = evecs[:, :a]
     else:
         # numpy multiplies by one column with gemv, which rounds unlike gemm:
         # a second column keeps a_M = 1 bitwise equal to the full lift's first
-        vectors = (factor @ evecs[:, : max(a, min(2, retained))])[:, :a]
+        vectors = (factor @ evecs[:, : max(a, min(2, evals.size))])[:, :a]
         vectors /= np.sqrt(evals[:a])
     evals, evecs = evals[:a], evecs[:, :a]
     signs = _signs(vectors)
@@ -135,10 +142,6 @@ class WMatrix:
     def column(self, p: int) -> np.ndarray:
         """Column p of W, read-only."""
         return self.values[:, p]
-
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue; Gram construction keeps it >= -1e-8 tr/n."""
-        return float(np.linalg.eigvalsh(self.values)[0])
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ same bits for every cell both accept.
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 
@@ -259,8 +258,3 @@ def write_scree_svg(path, eigenvalues, log_scale: bool = False) -> None:
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-def resolve_outdir(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path

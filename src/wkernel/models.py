@@ -725,5 +725,5 @@ def merge_shift_experiment(bundle: ModelBundle, from_i: int, into_j: int, grid=N
         stats = bundle.default_stats()
     from .freq_eval import sensitivity_first
 
-    sens = sensitivity_first(stats, bundle.loglik).first_order
+    sens = sensitivity_first(stats, bundle.loglik)
     return sens[:, into_j] - sens[:, from_i]

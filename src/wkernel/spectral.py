@@ -21,8 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LogLikMatrix, WeightVector, _freeze, _frozen, _stream
-from .errors import InvalidInput, NotPSD, RankOutOfRange
-from .kernels import CenteredLogLik, WMatrix, _eigh_descending, _gram_eigen, _signs, centered
+from .errors import InvalidInput, NotPSD
+from .kernels import (
+    CenteredLogLik,
+    WMatrix,
+    _eigh_descending,
+    _gram_eigen,
+    _rank,
+    _signs,
+    centered,
+)
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_MAX_RANK = 500
@@ -173,16 +181,6 @@ def _as_eta(eta, n: int) -> np.ndarray:
     if eta.shape != (n,):
         raise InvalidInput(f"perturbation must have shape ({n},), got {eta.shape}")
     return eta
-
-
-def _leading(basis: SpectralBasis, a_M: int | None) -> int:
-    """How many leading directions to use: all retained ones for None;
-    RankOutOfRange unless 1 to the retained rank."""
-    if a_M is None:
-        return basis.rank_retained
-    if not 1 <= a_M <= basis.rank_retained:
-        raise RankOutOfRange(a_M, basis.rank_retained)
-    return a_M
 
 
 def _vectors(basis: SpectralBasis, n_obs: int) -> np.ndarray:
@@ -341,7 +339,7 @@ def project_loglik(
     variance of the reconstruction residual is bounded by the sum of the
     dropped eigenvalues.
     """
-    a_M = _leading(basis, a_M)
+    a_M = _rank(a_M, basis.rank_retained)
     v = _vectors(basis, loglik.n_obs)[:, :a_M]
     if a_M < basis.rank_retained:
         basis = SpectralBasis(eigenvalues=basis.eigenvalues[:a_M], vectors=v)
@@ -354,7 +352,7 @@ def project_perturbation(eta, basis: SpectralBasis, a_M: int | None = None) -> n
     Accepts either a raw perturbation vector or a WeightVector (whose
     w - 1 is used).
     """
-    return basis.vectors[:, : _leading(basis, a_M)].T @ _as_eta(eta, basis.n)
+    return basis.vectors[:, : _rank(a_M, basis.rank_retained)].T @ _as_eta(eta, basis.n)
 
 
 def representative_set(chol: PivotedCholesky, basis: SpectralBasis) -> RepresentativeSet:

@@ -258,7 +258,7 @@ def test_criterion_09_sensitivity_formulas(betabinom_bundle):
 
     from wkernel.freq_eval import sensitivity_first, sensitivity_second
 
-    grid = sensitivity_first(stats, bundle.loglik).first_order[0]
+    grid = sensitivity_first(stats, bundle.loglik)[0]
     h = 1e-4
     fd1 = np.empty(n)
     for i in range(n):
@@ -269,7 +269,7 @@ def test_criterion_09_sensitivity_formulas(betabinom_bundle):
         fd1[i] = (exact(up) - exact(dn)) / (2 * h)
     err1 = float(np.linalg.norm(grid - fd1) / np.linalg.norm(fd1))
 
-    tensor = sensitivity_second(stats, bundle.loglik.values).values[0]
+    tensor = sensitivity_second(stats, bundle.loglik.values)[0]
     h = 1e-3
     fd2 = np.empty((n, n))
     base = exact(np.ones(n))

@@ -58,6 +58,12 @@ class TestResamples:
         resamples = Resamples(counts=np.array([3, 0, 0])[None, :])
         np.testing.assert_array_equal(all_counts(resamples), [[3, 0, 0]])
 
+    def test_whole_float_counts_are_taken_as_integers(self):
+        resamples = Resamples(counts=np.array([[2.0, 1.0, 0.0]]))
+        counts = all_counts(resamples)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, [[2, 1, 0]])
+
     def test_counts_are_read_only(self):
         resamples = Resamples(counts=np.ones((2, 3), dtype=int))
         assert len(resamples) == 2 and resamples.n_obs == 3
@@ -73,6 +79,9 @@ class TestResamples:
             ([[1, 1, 1], [3, -1, 1]], "resample 1 has a negative count"),
             ([[1, 1, 1], [1, 1, 1], [2, 1, 1]], "resample 2 .* sum to n=3, got 4"),
             ([[1, 1, 1], [1, 1, 0], [2, 1, 1]], "resample 1 .* sum to n=3, got 2"),
+            ([[2.5, 1.5, 0.0]], "resample 0 has a count that is not an integer"),
+            ([[1, 1, 1], [np.nan, 2, 1]], "resample 1 has a count that is not an integer"),
+            ([[1, 1, 1], [1, 1, 1], [np.inf, 2, 1]], "resample 2 has a count that"),
         ],
     )
     def test_invalid_counts_name_the_replicate(self, counts, message):
@@ -233,7 +242,7 @@ class TestBootFirst:
         # sensitivity grid (0.5, -0.5); counts (2, 0) add exactly one unit
         stats = StatMatrix(np.array([[0.0], [2.0]]))
         ll = LogLikMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        grid = sensitivity_first(stats, ll).first_order
+        grid = sensitivity_first(stats, ll)
         np.testing.assert_allclose(grid, [[0.5, -0.5]])
         run = boot_first(stats, ll, Resamples(counts=np.array([2, 0])[None, :]))
         assert run.estimates[0, 0] == pytest.approx(2.0)
@@ -242,7 +251,7 @@ class TestBootFirst:
         # with standard-normal perturbations the replicate covariance of the
         # first-order estimates is the plain frequentist covariance estimate
         stats, ll = random_case(3, m=50, n=10, p=2)
-        grid = sensitivity_first(stats, ll).first_order
+        grid = sensitivity_first(stats, ll)
         rng = np.random.default_rng(77)
         etas = rng.standard_normal((100000, ll.n_obs))
         reps = etas @ grid.T

@@ -14,7 +14,6 @@ from wkernel.bootstrap import BootstrapRun
 from wkernel.core import (
     LogLikMatrix,
     StatMatrix,
-    ThirdCumulantTensor,
     WeightVector,
     centered_cov_star,
     empirical_cov_over_obs,
@@ -26,7 +25,6 @@ from wkernel.core import (
     third_cumulant_grid,
 )
 from wkernel.errors import InvalidInput
-from wkernel.freq_eval import SensitivityReport
 from wkernel.kernels import EmbeddingMatrix
 
 
@@ -78,19 +76,12 @@ class TestContainers:
         w = WeightVector(np.array([1.0, 2.0, 0.0]))
         np.testing.assert_allclose(w.eta, [0.0, 1.0, -1.0])
 
-    def test_cumulant_tensor_symmetry_enforced(self):
-        bad = np.zeros((1, 2, 2))
-        bad[0, 0, 1] = 1.0
-        with pytest.raises(InvalidInput):
-            ThirdCumulantTensor(bad)
-
 
 # container -> the array it holds, built from a 2-D array
 _HOLDERS = {
     "LogLikMatrix": lambda a: LogLikMatrix(a).values,
     "StatMatrix": lambda a: StatMatrix(a).values,
     "EmbeddingMatrix": lambda a: EmbeddingMatrix(a, n_obs=3).values,
-    "SensitivityReport": lambda a: SensitivityReport(a).first_order,
     "BootstrapRun": lambda a: BootstrapRun(a, method="first").estimates,
 }
 

@@ -62,13 +62,12 @@ class TestSensitivityFirst:
         rng = np.random.default_rng(1)
         ll = LogLikMatrix(rng.standard_normal((10, 4)))
         stats = StatMatrix(np.full((10, 1), 3.0))
-        report = sensitivity_first(stats, ll)
-        np.testing.assert_allclose(report.first_order, 0.0, atol=1e-15)
+        np.testing.assert_allclose(sensitivity_first(stats, ll), 0.0, atol=1e-15)
 
     def test_matches_exact_finite_difference(self, betabinom_bundle):
         bundle = betabinom_bundle
         stats = bundle.default_stats()
-        grid = sensitivity_first(stats, bundle.loglik).first_order[0]
+        grid = sensitivity_first(stats, bundle.loglik)[0]
         f = betabinom_exact_weighted_mean(bundle)
         n = bundle.n_obs
         h = 1e-4
@@ -83,7 +82,7 @@ class TestSensitivityFirst:
 
     def test_row_sum_equals_total_covariance(self):
         x, stats, ll = normal_mean_case(100, 20000, seed=5)
-        grid = sensitivity_first(stats, ll).first_order[0]
+        grid = sensitivity_first(stats, ll)[0]
         total = abs(grid.sum())
         scale = np.abs(grid).sum()
         # flat prior: covariance with the total log-likelihood is near zero
@@ -95,13 +94,21 @@ class TestSensitivityFirst:
         with pytest.raises(InvalidInput):
             sensitivity_first(stats, ll)
 
+    def test_grid_is_read_only(self):
+        rng = np.random.default_rng(4)
+        ll = LogLikMatrix(rng.standard_normal((10, 4)))
+        grid = sensitivity_first(StatMatrix(rng.standard_normal((10, 2))), ll)
+        assert grid.shape == (2, 4) and not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+
 
 class TestSensitivitySecond:
     def test_constant_function_zero_slice(self):
         rng = np.random.default_rng(2)
         stats = StatMatrix(rng.standard_normal((12, 2)))
         f = np.column_stack([np.full(12, 2.0), rng.standard_normal(12)])
-        tensor = sensitivity_second(stats, f).values
+        tensor = sensitivity_second(stats, f)
         np.testing.assert_allclose(tensor[:, 0, :], 0.0, atol=1e-14)
         np.testing.assert_allclose(tensor[:, :, 0], 0.0, atol=1e-14)
 
@@ -109,13 +116,22 @@ class TestSensitivitySecond:
         rng = np.random.default_rng(3)
         stats = StatMatrix(rng.standard_normal((15, 2)))
         f = rng.standard_normal((15, 4))
-        tensor = sensitivity_second(stats, f).values
-        np.testing.assert_allclose(tensor, tensor.transpose(0, 2, 1), atol=1e-14)
+        tensor = sensitivity_second(stats, f)
+        assert tensor.shape == (2, 4, 4)
+        assert np.array_equal(tensor, tensor.transpose(0, 2, 1))
+        assert not tensor.flags.writeable
+        with pytest.raises(ValueError):
+            tensor[0, 0, 0] = 1.0
+
+    def test_non_finite_functions_are_refused(self):
+        stats = StatMatrix(np.arange(4.0))
+        with pytest.raises(InvalidInput, match="function matrix contains non-finite"):
+            sensitivity_second(stats, np.array([[0.0], [1.0], [np.nan], [2.0]]))
 
     def test_matches_exact_second_differences(self, betabinom_bundle):
         bundle = betabinom_bundle
         stats = bundle.default_stats()
-        tensor = sensitivity_second(stats, bundle.loglik.values).values[0]
+        tensor = sensitivity_second(stats, bundle.loglik.values)[0]
         f = betabinom_exact_weighted_mean(bundle)
         n = bundle.n_obs
         h = 1e-3
@@ -185,7 +201,7 @@ class TestFreqCov:
             stats = StatMatrix(rng.standard_normal(m))
             basis = full_eigen(build_w(ll))
             var_a = posterior_var(stats.values[:, 0])
-            grid = sensitivity_first(stats, ll).first_order[0]
+            grid = sensitivity_first(stats, ll)[0]
             for a_m in range(1, basis.rank_retained + 1):
                 tail = basis.eigenvalues[a_m:].sum()
                 delta = np.sqrt(var_a * tail)
