@@ -313,7 +313,14 @@ def run_command(config: RunConfig) -> None:
         config.model = _demo_config(
             config.inputs[0], config.options["seed"], config.file_cfg
         )
-    os.makedirs(config.outdir, exist_ok=True)
+    try:
+        os.makedirs(config.outdir, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        from .errors import UsageError
+
+        raise UsageError(
+            f"cannot make the output directory {config.outdir}: {exc.strerror}"
+        ) from None
     globals()[_COMMANDS[config.command][3]](config, config.outdir)
 
 
@@ -355,18 +362,18 @@ def _load_loglik(path, kind="raw"):
     """The log-likelihood file, centered in place as ``kind`` says: the one
     centering of a command, whose result every consumer reads."""
     from .kernels import center_loglik
-    from .matio import load_matrix
+    from .matio import load_matrix_cached
 
-    return center_loglik(load_matrix(path)[0], kind)
+    return center_loglik(load_matrix_cached(path)[0], kind)
 
 
 def _load_stats(path, loglik):
     """The statistics, refused before any costly work when their draw count
     is not the log-likelihood's."""
     from .core import StatMatrix, _check_draws, _frozen
-    from .matio import load_matrix
+    from .matio import load_matrix_cached
 
-    arr, header = load_matrix(path)
+    arr, header = load_matrix_cached(path)
     stats = StatMatrix(values=_frozen(arr), names=tuple(header) if header else ())
     _check_draws(stats, loglik)
     return stats
@@ -377,9 +384,9 @@ def _load_logprior(path):
     if not path:
         return None
     from .core import LogPriorVector
-    from .matio import load_vector
+    from .matio import load_matrix_cached, load_vector
 
-    vec, _ = load_vector(path)
+    vec, _ = load_vector(path, load_matrix_cached)
     return LogPriorVector(values=vec)
 
 
@@ -425,12 +432,12 @@ def _cholesky(config: RunConfig):
     at the rank cap with the residual above rel_tol x tr W is said on stderr."""
     from .core import _frozen
     from .kernels import WMatrix
-    from .matio import load_matrix
+    from .matio import load_matrix_cached
     from .spectral import incomplete_cholesky
 
     opts, path = config.options, config.inputs[0]
     if opts["matrix"] == "w":
-        source = WMatrix(values=_frozen(load_matrix(path)[0]))
+        source = WMatrix(values=_frozen(load_matrix_cached(path)[0]))
     else:
         source = _load_loglik(path, opts["kind"] or "raw")
         if source.n <= 2 * source.n_draws:
@@ -565,7 +572,7 @@ def _cmd_diag(config: RunConfig, outdir: str) -> None:
     from .errors import InvalidInput
     from .freq_eval import centering_diagnostic, penalties
     from .kernels import ScoreMatrix, build_info_matrices
-    from .matio import load_matrix, save_keyvalue, save_matrix
+    from .matio import load_matrix_cached, save_keyvalue, save_matrix
 
     opts = config.options
     loglik = _load_loglik(config.inputs[0])
@@ -574,13 +581,13 @@ def _cmd_diag(config: RunConfig, outdir: str) -> None:
 
     info = None
     if opts["scores"]:
-        s_arr, _ = load_matrix(opts["scores"])
+        s_arr, _ = load_matrix_cached(opts["scores"])
         if s_arr.shape[0] != loglik.n_obs:
             raise InvalidInput(
                 f"scores have {s_arr.shape[0]} rows, log-likelihoods have "
                 f"{loglik.n_obs} observations"
             )
-        h_arr, _ = load_matrix(opts["hessian"])
+        h_arr, _ = load_matrix_cached(opts["hessian"])
         info = build_info_matrices(ScoreMatrix(values=s_arr, hessian_sum=h_arr))
 
     report = penalties(loglik, logprior=logprior, info=info)

@@ -15,18 +15,36 @@ and it accepts the cells Python's ``float`` takes but numpy does not,
 such as ``1_0``.
 Both readers round through ``PyOS_string_to_double``, so they give the
 same bits for every cell both accept.
+
+``load_matrix_cached`` reads a file through an on-disk cache, so that a
+file read again with the same content is not parsed again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
+import stat
 
 import numpy as np
 
 from .errors import InvalidInput, ParseError
 
+try:  # the digest alone: hashlib would load OpenSSL, some 3 MB
+    from _blake2 import blake2b
+except ImportError:  # an interpreter without CPython's builtin module
+    from hashlib import blake2b
+
 # cells converted to Python floats at a time when a matrix is written
 _SAVE_CHUNK_CELLS = 2**16
+# Personalizes every cache key.  Change it whenever load_matrix's parse
+# rules or the entry layout change, so that no older entry is read.
+_CACHE_FORMAT = b"wkernel-csv-1"
+# the cache's size bound; the least recently used entries are removed first
+_CACHE_BYTES = 2**30
+# bytes of the source file hashed at a time
+_HASH_CHUNK = 2**16
 
 
 def _fmt(x) -> str:
@@ -131,9 +149,151 @@ def _parse_rows(rows, path, offset: int) -> np.ndarray:
     return np.array(data, dtype=float)
 
 
-def load_vector(path):
-    """Load a one-column (or one-row) CSV as a vector."""
+def load_matrix_cached(path):
+    """``load_matrix(path)``, parsed once per distinct file content.
+
+    The file's bytes and _CACHE_FORMAT are hashed with BLAKE2b, and the
+    digest names an entry of the cache directory (``_cache_dir``) that
+    holds the parsed matrix.  A hit returns what load_matrix returns: the
+    same float64 bits, the same header, a writable array.  An entry that
+    cannot be read, or that holds anything but a finite C-ordered 2-D
+    float64 matrix with as many columns as its header has names, is a
+    miss.  A miss parses with load_matrix and then stores the entry
+    atomically, removing the least recently used entries beyond
+    _CACHE_BYTES; a hit marks its entry used.  Only regular files are
+    cached, as a pipe cannot be read twice, and a file that changed while
+    it was parsed is not stored.  Any OSError of the cache falls back to
+    parsing, silently.
+    """
+    try:
+        entry, stamp = _cache_entry(path)
+    except OSError:  # an unreadable source too: load_matrix reports it
+        entry = None
+    if entry is None:
+        return load_matrix(path)
+    try:
+        found = _read_entry(entry)
+    except (OSError, ValueError, EOFError):
+        found = None
+    if found is not None:
+        with contextlib.suppress(OSError):  # a read-only cache still serves
+            os.utime(entry)
+        return found
     arr, header = load_matrix(path)
+    with contextlib.suppress(OSError):
+        if _stamp(os.stat(path)) == stamp:
+            _write_entry(entry, arr, header)
+    return arr, header
+
+
+def _cache_dir():
+    """``$XDG_CACHE_HOME/wkernel`` when that is absolute, else
+    ``~/.cache/wkernel``; None when no home directory is known."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "wkernel") if os.path.isabs(base) else None
+
+
+def _stamp(st):
+    """What changes when a file is rewritten."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _cache_entry(path):
+    """The cache entry of the file at ``path`` and the file's stamp when
+    it was hashed, or (None, None) when it is not a regular file or there
+    is no cache directory."""
+    directory = _cache_dir()
+    if directory is None:
+        return None, None
+    st = os.stat(path)  # a pipe's writer would block on an open
+    if not stat.S_ISREG(st.st_mode):
+        return None, None
+    with open(path, "rb", buffering=0) as fh:
+        digest = blake2b(digest_size=32, person=_CACHE_FORMAT)
+        chunk = memoryview(bytearray(_HASH_CHUNK))
+        while size := fh.readinto(chunk):
+            digest.update(chunk[:size])
+    return os.path.join(directory, digest.hexdigest() + ".npy"), _stamp(st)
+
+
+def _read_entry(entry):
+    """(array, header) from a cache entry, or None when it holds no
+    matrix that load_matrix could have returned."""
+    with open(entry, "rb") as fh:
+        names = _read_record(fh, np.uint8)
+        arr = _read_record(fh, np.float64)
+        trailing = fh.read(1)
+    # empty text is no header: a header row has a non-blank cell or a comma
+    header = names.tobytes().decode("utf-8").split(",") if names.size else None
+    if (
+        trailing
+        or names.ndim != 1
+        or arr.ndim != 2
+        or not arr.size
+        or (header is not None and len(header) != arr.shape[1])
+        or not np.isfinite(arr).all()
+    ):
+        return None
+    return arr, header
+
+
+def _read_record(fh, dtype) -> np.ndarray:
+    """The next .npy record of an open entry, read into a new C-ordered
+    array of ``dtype``; ValueError for a record of another layout.
+
+    np.load would return a reshaped view, which a container copies
+    rather than adopt (core._readonly); this array owns its data.
+    """
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("not a version 1.0 record")
+    shape, fortran_order, found = np.lib.format.read_array_header_1_0(fh)
+    if fortran_order or found != dtype:
+        raise ValueError(f"record of {found}, not {np.dtype(dtype)}")
+    arr = np.empty(shape, dtype=dtype)
+    if fh.readinto(arr) != arr.nbytes:
+        raise ValueError("truncated record")
+    return arr
+
+
+def _write_entry(entry, arr, header) -> None:
+    """Store a cache entry: the header's UTF-8 text as a uint8 record, then
+    the matrix.  The records go to a temporary file that replaces the
+    entry whole; then the least recently used entries beyond
+    _CACHE_BYTES are removed, this one last."""
+    directory = os.path.dirname(entry)
+    os.makedirs(directory, exist_ok=True)
+    text = ",".join(header).encode("utf-8") if header is not None else b""
+    tmp = f"{entry}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.save(fh, np.frombuffer(text, dtype=np.uint8))
+            np.save(fh, arr)
+        os.replace(tmp, entry)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+    used = []
+    for item in os.scandir(directory):
+        if item.name.endswith(".npy"):
+            with contextlib.suppress(FileNotFoundError):  # another run removed it
+                st = item.stat()
+                used.append((item.path == entry, st.st_mtime_ns, st.st_size, item.path))
+    total = sum(size for _, _, size, _ in used)
+    for _, _, size, name in sorted(used):
+        if total <= _CACHE_BYTES:
+            break
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(name)
+        total -= size
+
+
+def load_vector(path, load=None):
+    """Load a one-column (or one-row) CSV as a vector, read with ``load``
+    (load_matrix when None, or load_matrix_cached)."""
+    arr, header = (load or load_matrix)(path)
     if arr.ndim == 2 and 1 in arr.shape:
         return arr.ravel(), header
     raise ParseError(f"expected a vector, got shape {arr.shape}", path=path)

@@ -780,6 +780,16 @@ class TestCommands:
     def test_missing_command_usage(self):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("out", ["afile", "afile/below"])
+    def test_out_blocked_by_a_file_is_usage_error(self, tmp_path, capsys, out):
+        ll = tmp_path / "ll.csv"
+        make_loglik_csv(ll)
+        write(tmp_path / "afile", "not a directory\n")
+        assert main(["zmat", str(ll), "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wkernel: cannot make the output directory ")
+        assert len(err.splitlines()) == 1
+
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         ll = tmp_path / "ll.csv"
         make_loglik_csv(ll)
