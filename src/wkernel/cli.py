@@ -1,8 +1,8 @@
 """Command-line driver.
 
 Commands: eigen, freqcov, boot, rep, diag, zmat, demo.  Inputs are CSV
-matrices; outputs are CSV files (plus a scree SVG) in the output
-directory.  Every option is declared once, in ``_OPTIONS``, with its range,
+matrices, each parsed once per distinct content (``matio.load_matrix_cached``);
+outputs are CSV files (plus a scree SVG) in the output directory.  Every option is declared once, in ``_OPTIONS``, with its range,
 and every command once, in ``_COMMANDS``, with its handler and the rules
 on which of its options go together; a flat ``key = value`` config file
 can supply any option under its name, with the same checks as the flag.

@@ -173,7 +173,7 @@ def load_matrix_cached(path):
         return load_matrix(path)
     try:
         found = _read_entry(entry)
-    except (OSError, ValueError, EOFError):
+    except (OSError, ValueError):  # UnicodeDecodeError of a header too
         found = None
     if found is not None:
         with contextlib.suppress(OSError):  # a read-only cache still serves

@@ -1,6 +1,7 @@
 """The input cache: load_matrix_cached returns what load_matrix returns,
 parses each distinct file content once, and never fails a command."""
 
+import io
 import os
 import subprocess
 import sys
@@ -152,8 +153,6 @@ class TestMiss:
 
 def _records(*arrays):
     """The bytes of .npy records, one after another."""
-    import io
-
     buf = io.BytesIO()
     for arr in arrays:
         np.save(buf, arr)
