@@ -384,9 +384,9 @@ def _load_logprior(path):
     if not path:
         return None
     from .core import LogPriorVector
-    from .matio import load_matrix_cached, load_vector
+    from .matio import load_vector
 
-    vec, _ = load_vector(path, load_matrix_cached)
+    vec, _ = load_vector(path)
     return LogPriorVector(values=vec)
 
 

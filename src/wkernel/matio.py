@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import os
 import stat
 
@@ -251,6 +252,9 @@ def _read_record(fh, dtype) -> np.ndarray:
     shape, fortran_order, found = np.lib.format.read_array_header_1_0(fh)
     if fortran_order or found != dtype:
         raise ValueError(f"record of {found}, not {np.dtype(dtype)}")
+    # a garbage shape must not allocate more than the entry could hold
+    if math.prod(shape) * found.itemsize > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError("record larger than its entry")
     arr = np.empty(shape, dtype=dtype)
     if fh.readinto(arr) != arr.nbytes:
         raise ValueError("truncated record")
@@ -271,7 +275,7 @@ def _write_entry(entry, arr, header) -> None:
             np.save(fh, np.frombuffer(text, dtype=np.uint8))
             np.save(fh, arr)
         os.replace(tmp, entry)
-    except OSError:
+    except BaseException:  # an interrupt too: no stray file outlives the run
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
@@ -290,10 +294,10 @@ def _write_entry(entry, arr, header) -> None:
         total -= size
 
 
-def load_vector(path, load=None):
-    """Load a one-column (or one-row) CSV as a vector, read with ``load``
-    (load_matrix when None, or load_matrix_cached)."""
-    arr, header = (load or load_matrix)(path)
+def load_vector(path):
+    """Load a one-column (or one-row) CSV as a vector, through the input
+    cache (load_matrix_cached)."""
+    arr, header = load_matrix_cached(path)
     if arr.ndim == 2 and 1 in arr.shape:
         return arr.ravel(), header
     raise ParseError(f"expected a vector, got shape {arr.shape}", path=path)

@@ -83,11 +83,11 @@ class TestHit:
     def test_vector_hit_equals_a_fresh_parse(self, tmp_path, text):
         path = tmp_path / "v.csv"
         write(path, text)
-        want = matio.load_vector(path)
-        matio.load_vector(path, matio.load_matrix_cached)
+        want, want_header = matio.load_matrix(path)
+        matio.load_vector(path)
         with mock.patch("numpy.loadtxt", side_effect=AssertionError("parsed")):
-            vec, header = matio.load_vector(path, matio.load_matrix_cached)
-        assert vec.tobytes() == want[0].tobytes() and header == want[1]
+            vec, header = matio.load_vector(path)
+        assert vec.tobytes() == want.ravel().tobytes() and header == want_header
 
     def test_one_changed_byte_is_a_miss(self, tmp_path, cache_home):
         path = tmp_path / "m.csv"
@@ -150,6 +150,14 @@ class TestMiss:
             matio.load_matrix_cached(path)
         assert entries(cache_home) == []
 
+    def test_interrupted_write_leaves_no_temporary_file(self, tmp_path, cache_home,
+                                                        monkeypatch):
+        write(tmp_path / "m.csv", TEXTS["header"])
+        monkeypatch.setattr(os, "replace", mock.Mock(side_effect=KeyboardInterrupt))
+        with pytest.raises(KeyboardInterrupt):
+            matio.load_matrix_cached(tmp_path / "m.csv")
+        assert entries(cache_home) == []
+
 
 def _records(*arrays):
     """The bytes of .npy records, one after another."""
@@ -160,6 +168,17 @@ def _records(*arrays):
 
 
 HEADER = np.frombuffer(b"obs_0,obs_1,obs_2,obs_3,obs_4,obs_5", dtype=np.uint8)
+
+
+def _huge_record():
+    """A valid .npy header that claims a 10^6 x 10^6 matrix, and no data."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": (10**6, 10**6)}
+    )
+    return buf.getvalue()
+
+
 BAD_ENTRIES = {
     "empty": lambda good: b"",
     "truncated": lambda good: good[: len(good) - 9],
@@ -174,6 +193,7 @@ BAD_ENTRIES = {
     "non_finite": lambda good: _records(HEADER, np.full((40, 6), np.inf)),
     "bad_utf8": lambda good: _records(np.frombuffer(b"\xff", np.uint8), np.zeros((40, 1))),
     "pickle": lambda good: _records(np.array([None], dtype=object), np.zeros((40, 6))),
+    "huge_shape": lambda good: _records(HEADER) + _huge_record(),
 }
 
 
