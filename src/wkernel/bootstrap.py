@@ -157,7 +157,6 @@ class BootstrapRun:
 
     estimates: np.ndarray
     method: str
-    rank_used: int | None = None
     draws_used: int | None = None
 
     def __post_init__(self):
@@ -242,7 +241,7 @@ def _check_resamples(stats, loglik, resamples: Resamples) -> None:
         )
 
 
-def _expansion(stats, resamples, method, grid, basis=None, second=None, rank=None):
+def _expansion(stats, resamples, method, grid, basis=None, second=None):
     """The run of replicate estimates mean + h' grid^T (+ second(h)) over the
     blocks of perturbations h = counts - 1, with h' = h mapped onto
     ``basis`` if given, else h."""
@@ -253,12 +252,7 @@ def _expansion(stats, resamples, method, grid, basis=None, second=None, rank=Non
         estimates[rows] = mean[None, :] + (h if basis is None else h @ basis) @ grid.T
         if second is not None:
             estimates[rows] += second(h)
-    return BootstrapRun(
-        estimates=_frozen(estimates),
-        method=method,
-        rank_used=rank,
-        draws_used=stats.n_draws,
-    )
+    return BootstrapRun(estimates=_frozen(estimates), method=method, draws_used=stats.n_draws)
 
 
 def boot_first(
@@ -279,7 +273,7 @@ def boot_first(
     if basis is None:
         return _expansion(stats, resamples, "first", grid)
     v = _vectors(basis, loglik.n_obs)
-    return _expansion(stats, resamples, "first", grid @ v, v, rank=basis.rank_retained)
+    return _expansion(stats, resamples, "first", grid @ v, v)
 
 
 def _second_term_direct(stats, fc, basis=None):
@@ -337,17 +331,17 @@ def boot_second(
         raise InvalidInput(f"mode must be direct/efficient, got {mode!r}")
     _check_resamples(stats, loglik, resamples)
     c = centered(loglik)
-    method, rank = f"second_{mode}", None
+    method = f"second_{mode}"
     if basis is not None:
         v = _vectors(basis, c.n_obs)
         second = _second_term_direct(stats, c.values @ v, v)
-        method, rank = "second_projected", basis.rank_retained
+        method = "second_projected"
     elif mode == "direct":
         second = _second_term_direct(stats, c.values)
     else:
         second = _second_term_efficient(stats, c.values)
     grid = sensitivity_first(stats, c)
-    return _expansion(stats, resamples, method, grid, second=second, rank=rank)
+    return _expansion(stats, resamples, method, grid, second=second)
 
 
 def boot_importance(stats: StatMatrix, loglik: LogLikMatrix, resamples: Resamples):

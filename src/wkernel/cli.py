@@ -203,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _convert(key: str, text: str, kind):
     """A config-file value as ``kind`` (a type or a tuple of allowed values)."""
-    from .errors import UsageError
+    from .errors import InvalidInput
 
     if isinstance(kind, tuple):
         if text in kind:
@@ -220,7 +220,7 @@ def _convert(key: str, text: str, kind):
             return kind(text)
         except ValueError:
             expected = kind.__name__
-    raise UsageError(f"config key {key}: expected {expected}, got {text!r}")
+    raise InvalidInput(f"config key {key}: expected {expected}, got {text!r}")
 
 
 def _resolve_options(command: str, args, file_cfg: dict) -> dict:
@@ -255,16 +255,17 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
 
-    threads = args.threads
+    threads, source = args.threads, "--threads"
     if threads is None and os.environ.get(ENV_THREADS):
+        threads, source = os.environ[ENV_THREADS], ENV_THREADS
         try:
-            threads = int(os.environ[ENV_THREADS])
+            threads = int(threads)
         except ValueError:
-            print(f"wkernel: bad {ENV_THREADS} value", file=sys.stderr)
+            print(f"wkernel: {source} must be an integer, got {threads!r}", file=sys.stderr)
             return 2
     if threads is not None:
         if threads < 1:
-            print("wkernel: --threads must be >= 1", file=sys.stderr)
+            print(f"wkernel: {source} must be at least 1, got {threads}", file=sys.stderr)
             return 2
         # must happen before numpy is imported anywhere in this process; an
         # explicit count beats thread variables inherited from the environment
@@ -277,7 +278,6 @@ def main(argv=None) -> int:
         NumericalFailure,
         ParseError,
         SingularInformation,
-        UsageError,
         WkernelError,
     )
 
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"wkernel: parse error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, InvalidInput) as exc:
+    except InvalidInput as exc:
         print(f"wkernel: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
@@ -316,9 +316,9 @@ def run_command(config: RunConfig) -> None:
     try:
         os.makedirs(config.outdir, exist_ok=True)
     except OSError as exc:  # a file in the way, or no permission
-        from .errors import UsageError
+        from .errors import InvalidInput
 
-        raise UsageError(
+        raise InvalidInput(
             f"cannot make the output directory {config.outdir}: {exc.strerror}"
         ) from None
     globals()[_COMMANDS[config.command][3]](config, config.outdir)
@@ -329,7 +329,7 @@ def _check_options(command: str, opts: dict) -> None:
     output directory made: a value outside its option's range, or a broken
     rule of the command.  The rules that need the data (--rank, --max-rank
     above n) come later."""
-    from .errors import UsageError
+    from .errors import InvalidInput
 
     def holds(name, values):  # an empty path is unset, as for the loaders
         return opts[name] not in (None, "") if values is None else opts[name] in values
@@ -340,11 +340,11 @@ def _check_options(command: str, opts: dict) -> None:
     for name, value in opts.items():
         valid = _OPTIONS[name][3]
         if valid and value is not None and not valid[0](value):
-            raise UsageError(f"{_flag(name)} must be {valid[1]}, got {value}")
+            raise InvalidInput(f"{_flag(name)} must be {valid[1]}, got {value}")
     for name, values, verb, other, allowed in _COMMANDS[command][4]:
         if holds(name, values) and not holds(other, allowed):
             actual = f", not {opts[other]}" if allowed else ""
-            raise UsageError(
+            raise InvalidInput(
                 f"{words(name, values)} {verb} {words(other, allowed)}{actual}"
             )
 
@@ -394,13 +394,13 @@ def _projection(loglik, rank):
     """The basis of the leading ``rank`` directions of the raw W, or of all
     retained ones when rank is None; a rank outside 1 to the retained
     rank is a usage error."""
-    from .errors import RankOutOfRange, UsageError
+    from .errors import InvalidInput, RankOutOfRange
     from .spectral import principal_basis
 
     try:
         return principal_basis(loglik, rank)
     except RankOutOfRange as exc:
-        raise UsageError(
+        raise InvalidInput(
             f"--rank {rank} is outside 1 to the retained rank {exc.retained}"
         ) from None
 
@@ -489,13 +489,13 @@ def _cmd_freqcov(config: RunConfig, outdir: str) -> None:
     logprior = _load_logprior(opts["logprior"])
     basis = _projection(loglik, opts["rank"]) if estimator == "projected" else None
 
-    est = freq_cov(stats, loglik, estimator=estimator, logprior=logprior, basis=basis)
-    save_matrix(os.path.join(outdir, "sigma.csv"), est.values, header=list(stats.names))
+    sigma = freq_cov(stats, loglik, estimator=estimator, logprior=logprior, basis=basis)
+    save_matrix(os.path.join(outdir, "sigma.csv"), sigma, header=list(stats.names))
     save_keyvalue(
         os.path.join(outdir, "freqcov_meta.csv"),
         [
-            ("estimator", est.estimator),
-            ("rank_used", str(est.rank_used)),
+            ("estimator", estimator),
+            ("rank_used", "full" if basis is None else basis.rank_retained),
             ("n_obs", loglik.n_obs),
             ("n_draws", loglik.n_draws),
             ("n_stats", stats.n_stats),
@@ -591,13 +591,12 @@ def _cmd_diag(config: RunConfig, outdir: str) -> None:
         info = build_info_matrices(ScoreMatrix(values=s_arr, hessian_sum=h_arr))
 
     report = penalties(loglik, logprior=logprior, info=info)
-    pairs = [(name, value) for name, value in vars(report).items() if value is not None]
-    save_keyvalue(os.path.join(outdir, "penalties.csv"), pairs)
+    save_keyvalue(os.path.join(outdir, "penalties.csv"), report.items())
 
-    diag = centering_diagnostic(stats, loglik, logprior=logprior)
+    values, scale = centering_diagnostic(stats, loglik, logprior=logprior)
     save_matrix(
         os.path.join(outdir, "centering.csv"),
-        np.column_stack([diag.values, diag.scale]),
+        np.column_stack([values, scale]),
         header=["statistic", "value", "scale"],
         row_names=stats.names,
     )
@@ -672,7 +671,7 @@ def _cmd_demo(config: RunConfig, outdir: str) -> None:
     _save_spectrum(outdir, basis.eigenvalues, False)
 
     sigma = freq_cov(stats, loglik, estimator="centered")
-    save_matrix(os.path.join(outdir, "sigma.csv"), sigma.values, header=list(stats.names))
+    save_matrix(os.path.join(outdir, "sigma.csv"), sigma, header=list(stats.names))
 
     resamples = draw_resamples(bundle.n_obs, 200, seed)
     run = boot_first(stats, loglik, resamples)
@@ -688,8 +687,8 @@ def _cmd_demo(config: RunConfig, outdir: str) -> None:
         ("n_obs", bundle.n_obs),
         ("n_draws", bundle.n_draws),
         ("trace_w", loglik.trace),
-        ("waic_penalty", pen.waic_penalty),
-        ("pcic_penalty", pen.pcic_penalty),
+        ("waic_penalty", pen["waic_penalty"]),
+        ("pcic_penalty", pen["pcic_penalty"]),
     ]
     if bundle.acceptance_rate is not None:
         pairs.append(("acceptance_rate", bundle.acceptance_rate))

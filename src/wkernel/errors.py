@@ -6,7 +6,8 @@ class WkernelError(Exception):
 
 
 class InvalidInput(WkernelError, ValueError):
-    """Malformed or inconsistent input (shape mismatch, NaN, bad range)."""
+    """Malformed or inconsistent input (shape mismatch, NaN, bad range), or
+    bad command-line usage (a bad option value or combination)."""
 
 
 class RankOutOfRange(InvalidInput):
@@ -52,10 +53,6 @@ class ParseError(WkernelError):
         self.path = path
         self.row = row
         self.col = col
-
-
-class UsageError(WkernelError):
-    """Bad command-line usage (unknown command, missing argument)."""
 
 
 class ConvergenceWarning(UserWarning):

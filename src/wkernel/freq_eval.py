@@ -20,8 +20,6 @@ perturbation, and a diagnostic for when the centering matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -29,7 +27,6 @@ from .core import (
     LogPriorVector,
     StatMatrix,
     _check_draws,
-    _freeze,
     _frozen,
     posterior_cov_grid,
     third_cumulant_grid,
@@ -39,47 +36,6 @@ from .kernels import InfoMatrices, WMatrix, centered
 from .spectral import SpectralBasis, _as_eta, _vectors
 
 _ESTIMATORS = ("plain", "centered", "prior_adjusted", "projected")
-
-
-@dataclass(frozen=True)
-class FreqCovEstimate:
-    """p x p frequentist covariance estimate for the posterior means."""
-
-    values: np.ndarray
-    estimator: str
-    rank_used: int | str = "full"
-
-    def __post_init__(self):
-        _freeze(self, "values")
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise InvalidInput("covariance estimate must be square")
-        if self.estimator not in _ESTIMATORS:
-            raise InvalidInput(f"unknown estimator {self.estimator!r}")
-
-
-@dataclass(frozen=True)
-class PenaltyReport:
-    """Effective-parameter penalties; fields are None when inputs were absent."""
-
-    waic_penalty: float
-    tic_penalty: float | None = None
-    pcic_penalty: float | None = None
-
-
-@dataclass(frozen=True)
-class CenteringDiagnostic:
-    """Covariance of each statistic with the total log-likelihood.
-
-    ``values[j]`` is Cov[A_j, sum_i l_i (+ log prior when supplied)]: the
-    quantity whose smallness justifies skipping the centering.  ``scale``
-    is sum_i |Cov[A_j, l_i]|, the natural comparison magnitude.
-    """
-
-    values: np.ndarray
-    scale: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, "values", "scale")
 
 
 def sensitivity_first(stats: StatMatrix, loglik: LogLikMatrix) -> np.ndarray:
@@ -117,8 +73,9 @@ def freq_cov(
     estimator: str = "plain",
     logprior: LogPriorVector | None = None,
     basis: SpectralBasis | None = None,
-) -> FreqCovEstimate:
-    """Frequentist covariance of the posterior means, one of four forms.
+) -> np.ndarray:
+    """Frequentist covariance of the posterior means, one of four forms:
+    the read-only p x p estimate.
 
     All four are Gram sums of per-observation (or per-direction)
     sensitivity vectors and therefore symmetric PSD by construction.
@@ -128,13 +85,11 @@ def freq_cov(
         raise InvalidInput(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
     _check_draws(stats, loglik)
 
-    rank_used = "full"
     if estimator == "projected":
         if basis is None:
             raise InvalidInput("projected estimator requires a basis")
         v = _vectors(basis, loglik.n_obs)
         grid = sensitivity_first(stats, loglik) @ v
-        rank_used = basis.rank_retained
     elif estimator == "prior_adjusted":
         if logprior is None:
             raise InvalidInput("prior_adjusted estimator requires a log-prior")
@@ -147,38 +102,33 @@ def freq_cov(
             grid = grid - grid.mean(axis=1, keepdims=True)
 
     # the Gram product of one contiguous array is exactly symmetric
-    return FreqCovEstimate(
-        values=_frozen(grid @ grid.T), estimator=estimator, rank_used=rank_used
-    )
+    return _frozen(grid @ grid.T)
 
 
 def penalties(
     loglik: LogLikMatrix,
     logprior: LogPriorVector | None = None,
     info: InfoMatrices | None = None,
-) -> PenaltyReport:
-    """Effective-parameter penalties from the same covariance objects.
+) -> dict:
+    """Effective-parameter penalties from the same covariance objects, by
+    name, in the order waic, tic, pcic.
 
-    The variance penalty (trace of W) is always available; the
-    information-matrix penalty tr(I J^{-1}) needs score information and
-    the prior-corrected penalty needs the log prior at the draws.
-    Missing inputs leave the corresponding field as None.
+    The variance penalty ``waic_penalty`` (trace of W) is always there;
+    the information-matrix penalty ``tic_penalty`` = tr(I J^{-1}) only
+    with score information and the prior-corrected ``pcic_penalty`` only
+    with the log prior at the draws.
     """
     c = centered(loglik)
     waic = c.trace
-
-    tic = None
+    report = {"waic_penalty": waic}
     if info is not None:
-        tic = float(np.trace(np.linalg.solve(info.J_hat, info.I_hat)))
-
-    pcic = None
+        report["tic_penalty"] = float(np.trace(np.linalg.solve(info.J_hat, info.I_hat)))
     if logprior is not None:
         _check_draws(logprior, c, "log-prior values")
         prior_c = logprior.values - logprior.values.mean()
         # cov of each column with itself plus (1/n) log prior, summed over i
-        pcic = waic + float(np.sum(prior_c @ c.values)) / (c.n_draws * c.n_obs)
-
-    return PenaltyReport(waic_penalty=waic, tic_penalty=tic, pcic_penalty=pcic)
+        report["pcic_penalty"] = waic + float(np.sum(prior_c @ c.values)) / (c.n_draws * c.n_obs)
+    return report
 
 
 def kl_quadratic(w_matrix: WMatrix, eta) -> float:
@@ -196,12 +146,14 @@ def centering_diagnostic(
     stats: StatMatrix,
     loglik: LogLikMatrix,
     logprior: LogPriorVector | None = None,
-) -> CenteringDiagnostic:
+) -> tuple[np.ndarray, np.ndarray]:
     """How far each statistic is from the zero-sum sensitivity relation.
 
-    Reports Cov[A_j, sum_i l_i], with the log prior added to the sum
-    when given (the prior-adjusted relation is centered at the MAP
-    rather than the MLE).  Values small against ``scale`` mean the plain
+    Returns two read-only p-vectors ``(values, scale)``: ``values[j]`` is
+    Cov[A_j, sum_i l_i], with the log prior added to the sum when given
+    (the prior-adjusted relation is centered at the MAP rather than the
+    MLE), and ``scale[j]`` is sum_i |Cov[A_j, l_i]|, the natural
+    comparison magnitude.  Values small against ``scale`` mean the plain
     and centered covariance estimators agree.
     """
     grid = sensitivity_first(stats, loglik)
@@ -209,4 +161,4 @@ def centering_diagnostic(
     total = grid.sum(axis=1)
     if logprior is not None:
         total += _prior_cov(stats, loglik, logprior)
-    return CenteringDiagnostic(values=_frozen(total), scale=_frozen(scale))
+    return _frozen(total), _frozen(scale)

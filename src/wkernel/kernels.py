@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogLikMatrix, _check_loglik, _freeze, _frozen, posterior_cov
+from .core import LogLikMatrix, _check_loglik, _freeze, _frozen, _require_finite, posterior_cov
 from .errors import InvalidInput, NumericalFailure, RankOutOfRange, SingularInformation
 
 _W_KINDS = ("raw", "double_centered")
@@ -295,36 +295,6 @@ class InfoMatrices:
         return self.J_hat.shape[0]
 
 
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    """k x M whitened draw deviations sqrt(n/M) J^{1/2} (draws - theta_hat)^T.
-
-    Asymptotically this is an orthogonal embedding of parameter space
-    into draw space: its k x k Gram matrix approaches the identity, and
-    it conjugates the sandwich matrix into (n/M) Z.
-    """
-
-    values: np.ndarray
-    n_obs: int
-
-    def __post_init__(self):
-        _freeze(self, "values", ndim=2, what="embedding matrix")
-
-    @property
-    def n_params(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_draws(self) -> int:
-        return self.values.shape[1]
-
-    def orthogonality_gap(self) -> float:
-        """Frobenius norm of (Gram matrix - identity)."""
-        k = self.n_params
-        gram = self.values @ self.values.T
-        return float(np.linalg.norm(gram - np.eye(k)))
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -556,12 +526,15 @@ def mf_feature_matrix(scores: ScoreMatrix, info: InfoMatrices) -> np.ndarray:
     return scores.values @ j_inv_sqrt
 
 
-def build_embedding(draws, theta_hat, j_hat, n: int) -> EmbeddingMatrix:
+def build_embedding(draws, theta_hat, j_hat, n: int) -> np.ndarray:
     """Whitened embedding of posterior draws around the point estimate.
 
     draws is M x k; the result is sqrt(n/M) J^{1/2} (draws - theta_hat)^T,
-    a k x M matrix whose Gram matrix approaches the identity when the
-    draws come from a well-behaved posterior with weak prior.
+    a read-only k x M matrix whose Gram matrix approaches the identity when
+    the draws come from a well-behaved posterior with weak prior.
+    Asymptotically it embeds parameter space orthogonally into draw space
+    and conjugates the sandwich matrix into (n/M) Z.  Non-finite draws, or
+    a product that overflows, are refused.
     """
     draws = np.asarray(draws, dtype=float)
     if draws.ndim == 1:
@@ -576,39 +549,32 @@ def build_embedding(draws, theta_hat, j_hat, n: int) -> EmbeddingMatrix:
     if j_hat.shape != (k, k):
         raise InvalidInput(f"J_hat shape {j_hat.shape} does not match k={k}")
     root = sym_sqrt(j_hat, "J_hat")
-    emb = np.sqrt(n / m) * (root @ (draws - theta_hat).T)
-    return EmbeddingMatrix(values=emb, n_obs=n)
-
-
-@dataclass(frozen=True)
-class EmbeddingReport:
-    """Diagnostics for the whitened-draw embedding."""
-
-    orthogonality_gap: float
-    duality_gap: float | None = None
+    with np.errstate(invalid="ignore", over="ignore"):  # refused just below
+        emb = np.sqrt(n / m) * (root @ (draws - theta_hat).T)
+    _require_finite(emb, "embedding matrix")
+    return _frozen(emb)
 
 
 def embedding_report(
-    emb: EmbeddingMatrix, z: ZMatrix | None = None, sandwich=None
-) -> EmbeddingReport:
-    """Check how close the embedding is to an exact orthogonal embedding.
+    emb: np.ndarray, n: int, z: ZMatrix | None = None, sandwich=None
+) -> tuple[float, float | None]:
+    """Check how close the k x M embedding of ``n`` observations is to an
+    exact orthogonal embedding.
 
-    Reports the Frobenius gap between the k x k Gram matrix and the
+    Returns the Frobenius gap between the k x k Gram matrix and the
     identity and, when Z and the sandwich matrix are supplied, the
     Frobenius gap between (n/M) Z and the sandwich conjugated by the
-    embedding.  The second check materializes an M x M matrix; keep M
-    moderate.
+    embedding (None otherwise).  The second check materializes an M x M
+    matrix; keep M moderate.
     """
+    k, m = emb.shape
     duality = None
     if z is not None:
         if sandwich is None:
             raise InvalidInput("duality gap needs both z and sandwich")
-        if z.M != emb.n_draws:
-            raise InvalidInput(f"Z has {z.M} draws, embedding has {emb.n_draws}")
+        if z.M != m:
+            raise InvalidInput(f"Z has {z.M} draws, embedding has {m}")
         sandwich = np.atleast_2d(np.asarray(sandwich, dtype=float))
-        scaled_z = (emb.n_obs / emb.n_draws) * z.values
-        conj = emb.values.T @ sandwich @ emb.values
-        duality = float(np.linalg.norm(scaled_z - conj))
-    return EmbeddingReport(
-        orthogonality_gap=emb.orthogonality_gap(), duality_gap=duality
-    )
+        conj = emb.T @ sandwich @ emb
+        duality = float(np.linalg.norm((n / m) * z.values - conj))
+    return float(np.linalg.norm(emb @ emb.T - np.eye(k))), duality

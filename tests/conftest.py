@@ -1,5 +1,5 @@
-"""Shared model fixtures, session-scoped because MCMC runs cost seconds,
-and each test's own input cache."""
+"""Shared model fixtures, session-scoped because MCMC runs cost seconds.
+Each test's own input cache is the repository root's ``conftest.py``."""
 
 import pytest
 
@@ -13,17 +13,6 @@ from wkernel.models import (
 
 WEIBULL_SEED = 7
 REGRESSION_SEED = 3
-
-
-@pytest.fixture(autouse=True)
-def cache_home(tmp_path_factory, monkeypatch):
-    """An empty XDG_CACHE_HOME of this test alone, so that no test reads or
-    writes the user's ~/.cache or sees another test's cache entries; child
-    processes inherit it.  It is not under tmp_path, whose listing tests
-    compare."""
-    home = tmp_path_factory.mktemp("cache_home")
-    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
-    return home
 
 
 @pytest.fixture(scope="session")

@@ -34,6 +34,7 @@ from wkernel.kernels import (
     build_info_matrices,
     build_w,
     build_z,
+    embedding_report,
 )
 from wkernel.matio import save_matrix
 from wkernel.models import (
@@ -153,8 +154,8 @@ def test_criterion_04_projection_completeness(weibull_bundle):
         return float(np.max(np.abs(a - b) / (np.abs(b) + 1e-300)))
 
     gap_cov = rel_gap(
-        freq_cov(stats, ll, estimator="projected", basis=basis).values,
-        freq_cov(stats, ll).values,
+        freq_cov(stats, ll, estimator="projected", basis=basis),
+        freq_cov(stats, ll),
     )
     gap_first = rel_gap(
         boot_first(stats, ll, resamples, basis=basis).estimates,
@@ -241,7 +242,8 @@ def test_criterion_08_penalty_equivalence():
         bundle = run_model(NormalMeanConfig(n=200, m_draws=20000, seed=seed))
         info = build_info_matrices(bundle.scores)
         rep = penalties(bundle.loglik, info=info)
-        worst = max(worst, abs(rep.waic_penalty - rep.tic_penalty) / rep.tic_penalty)
+        tic = rep["tic_penalty"]
+        worst = max(worst, abs(rep["waic_penalty"] - tic) / tic)
     ok = worst < 0.15
     report(8, ok, f"worst |trace W - trace(I J^-1)| rel diff {worst:.3f} (<0.15), 5 seeds")
 
@@ -318,8 +320,8 @@ def _replicate_study(n_rep, base_seed, **config_kw):
         b = b_pr + cfg.n * cfg.N - x.sum()
         exact_means.append(a / (a + b))
         stats = bundle.default_stats()
-        sig_star.append(freq_cov(stats, bundle.loglik, "centered").values[0, 0])
-        sig_plain.append(freq_cov(stats, bundle.loglik, "plain").values[0, 0])
+        sig_star.append(freq_cov(stats, bundle.loglik, "centered")[0, 0])
+        sig_plain.append(freq_cov(stats, bundle.loglik, "plain")[0, 0])
         post_var.append(bundle.draws.var())
     return (
         float(np.var(exact_means)),
@@ -369,10 +371,10 @@ def test_criterion_11_strong_prior_ordering():
         )
         bundle = run_model(cfg)
         stats = bundle.default_stats()
-        plain = freq_cov(stats, bundle.loglik).values[0, 0]
+        plain = freq_cov(stats, bundle.loglik)[0, 0]
         adj = freq_cov(
             stats, bundle.loglik, estimator="prior_adjusted", logprior=bundle.logprior
-        ).values[0, 0]
+        )[0, 0]
         diffs.append(abs(adj - plain))
     slope = float(np.polyfit(np.log(lams), np.log(diffs), 1)[0])
     ok = err_star <= err_plain and 1.6 <= slope <= 2.4
@@ -503,7 +505,7 @@ def test_criterion_14_embedding_diagnostic():
         emb = build_embedding(
             bundle.draws, bundle.theta_hat, bundle.scores.hessian_sum, n=200
         )
-        worst_gap = max(worst_gap, emb.orthogonality_gap())
+        worst_gap = max(worst_gap, embedding_report(emb, 200)[0])
         # (n/M) lambda_1(Z) equals lambda_1 of (1/n-scaled) centered W exactly,
         # so the 10000 x 10000 dual matrix is never materialized
         wc = build_w(bundle.loglik, kind="double_centered")

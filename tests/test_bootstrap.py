@@ -258,7 +258,7 @@ class TestBootFirst:
         sample_cov = reps.T @ reps / len(reps) - np.outer(
             reps.mean(axis=0), reps.mean(axis=0)
         )
-        sigma = freq_cov(stats, ll).values
+        sigma = freq_cov(stats, ll)
         np.testing.assert_allclose(sample_cov, sigma, rtol=0.1, atol=1e-4)
 
     def test_projected_full_rank_matches(self):
@@ -270,7 +270,7 @@ class TestBootFirst:
         np.testing.assert_allclose(
             projected.estimates, plain.estimates, rtol=1e-9, atol=1e-12
         )
-        assert projected.rank_used == basis.rank_retained
+        assert projected.method == plain.method == "first"
 
 
 class TestBootSecond:
@@ -557,13 +557,13 @@ class TestProjectedDefinition:
             second = boot_second(stats, ll, resamples, basis=basis)
             quadratic = 0.5 * np.einsum("ra,pab,rb->rp", hv, k3, hv)
             for got, want in [
-                (cov.values, sv @ sv.T),
+                (cov, sv @ sv.T),
                 (first.estimates, mean + hv @ sv.T),
                 (second.estimates, mean + h @ s.T + quadratic),
             ]:
                 scale = np.max(np.abs(want))
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
-            assert cov.rank_used == first.rank_used == second.rank_used == r
+            assert second.method == "second_projected"
 
     def test_basis_over_other_observation_count_is_refused(self):
         stats, ll = random_case(53, n=6)

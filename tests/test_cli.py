@@ -1263,6 +1263,34 @@ def test_threads_flag_beats_inherited_thread_variables(tmp_path):
     assert _thread_variables(argv) == ["0"] + ["1"] * 5
 
 
+# (flag, WKERNEL_THREADS) -> the one stderr line of the refusal
+_BAD_THREADS = [
+    (["--threads", "0"], None, "wkernel: --threads must be at least 1, got 0"),
+    (["--threads", "-3"], None, "wkernel: --threads must be at least 1, got -3"),
+    ([], "0", "wkernel: WKERNEL_THREADS must be at least 1, got 0"),
+    ([], "-3", "wkernel: WKERNEL_THREADS must be at least 1, got -3"),
+    ([], "abc", "wkernel: WKERNEL_THREADS must be an integer, got 'abc'"),
+    ([], "1.5", "wkernel: WKERNEL_THREADS must be an integer, got '1.5'"),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, env, line", _BAD_THREADS, ids=[line.split(": ", 1)[1] for *_, line in _BAD_THREADS]
+)
+def test_bad_thread_count_names_its_source(tmp_path, capsys, monkeypatch, flag, env, line):
+    # refused before any thread variable is set, so in process is safe
+    if env is None:
+        monkeypatch.delenv(cli.ENV_THREADS, raising=False)
+    else:
+        monkeypatch.setenv(cli.ENV_THREADS, env)
+    ll = tmp_path / "ll.csv"
+    make_loglik_csv(ll)
+    out = tmp_path / "out"
+    assert main(["zmat", str(ll), "--out", str(out), *flag]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
+
+
 class TestCommonOptions:
     """--out, --threads and --config work before the command as after it."""
 

@@ -25,7 +25,6 @@ from wkernel.core import (
     third_cumulant_grid,
 )
 from wkernel.errors import InvalidInput
-from wkernel.kernels import EmbeddingMatrix
 
 
 def brute_cov(a, b):
@@ -81,7 +80,6 @@ class TestContainers:
 _HOLDERS = {
     "LogLikMatrix": lambda a: LogLikMatrix(a).values,
     "StatMatrix": lambda a: StatMatrix(a).values,
-    "EmbeddingMatrix": lambda a: EmbeddingMatrix(a, n_obs=3).values,
     "BootstrapRun": lambda a: BootstrapRun(a, method="first").estimates,
 }
 

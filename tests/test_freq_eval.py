@@ -174,13 +174,13 @@ class TestFreqCov:
             ("projected", {"basis": basis}),
         ]:
             out = freq_cov(stats, ll, estimator=est, **kw)
-            np.testing.assert_allclose(out.values, 0.0, atol=1e-15)
+            np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_normal_mean_analytic_value(self):
         x, stats, ll = normal_mean_case(100, 20000, seed=8)
         n = 100
         expect = np.sum((x - x.mean()) ** 2) / n**2
-        got = freq_cov(stats, ll).values[0, 0]
+        got = freq_cov(stats, ll)[0, 0]
         assert got == pytest.approx(expect, rel=0.15)
 
     def test_projected_full_rank_equals_plain(self):
@@ -188,8 +188,8 @@ class TestFreqCov:
         ll = LogLikMatrix(rng.standard_normal((30, 6)))
         stats = StatMatrix(rng.standard_normal((30, 2)))
         basis = full_eigen(build_w(ll))
-        full = freq_cov(stats, ll, estimator="projected", basis=basis).values
-        plain = freq_cov(stats, ll).values
+        full = freq_cov(stats, ll, estimator="projected", basis=basis)
+        plain = freq_cov(stats, ll)
         np.testing.assert_allclose(full, plain, rtol=1e-10, atol=1e-14)
 
     def test_projection_error_bounded_by_tail(self):
@@ -208,7 +208,7 @@ class TestFreqCov:
                 bound = np.sum(delta * (2 * np.abs(grid) + delta)) + 1e-9
                 got = freq_cov(stats, ll, "projected", basis=leading(basis, a_m))
                 plain = freq_cov(stats, ll)
-                assert abs(got.values[0, 0] - plain.values[0, 0]) <= bound
+                assert abs(got[0, 0] - plain[0, 0]) <= bound
 
     def test_all_estimators_symmetric_psd(self):
         rng = np.random.default_rng(11)
@@ -222,7 +222,7 @@ class TestFreqCov:
             ("prior_adjusted", {"logprior": logprior}),
             ("projected", {"basis": basis}),
         ]:
-            out = freq_cov(stats, ll, estimator=est, **kw).values
+            out = freq_cov(stats, ll, estimator=est, **kw)
             np.testing.assert_allclose(out, out.T, atol=1e-14)
             assert np.linalg.eigvalsh(out)[0] >= -1e-12
 
@@ -247,7 +247,7 @@ class TestFreqCov:
             ("prior_adjusted", {"logprior": logprior}),
             ("projected", {"basis": basis}),
         ]:
-            evals = np.linalg.eigvalsh(freq_cov(stats, ll, estimator=est, **kw).values)
+            evals = np.linalg.eigvalsh(freq_cov(stats, ll, estimator=est, **kw))
             assert evals[0] >= -1e-12 * max(evals[-1], 0.0), est
 
     def test_centered_invariant_under_column_shift(self):
@@ -258,8 +258,8 @@ class TestFreqCov:
         stats = StatMatrix(rng.standard_normal((30, 2)))
         shift = rng.standard_normal(30) * 3.0
         shifted = LogLikMatrix(ll.values + shift[:, None])
-        a = freq_cov(stats, ll, estimator="centered").values
-        b = freq_cov(stats, shifted, estimator="centered").values
+        a = freq_cov(stats, ll, estimator="centered")
+        b = freq_cov(stats, shifted, estimator="centered")
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
     def test_constant_logprior_reduces_to_plain(self):
@@ -267,8 +267,8 @@ class TestFreqCov:
         ll = LogLikMatrix(rng.standard_normal((20, 4)))
         stats = StatMatrix(rng.standard_normal((20, 2)))
         logprior = LogPriorVector(np.full(20, -3.7))
-        adj = freq_cov(stats, ll, estimator="prior_adjusted", logprior=logprior).values
-        plain = freq_cov(stats, ll).values
+        adj = freq_cov(stats, ll, estimator="prior_adjusted", logprior=logprior)
+        plain = freq_cov(stats, ll)
         np.testing.assert_allclose(adj, plain, atol=1e-14)
 
     def test_prior_strength_squared_scaling(self):
@@ -290,13 +290,13 @@ class TestFreqCov:
             )
             bundle = run_model(cfg)
             stats = bundle.default_stats()
-            plain = freq_cov(stats, bundle.loglik).values[0, 0]
+            plain = freq_cov(stats, bundle.loglik)[0, 0]
             adj = freq_cov(
                 stats,
                 bundle.loglik,
                 estimator="prior_adjusted",
                 logprior=bundle.logprior,
-            ).values[0, 0]
+            )[0, 0]
             diffs.append(abs(adj - plain))
         slope = np.polyfit(np.log(lams), np.log(diffs), 1)[0]
         assert 1.6 <= slope <= 2.4
@@ -321,18 +321,36 @@ class TestFreqCov:
         with pytest.raises(InvalidInput, match="log-prior values have 8 draws, log-"):
             freq_cov(stats, ll, estimator="prior_adjusted", logprior=lp)
 
+    def test_estimate_is_a_read_only_square_array(self):
+        rng = np.random.default_rng(16)
+        ll = LogLikMatrix(rng.standard_normal((12, 4)))
+        stats = StatMatrix(rng.standard_normal((12, 3)))
+        lp = LogPriorVector(rng.standard_normal(12))
+        basis = full_eigen(build_w(ll))
+        for est, kw in [
+            ("plain", {}),
+            ("centered", {}),
+            ("prior_adjusted", {"logprior": lp}),
+            ("projected", {"basis": basis}),
+        ]:
+            sigma = freq_cov(stats, ll, estimator=est, **kw)
+            assert type(sigma) is np.ndarray and sigma.shape == (3, 3)
+            assert not sigma.flags.writeable
+            with pytest.raises(ValueError):
+                sigma[0, 0] = 1.0
+
 
 class TestPenalties:
     def test_constant_loglik_zero_variance_penalty(self):
         ll = LogLikMatrix(np.full((5, 3), -1.2))
-        assert penalties(ll).waic_penalty == 0.0
+        assert penalties(ll)["waic_penalty"] == 0.0
 
     def test_variance_penalty_equals_trace_w(self):
         rng = np.random.default_rng(15)
         ll = LogLikMatrix(rng.standard_normal((20, 6)))
         report = penalties(ll)
-        assert report.waic_penalty == pytest.approx(build_w(ll).trace, rel=1e-12)
-        assert report.tic_penalty is None and report.pcic_penalty is None
+        assert report["waic_penalty"] == pytest.approx(build_w(ll).trace, rel=1e-12)
+        assert list(report) == ["waic_penalty"]
 
     def test_variance_and_information_penalties_agree(self):
         x, stats, ll = normal_mean_case(500, 20000, seed=16)
@@ -342,8 +360,9 @@ class TestPenalties:
         )
         info = build_info_matrices(scores)
         report = penalties(ll, info=info)
-        assert report.tic_penalty is not None
-        assert abs(report.waic_penalty - report.tic_penalty) / report.tic_penalty < 0.15
+        assert list(report) == ["waic_penalty", "tic_penalty"]
+        tic = report["tic_penalty"]
+        assert abs(report["waic_penalty"] - tic) / tic < 0.15
 
     def test_penalties_are_the_two_temporary_sums(self):
         # exactly tr W read from C and one product with the centered log prior;
@@ -355,14 +374,14 @@ class TestPenalties:
             c = center_loglik(np.array(ll.values))
             prior_c = lp.values - lp.values.mean()
             report = penalties(ll, logprior=lp)
-            assert report.waic_penalty == c.trace
+            assert report["waic_penalty"] == c.trace
             exact = c.trace + float(np.sum(prior_c @ c.values)) / ll.values.size
-            assert report.pcic_penalty == exact
+            assert report["pcic_penalty"] == exact
             centered = ll.values - ll.values.mean(axis=0)
             waic = float(np.sum(centered * centered)) / ll.n_draws
             pcic = waic + float(np.sum(centered * prior_c[:, None])) / ll.values.size
-            assert report.waic_penalty == pytest.approx(waic, rel=1e-12)
-            assert report.pcic_penalty == pytest.approx(pcic, rel=1e-12)
+            assert report["waic_penalty"] == pytest.approx(waic, rel=1e-12)
+            assert report["pcic_penalty"] == pytest.approx(pcic, rel=1e-12)
 
     def test_one_loglik_size_buffer(self):
         rng = np.random.default_rng(19)
@@ -376,12 +395,25 @@ class TestPenalties:
             tracemalloc.stop()
         assert peak <= 1.2 * ll.values.nbytes
 
+    def test_keys_are_the_penalties_the_inputs_allow(self):
+        rng = np.random.default_rng(20)
+        ll = LogLikMatrix(rng.standard_normal((30, 4)))
+        lp = LogPriorVector(rng.standard_normal(30))
+        scores = ScoreMatrix(values=rng.standard_normal((4, 2)), hessian_sum=np.eye(2))
+        info = build_info_matrices(scores)
+        assert list(penalties(ll)) == ["waic_penalty"]
+        assert list(penalties(ll, info=info)) == ["waic_penalty", "tic_penalty"]
+        assert list(penalties(ll, logprior=lp)) == ["waic_penalty", "pcic_penalty"]
+        both = penalties(ll, logprior=lp, info=info)
+        assert list(both) == ["waic_penalty", "tic_penalty", "pcic_penalty"]
+        assert all(type(v) is float for v in both.values())
+
     def test_flat_prior_correction_equals_variance_penalty(self):
         rng = np.random.default_rng(17)
         ll = LogLikMatrix(rng.standard_normal((15, 4)))
         logprior = LogPriorVector(np.zeros(15))
         report = penalties(ll, logprior=logprior)
-        assert report.pcic_penalty == pytest.approx(report.waic_penalty, abs=1e-15)
+        assert report["pcic_penalty"] == pytest.approx(report["waic_penalty"], abs=1e-15)
 
 
 class TestKLQuadratic:
@@ -428,12 +460,27 @@ class TestKLQuadratic:
 
 
 class TestCenteringDiagnostic:
+    def test_values_and_scale_are_read_only_vectors(self):
+        rng = np.random.default_rng(21)
+        ll = LogLikMatrix(rng.standard_normal((10, 3)))
+        stats = StatMatrix(rng.standard_normal((10, 2)))
+        lp = LogPriorVector(rng.standard_normal(10))
+        for kw in ({}, {"logprior": lp}):
+            values, scale = centering_diagnostic(stats, ll, **kw)
+            for arr in (values, scale):
+                assert type(arr) is np.ndarray and arr.shape == (2,)
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+            grid = sensitivity_first(stats, ll)
+            np.testing.assert_array_equal(scale, np.sum(np.abs(grid), axis=1))
+
     def test_constant_statistic(self):
         rng = np.random.default_rng(22)
         ll = LogLikMatrix(rng.standard_normal((10, 3)))
         stats = StatMatrix(np.full((10, 1), 2.0))
-        diag = centering_diagnostic(stats, ll)
-        np.testing.assert_allclose(diag.values, 0.0, atol=1e-15)
+        values, _ = centering_diagnostic(stats, ll)
+        np.testing.assert_allclose(values, 0.0, atol=1e-15)
 
     def test_ratio_shrinks_with_sample_size(self):
         ratios = {}
@@ -441,8 +488,8 @@ class TestCenteringDiagnostic:
             per_seed = []
             for seed in range(10):
                 x, stats, ll = normal_mean_case(n, 8000, seed=300 + seed)
-                diag = centering_diagnostic(stats, ll)
-                per_seed.append(abs(diag.values[0]) / diag.scale[0])
+                values, scale = centering_diagnostic(stats, ll)
+                per_seed.append(abs(values[0]) / scale[0])
             ratios[n] = float(np.median(per_seed))
         assert ratios[200] < ratios[50]
 
@@ -450,6 +497,6 @@ class TestCenteringDiagnostic:
         cfg = BetaBinomialConfig(seed=23, rho=0.0, alpha=20.0, beta=1.0, m_draws=50000)
         bundle = run_model(cfg)
         stats = bundle.default_stats()
-        raw = centering_diagnostic(stats, bundle.loglik)
-        adj = centering_diagnostic(stats, bundle.loglik, logprior=bundle.logprior)
-        assert abs(adj.values[0]) < 0.1 * abs(raw.values[0])
+        raw, _ = centering_diagnostic(stats, bundle.loglik)
+        adj, _ = centering_diagnostic(stats, bundle.loglik, logprior=bundle.logprior)
+        assert abs(adj[0]) < 0.1 * abs(raw[0])

@@ -186,7 +186,7 @@ class TestCenteredLogLik:
         stats = StatMatrix(rng.standard_normal((40, 2)))
         raw, dc = center_loglik(np.array(ll.values)), centered(ll, "double_centered")
         for read, c in [
-            (lambda x: freq_cov(stats, x, estimator="centered").values, raw),
+            (lambda x: freq_cov(stats, x, estimator="centered"), raw),
             (lambda x: build_w(x).values, raw),
             (lambda x: build_w(x, "double_centered").values, dc),
             (lambda x: z_spectrum(x)[0], dc),
@@ -325,7 +325,7 @@ class TestGramProductsAreExactlySymmetric:
         assert _exactly_symmetric(build_z(ll).values)
         stats = StatMatrix(arr[:, : min(n, 3)].copy(order="F" if fortran else "C"))
         for estimator in ("plain", "centered"):
-            assert _exactly_symmetric(freq_cov(stats, ll, estimator=estimator).values)
+            assert _exactly_symmetric(freq_cov(stats, ll, estimator=estimator))
         k = min(n, 4)
         scores = ScoreMatrix(values=arr[:, :k].copy(order="K"), hessian_sum=np.eye(k))
         assert _exactly_symmetric(build_info_matrices(scores).I_hat)
@@ -477,12 +477,14 @@ class TestEmbedding:
     def test_draws_at_estimate_give_zero(self):
         draws = np.full((20, 2), 1.5)
         emb = build_embedding(draws, np.array([1.5, 1.5]), np.eye(2), n=10)
-        np.testing.assert_allclose(emb.values, 0.0)
+        np.testing.assert_allclose(emb, 0.0)
+        assert emb.shape == (2, 20) and not emb.flags.writeable
 
     def test_orthogonality_gap_normal_mean(self):
         x, theta, _ = normal_mean_setup(200, 10000, seed=41)
         emb = build_embedding(theta.reshape(-1, 1), np.array([x.mean()]), np.eye(1), n=200)
-        assert emb.orthogonality_gap() < 0.1
+        gap, duality = embedding_report(emb, 200)
+        assert gap < 0.1 and duality is None
 
     def test_duality_gap_small_case(self):
         # moderate M so the dense dual covariance is cheap to materialize
@@ -494,12 +496,12 @@ class TestEmbedding:
         )
         info = build_info_matrices(scores)
         emb = build_embedding(theta.reshape(-1, 1), np.array([xbar]), np.eye(1), n=200)
-        report = embedding_report(emb, z=z, sandwich=info.sandwich)
+        _, duality = embedding_report(emb, 200, z=z, sandwich=info.sandwich)
         # scaled Z is rank-one dominated with norm ~ 1; the conjugated
         # sandwich must capture it up to sampling error
-        assert report.duality_gap is not None
+        assert duality is not None
         scale = np.linalg.norm(200 / 400 * z.values)
-        assert report.duality_gap < 0.5 * scale
+        assert duality < 0.5 * scale
 
     def test_eigenvalue_correspondence_via_dual(self):
         x, theta, ll = normal_mean_setup(200, 10000, seed=47)
@@ -513,3 +515,19 @@ class TestEmbedding:
     def test_shape_validation(self):
         with pytest.raises(InvalidInput):
             build_embedding(np.zeros((10, 2)), np.zeros(3), np.eye(2), n=5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draws_are_refused(self, bad):
+        draws = np.random.default_rng(49).standard_normal((20, 2))
+        draws[7, 1] = bad
+        with pytest.raises(InvalidInput, match="embedding matrix contains non-finite"):
+            build_embedding(draws, np.zeros(2), np.eye(2), n=10)
+
+    def test_report_refuses_z_without_sandwich_and_a_draw_mismatch(self):
+        x, theta, ll = normal_mean_setup(30, 40, seed=51)
+        emb = build_embedding(theta.reshape(-1, 1), np.array([x.mean()]), np.eye(1), n=30)
+        z = build_z(ll)
+        with pytest.raises(InvalidInput, match="needs both z and sandwich"):
+            embedding_report(emb, 30, z=z)
+        with pytest.raises(InvalidInput, match="Z has 40 draws, embedding has 39"):
+            embedding_report(emb[:, :39], 30, z=z, sandwich=np.eye(1))
