@@ -15,8 +15,9 @@ Determinism: all stochastic commands take a 64-bit seed (counter-based
 generator), and ``--threads 1`` pins the numerical thread pools before
 numpy is loaded, which makes repeat runs byte-identical.
 
-Exit codes: 0 success, 2 usage/invalid input or out of memory, 3 parse
-error, 4 numerical failure.
+Exit codes: 0 success, 2 usage/invalid input (``InvalidInput``) or out of
+memory, 3 parse error (``ParseError``), 4 numerical failure
+(``NumericalFailure``, or an overflow).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 ENV_OUTDIR = "WKERNEL_OUTDIR"
 ENV_THREADS = "WKERNEL_THREADS"
@@ -149,19 +149,6 @@ _COMMANDS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Resolved command invocation: command name, inputs, options, outdir,
-    and for ``demo`` the model's config."""
-
-    command: str
-    inputs: list = field(default_factory=list)
-    options: dict = field(default_factory=dict)
-    outdir: str = "."
-    file_cfg: dict = field(default_factory=dict)
-    model: object = None
-
-
 def _common_options(default) -> argparse.ArgumentParser:
     """--out, --config and --threads, which go before or after the command."""
     common = argparse.ArgumentParser(add_help=False)
@@ -235,19 +222,6 @@ def _resolve_options(command: str, args, file_cfg: dict) -> dict:
     return opts
 
 
-def _run_config(args) -> RunConfig:
-    from .matio import load_config
-
-    file_cfg = load_config(args.config) if args.config else {}
-    return RunConfig(
-        command=args.command,
-        inputs=[getattr(args, name) for name in _COMMANDS[args.command][1]],
-        options=_resolve_options(args.command, args, file_cfg),
-        outdir=args.out or os.environ.get(ENV_OUTDIR) or file_cfg.get("out") or ".",
-        file_cfg=file_cfg,
-    )
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -272,21 +246,14 @@ def main(argv=None) -> int:
         for var in _THREAD_VARS:
             os.environ[var] = str(threads)
 
-    from .errors import (
-        InvalidInput,
-        NotPSD,
-        NumericalFailure,
-        ParseError,
-        SingularInformation,
-        WkernelError,
-    )
+    from .errors import InvalidInput, NumericalFailure, ParseError
 
     import numpy as np
 
     try:
         # an overflow anywhere is a numerical failure, not an inf in the output
         with np.errstate(over="raise"):
-            run_command(_run_config(args))
+            run_command(args)
         return 0
     except ParseError as exc:
         print(f"wkernel: parse error: {exc}", file=sys.stderr)
@@ -297,31 +264,35 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"wkernel: out of memory: {exc}", file=sys.stderr)
         return 2
-    except (NotPSD, SingularInformation, NumericalFailure, FloatingPointError) as exc:
+    except (NumericalFailure, FloatingPointError) as exc:
         print(f"wkernel: numerical failure: {exc}", file=sys.stderr)
         return 4
-    except WkernelError as exc:
-        print(f"wkernel: {exc}", file=sys.stderr)
-        return 4
 
 
-def run_command(config: RunConfig) -> None:
-    """Execute one resolved command, writing artifacts to config.outdir."""
-    _check_options(config.command, config.options)
-    if config.command == "demo":
+def run_command(args) -> None:
+    """Run one parsed command line: resolve its inputs, its options and the
+    output directory (--out, else WKERNEL_OUTDIR, else the config key out,
+    else "."), then call the command's handler with them.  ``demo``'s
+    inputs are the model's name and its config."""
+    from .errors import InvalidInput
+    from .matio import load_config
+
+    command = args.command
+    file_cfg = load_config(args.config) if args.config else {}
+    inputs = [getattr(args, name) for name in _COMMANDS[command][1]]
+    opts = _resolve_options(command, args, file_cfg)
+    _check_options(command, opts)
+    if command == "demo":
         # the model's config class refuses its own bad fields, also before --out
-        config.model = _demo_config(
-            config.inputs[0], config.options["seed"], config.file_cfg
-        )
+        inputs.append(_demo_config(inputs[0], opts["seed"], file_cfg))
+    outdir = args.out or os.environ.get(ENV_OUTDIR) or file_cfg.get("out") or "."
     try:
-        os.makedirs(config.outdir, exist_ok=True)
+        os.makedirs(outdir, exist_ok=True)
     except OSError as exc:  # a file in the way, or no permission
-        from .errors import InvalidInput
-
         raise InvalidInput(
-            f"cannot make the output directory {config.outdir}: {exc.strerror}"
+            f"cannot make the output directory {outdir}: {exc.strerror}"
         ) from None
-    globals()[_COMMANDS[config.command][3]](config, config.outdir)
+    globals()[_COMMANDS[command][3]](inputs, opts, outdir)
 
 
 def _check_options(command: str, opts: dict) -> None:
@@ -424,25 +395,29 @@ def _save_spectrum(outdir, eigenvalues, log_scree) -> None:
     write_scree_svg(os.path.join(outdir, "scree.svg"), eigenvalues, log_scree)
 
 
-def _cholesky(config: RunConfig):
+def _cholesky(path, opts):
     """Pivoted Cholesky of the W that ``eigen`` and ``rep`` read: read as is
     with matrix = w, else from the log-likelihood file centered in place.
     From M x n log-likelihoods W is formed only when n <= 2M, where it is at
-    most twice their size and its columns come cheaper than from C.  A stop
-    at the rank cap with the residual above rel_tol x tr W is said on stderr."""
+    most twice their size and its columns come cheaper than from C.  A
+    --max-rank above n is refused; a stop at the rank cap with the residual
+    above rel_tol x tr W is said on stderr."""
     from .core import _frozen
+    from .errors import InvalidInput
     from .kernels import WMatrix
     from .matio import load_matrix_cached
     from .spectral import incomplete_cholesky
 
-    opts, path = config.options, config.inputs[0]
     if opts["matrix"] == "w":
         source = WMatrix(values=_frozen(load_matrix_cached(path)[0]))
     else:
         source = _load_loglik(path, opts["kind"] or "raw")
         if source.n <= 2 * source.n_draws:
             source = source.gram()
-    chol = incomplete_cholesky(source, rel_tol=opts["rel_tol"], max_rank=opts["max_rank"])
+    max_rank = opts["max_rank"]
+    if max_rank is not None and max_rank > source.n:
+        raise InvalidInput(f"--max-rank {max_rank} is above the {source.n} observations")
+    chol = incomplete_cholesky(source, rel_tol=opts["rel_tol"], max_rank=max_rank)
     if chol.stopped_by == "max_rank":
         print(
             f"wkernel: pivoted Cholesky stopped at the rank cap of {chol.a_M} with "
@@ -453,13 +428,13 @@ def _cholesky(config: RunConfig):
     return chol
 
 
-def _cmd_eigen(config: RunConfig, outdir: str) -> None:
+def _cmd_eigen(inputs, opts, outdir: str) -> None:
     from .matio import save_matrix
     from .spectral import dual_eigen
 
-    chol = _cholesky(config)
+    chol = _cholesky(inputs[0], opts)
     basis = dual_eigen(chol)
-    _save_spectrum(outdir, basis.eigenvalues, config.options["log_scree"])
+    _save_spectrum(outdir, basis.eigenvalues, opts["log_scree"])
     save_matrix(
         os.path.join(outdir, "eigenvectors.csv"),
         basis.vectors,
@@ -478,14 +453,13 @@ def _cmd_eigen(config: RunConfig, outdir: str) -> None:
     )
 
 
-def _cmd_freqcov(config: RunConfig, outdir: str) -> None:
+def _cmd_freqcov(inputs, opts, outdir: str) -> None:
     from .freq_eval import freq_cov
     from .matio import save_keyvalue, save_matrix
 
-    opts = config.options
     estimator = opts["estimator"]
-    loglik = _load_loglik(config.inputs[0])
-    stats = _load_stats(config.inputs[1], loglik)
+    loglik = _load_loglik(inputs[0])
+    stats = _load_stats(inputs[1], loglik)
     logprior = _load_logprior(opts["logprior"])
     basis = _projection(loglik, opts["rank"]) if estimator == "projected" else None
 
@@ -503,7 +477,7 @@ def _cmd_freqcov(config: RunConfig, outdir: str) -> None:
     )
 
 
-def _cmd_boot(config: RunConfig, outdir: str) -> None:
+def _cmd_boot(inputs, opts, outdir: str) -> None:
     import numpy as np
 
     from .bootstrap import (
@@ -515,10 +489,9 @@ def _cmd_boot(config: RunConfig, outdir: str) -> None:
     )
     from .matio import save_matrix
 
-    opts = config.options
     method, rank = opts["method"], opts["rank"]
-    loglik = _load_loglik(config.inputs[0])
-    stats = _load_stats(config.inputs[1], loglik)
+    loglik = _load_loglik(inputs[0])
+    stats = _load_stats(inputs[1], loglik)
     basis = None
     if method == "second_projected" or rank is not None:
         basis = _projection(loglik, rank)
@@ -558,15 +531,15 @@ def _cmd_boot(config: RunConfig, outdir: str) -> None:
         )
 
 
-def _cmd_rep(config: RunConfig, outdir: str) -> None:
+def _cmd_rep(inputs, opts, outdir: str) -> None:
     _save_indexed(
         os.path.join(outdir, "representative_indices.csv"),
-        _cholesky(config).pivots,
+        _cholesky(inputs[0], opts).pivots,
         ["pivot_rank", "observation"],
     )
 
 
-def _cmd_diag(config: RunConfig, outdir: str) -> None:
+def _cmd_diag(inputs, opts, outdir: str) -> None:
     import numpy as np
 
     from .errors import InvalidInput
@@ -574,9 +547,8 @@ def _cmd_diag(config: RunConfig, outdir: str) -> None:
     from .kernels import ScoreMatrix, build_info_matrices
     from .matio import load_matrix_cached, save_keyvalue, save_matrix
 
-    opts = config.options
-    loglik = _load_loglik(config.inputs[0])
-    stats = _load_stats(config.inputs[1], loglik)
+    loglik = _load_loglik(inputs[0])
+    stats = _load_stats(inputs[1], loglik)
     logprior = _load_logprior(opts["logprior"])
 
     info = None
@@ -588,6 +560,10 @@ def _cmd_diag(config: RunConfig, outdir: str) -> None:
                 f"{loglik.n_obs} observations"
             )
         h_arr, _ = load_matrix_cached(opts["hessian"])
+        k = s_arr.shape[1]
+        if h_arr.shape != (k, k):
+            rows, cols = h_arr.shape
+            raise InvalidInput(f"--hessian is {rows} x {cols}, --scores has {k} columns")
         info = build_info_matrices(ScoreMatrix(values=s_arr, hessian_sum=h_arr))
 
     report = penalties(loglik, logprior=logprior, info=info)
@@ -602,11 +578,11 @@ def _cmd_diag(config: RunConfig, outdir: str) -> None:
     )
 
 
-def _cmd_zmat(config: RunConfig, outdir: str) -> None:
+def _cmd_zmat(inputs, opts, outdir: str) -> None:
     from .kernels import z_spectrum
     from .matio import save_keyvalue
 
-    loglik = _load_loglik(config.inputs[0], "double_centered")
+    loglik = _load_loglik(inputs[0], "double_centered")
     z_eigs, max_rel = z_spectrum(loglik)
     _save_indexed(
         os.path.join(outdir, "z_eigenvalues.csv"), z_eigs, ["index", "eigenvalue"]
@@ -640,7 +616,7 @@ def _demo_config(model: str, seed: int, file_cfg: dict):
     return cls(seed=seed, **overrides)
 
 
-def _cmd_demo(config: RunConfig, outdir: str) -> None:
+def _cmd_demo(inputs, opts, outdir: str) -> None:
     import numpy as np
 
     from .bootstrap import boot_first, draw_resamples, summarize_bootstrap
@@ -650,9 +626,9 @@ def _cmd_demo(config: RunConfig, outdir: str) -> None:
     from .models import run_model
     from .spectral import principal_basis
 
-    model = config.inputs[0]
-    seed = config.options["seed"]
-    bundle = run_model(config.model)
+    model, config = inputs
+    seed = opts["seed"]
+    bundle = run_model(config)
     stats = bundle.default_stats()
 
     params = list(bundle.param_names)

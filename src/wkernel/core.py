@@ -184,25 +184,6 @@ class LogPriorVector:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Observation weights w; w = 1 everywhere is the unperturbed posterior."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, "w", ndim=1, what="weight vector")
-
-    @property
-    def eta(self) -> np.ndarray:
-        """Perturbation w - 1."""
-        return self.w - 1.0
-
-    @property
-    def n_obs(self) -> int:
-        return self.w.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # sample moments
 # ---------------------------------------------------------------------------

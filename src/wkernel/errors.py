@@ -6,8 +6,9 @@ class WkernelError(Exception):
 
 
 class InvalidInput(WkernelError, ValueError):
-    """Malformed or inconsistent input (shape mismatch, NaN, bad range), or
-    bad command-line usage (a bad option value or combination)."""
+    """Malformed or inconsistent input (shape mismatch, NaN, bad range), an
+    operation the given model does not offer, or bad command-line usage (a
+    bad option value or combination).  Exit code 2."""
 
 
 class RankOutOfRange(InvalidInput):
@@ -20,24 +21,14 @@ class RankOutOfRange(InvalidInput):
         self.retained = retained
 
 
-class NotPSD(WkernelError):
-    """A matrix required to be positive semidefinite is not."""
-
-
-class SingularInformation(WkernelError):
-    """An information (metric) matrix is singular or not positive definite."""
-
-
 class NumericalFailure(WkernelError):
-    """An iterative numerical routine failed to converge."""
-
-
-class Unsupported(WkernelError):
-    """Operation is not available for the given model or configuration."""
+    """A numerical routine failed: no convergence, or a matrix that must be
+    positive (semi)definite is not.  Exit code 4."""
 
 
 class ParseError(WkernelError):
-    """A data file could not be parsed; carries row/column location."""
+    """A data file could not be parsed; carries row/column location.  Exit
+    code 3."""
 
     def __init__(self, message, path=None, row=None, col=None):
         loc = []

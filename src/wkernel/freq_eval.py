@@ -32,7 +32,7 @@ from .core import (
     third_cumulant_grid,
 )
 from .errors import InvalidInput
-from .kernels import InfoMatrices, WMatrix, centered
+from .kernels import WMatrix, centered
 from .spectral import SpectralBasis, _as_eta, _vectors
 
 _ESTIMATORS = ("plain", "centered", "prior_adjusted", "projected")
@@ -108,21 +108,23 @@ def freq_cov(
 def penalties(
     loglik: LogLikMatrix,
     logprior: LogPriorVector | None = None,
-    info: InfoMatrices | None = None,
+    info: tuple | None = None,
 ) -> dict:
     """Effective-parameter penalties from the same covariance objects, by
     name, in the order waic, tic, pcic.
 
     The variance penalty ``waic_penalty`` (trace of W) is always there;
     the information-matrix penalty ``tic_penalty`` = tr(I J^{-1}) only
-    with score information and the prior-corrected ``pcic_penalty`` only
-    with the log prior at the draws.
+    with score information, ``build_info_matrices``'s (I_hat, J_hat,
+    sandwich), and the prior-corrected ``pcic_penalty`` only with the log
+    prior at the draws.
     """
     c = centered(loglik)
     waic = c.trace
     report = {"waic_penalty": waic}
     if info is not None:
-        report["tic_penalty"] = float(np.trace(np.linalg.solve(info.J_hat, info.I_hat)))
+        i_hat, j_hat, _ = info
+        report["tic_penalty"] = float(np.trace(np.linalg.solve(j_hat, i_hat)))
     if logprior is not None:
         _check_draws(logprior, c, "log-prior values")
         prior_c = logprior.values - logprior.values.mean()

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LogLikMatrix, _check_loglik, _freeze, _frozen, _require_finite, posterior_cov
-from .errors import InvalidInput, NumericalFailure, RankOutOfRange, SingularInformation
+from .errors import InvalidInput, NumericalFailure, RankOutOfRange
 
 _W_KINDS = ("raw", "double_centered")
 # eigenvalues this far below the largest are treated as zero rank
@@ -268,33 +268,6 @@ class ScoreMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class InfoMatrices:
-    """Information matrices and their sandwich combination.
-
-    I_hat is the outer-product (score) information, J_hat the curvature
-    information; ``sandwich`` is J^{-1/2} I J^{-1/2} with the principal
-    square root.  Under correct specification and weak priors the
-    sandwich approaches the identity; its nonzero eigenvalues match
-    those of the W matrix asymptotically.
-    """
-
-    I_hat: np.ndarray
-    J_hat: np.ndarray
-    sandwich: np.ndarray
-
-    def __post_init__(self):
-        for name in ("I_hat", "J_hat", "sandwich"):
-            _freeze(self, name, ndim=2, what=name)
-            rows, cols = getattr(self, name).shape
-            if rows != cols:
-                raise InvalidInput(f"{name} must be square")
-
-    @property
-    def n_params(self) -> int:
-        return self.J_hat.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -422,9 +395,9 @@ def _sym_eig_psd(mat: np.ndarray, what: str):
     try:
         evals, evecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
-        raise SingularInformation(f"{what}: eigendecomposition failed") from exc
+        raise NumericalFailure(f"{what}: eigendecomposition failed") from exc
     if evals[-1] <= 0 or evals[0] <= _EIG_CLAMP * evals[-1]:
-        raise SingularInformation(f"{what} is not positive definite")
+        raise NumericalFailure(f"{what} is not positive definite")
     return evals, evecs
 
 
@@ -450,14 +423,21 @@ def build_info_matrices(
     prior_score=None,
     prior_weight: float = 0.0,
     prior_hessian=None,
-) -> InfoMatrices:
-    """Information matrices and sandwich from per-observation scores.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Information matrices and sandwich from per-observation scores: the
+    read-only k x k triple ``(I_hat, J_hat, sandwich)``.
 
-    I_hat = (1/n) sum_i s_i s_i^T and J_hat is the averaged negative
-    Hessian carried by the score matrix.  With ``prior_weight`` > 0 each
+    I_hat = (1/n) sum_i s_i s_i^T is the outer-product (score) information
+    and J_hat the averaged negative Hessian carried by the score matrix,
+    the curvature information; ``sandwich`` is J^{-1/2} I J^{-1/2} with the
+    principal square root.  Under correct specification and weak priors
+    the sandwich approaches the identity; its nonzero eigenvalues match
+    those of the W matrix asymptotically.  With ``prior_weight`` > 0 each
     score is shifted by prior_weight * prior_score and J_hat picks up
     prior_weight times the prior's negative Hessian, giving the
-    prior-adjusted information matrices evaluated at the MAP.
+    prior-adjusted information matrices evaluated at the MAP.  A
+    non-finite prior score or Hessian, or a product that overflows, is
+    refused.
     """
     s = scores.values
     j_hat = scores.hessian_sum
@@ -469,18 +449,22 @@ def build_info_matrices(
             raise InvalidInput(
                 f"prior_score shape {ps.shape} does not match {scores.n_params} parameters"
             )
+        _require_finite(ps, "prior_score")
         s = s + prior_weight * ps
         if prior_hessian is not None:
             ph = np.asarray(prior_hessian, dtype=float)
             if ph.shape != j_hat.shape:
                 raise InvalidInput("prior_hessian shape mismatch")
+            _require_finite(ph, "prior_hessian")
             j_hat = j_hat - prior_weight * ph
     i_hat = (s.T @ s) / scores.n_obs
     j_hat = (j_hat + j_hat.T) / 2.0
     j_inv_sqrt = sym_inv_sqrt(j_hat, "J_hat")
     sandwich = j_inv_sqrt @ i_hat @ j_inv_sqrt
     sandwich = (sandwich + sandwich.T) / 2.0
-    return InfoMatrices(I_hat=i_hat, J_hat=j_hat, sandwich=sandwich)
+    for name, mat in (("I_hat", i_hat), ("J_hat", j_hat), ("sandwich", sandwich)):
+        _require_finite(mat, name)
+    return _frozen(i_hat), _frozen(j_hat), _frozen(sandwich)
 
 
 _METRICS = ("fisher", "modified_fisher", "plain")
@@ -511,19 +495,20 @@ def eval_score_kernel(scores: ScoreMatrix, metric: str, x_score, y_score) -> flo
     return float((evecs.T @ x) @ ((evecs.T @ y) / evals))
 
 
-def mf_feature_matrix(scores: ScoreMatrix, info: InfoMatrices) -> np.ndarray:
+def mf_feature_matrix(scores: ScoreMatrix, info: tuple) -> np.ndarray:
     """Feature vectors of the curvature-metric score kernel.
 
+    ``info`` is ``build_info_matrices``'s (I_hat, J_hat, sandwich).
     Returns the n x k matrix Phi with Phi[i] = J^{-1/2} s_i.  Row inner
     products reproduce the kernel ((1/n) Phi Phi^T = (1/n) K) and column
     inner products reproduce the sandwich ((1/n) Phi^T Phi = sandwich):
     the two Gram products of the same feature matrix, which is why both
     spectra agree.
     """
-    if scores.n_params != info.n_params:
+    _, j_hat, _ = info
+    if j_hat.shape[0] != scores.n_params:
         raise InvalidInput("scores and info matrices disagree on parameter count")
-    j_inv_sqrt = sym_inv_sqrt(info.J_hat, "J_hat")
-    return scores.values @ j_inv_sqrt
+    return scores.values @ sym_inv_sqrt(j_hat, "J_hat")
 
 
 def build_embedding(draws, theta_hat, j_hat, n: int) -> np.ndarray:

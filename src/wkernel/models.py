@@ -27,12 +27,12 @@ from .core import (
     LogLikMatrix,
     LogPriorVector,
     StatMatrix,
-    WeightVector,
     _check_seed,
     _frozen,
+    _require_finite,
     _stream,
 )
-from .errors import ConvergenceWarning, InvalidInput, NumericalFailure, Unsupported
+from .errors import ConvergenceWarning, InvalidInput, NumericalFailure
 from .kernels import ScoreMatrix
 
 
@@ -111,6 +111,20 @@ def _binom_loglik(x, N, q):
 # ---------------------------------------------------------------------------
 
 
+def _check_field(ok: bool, name: str, value, rule: str) -> None:
+    """Refuse a configuration field that breaks its rule, naming the field
+    and its value."""
+    if not ok:
+        raise InvalidInput(f"{name} must be {rule}, got {value}")
+
+
+def _check_positive(config, *names) -> None:
+    """Refuse each named field of ``config`` that is not positive and finite."""
+    for name in names:
+        value = getattr(config, name)
+        _check_field(0 < value < np.inf, name, value, "positive and finite")
+
+
 @dataclass(frozen=True)
 class McmcConfig:
     """Adaptive random-walk Metropolis settings.
@@ -128,10 +142,11 @@ class McmcConfig:
     target_acceptance: float = 0.3
 
     def __post_init__(self):
-        if self.chains < 1 or self.iters < 2 or not 0 <= self.burn_in < self.iters:
-            raise InvalidInput("bad MCMC configuration")
-        if not 0 < self.step_size < np.inf:
-            raise InvalidInput("step_size must be positive and finite")
+        _check_field(self.chains >= 1, "chains", self.chains, "at least 1")
+        _check_field(self.iters >= 2, "iters", self.iters, "at least 2")
+        in_run = 0 <= self.burn_in < self.iters
+        _check_field(in_run, "burn_in", self.burn_in, f"in [0, iters = {self.iters})")
+        _check_positive(self, "step_size")
         if not 0 < self.target_acceptance < 1:
             raise InvalidInput("target_acceptance must be in (0, 1)")
 
@@ -148,10 +163,10 @@ class NormalMeanConfig:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        if self.n < 2 or self.m_draws < 2 or not np.isfinite(self.mu):
-            raise InvalidInput("bad normal-mean configuration")
-        if not 0 < self.sigma < np.inf:
-            raise InvalidInput("sigma must be positive and finite")
+        _check_field(self.n >= 2, "n", self.n, "at least 2")
+        _check_field(self.m_draws >= 2, "m_draws", self.m_draws, "at least 2")
+        _check_field(np.isfinite(self.mu), "mu", self.mu, "finite")
+        _check_positive(self, "sigma")
 
 
 @dataclass(frozen=True)
@@ -180,14 +195,12 @@ class BetaBinomialConfig:
             raise InvalidInput("q0 must be in (0, 1)")
         if not 0 <= self.rho < 1:
             raise InvalidInput("rho must be in [0, 1)")
-        if self.N < 1 or self.n < 1 or self.m_draws < 2:
-            raise InvalidInput("bad beta-binomial configuration")
-        if not (
-            0 < self.alpha < np.inf
-            and 0 < self.beta < np.inf
-            and 0 <= self.prior_weight < np.inf
-        ):
-            raise InvalidInput("bad prior configuration")
+        _check_field(self.N >= 1, "N", self.N, "at least 1")
+        _check_field(self.n >= 1, "n", self.n, "at least 1")
+        _check_field(self.m_draws >= 2, "m_draws", self.m_draws, "at least 2")
+        _check_positive(self, "alpha", "beta")
+        weight = self.prior_weight
+        _check_field(0 <= weight < np.inf, "prior_weight", weight, "in [0, inf)")
 
 
 @dataclass(frozen=True)
@@ -206,8 +219,8 @@ class WeibullConfig:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        if not (0 < self.gamma < np.inf and 0 < self.lam < np.inf) or self.n < 3:
-            raise InvalidInput("bad Weibull configuration")
+        _check_positive(self, "gamma", "lam")
+        _check_field(self.n >= 3, "n", self.n, "at least 3")
 
 
 REGRESSION_LIKELIHOODS = ("normal_known_sigma", "normal_est_sigma", "student_t")
@@ -242,10 +255,7 @@ class RegressionConfig:
             )
         if self.n < self.degree + 2:
             raise InvalidInput("need n >= degree + 2 observations")
-        if not all(
-            0 < v < np.inf for v in (self.sigma_true, self.sigma_lik, self.student_df)
-        ):
-            raise InvalidInput("scales and degrees of freedom must be positive and finite")
+        _check_positive(self, "sigma_true", "sigma_lik", "student_df")
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +295,7 @@ class ModelBundle:
     def loglik_gap(self) -> float:
         """Max abs difference between stored and recomputed log-likelihoods."""
         if self.loglik_fn is None:
-            raise Unsupported(f"model {self.model!r} cannot recompute log-likelihoods")
+            raise InvalidInput(f"model {self.model!r} cannot recompute log-likelihoods")
         fresh = self.loglik_fn(self.draws, self.data)
         return float(np.max(np.abs(fresh - self.loglik.values)))
 
@@ -374,13 +384,13 @@ def _run_normal_mean(config: NormalMeanConfig) -> ModelBundle:
         values=((x - xbar) / sig2).reshape(-1, 1), hessian_sum=np.array([[1.0 / sig2]])
     )
 
-    def exact_mean(w: WeightVector, stat: str = "theta_mean") -> float:
+    def exact_mean(w: np.ndarray, stat: str = "theta_mean") -> float:
         if stat not in ("theta_mean",):
-            raise Unsupported(f"no exact weighted mean for statistic {stat!r}")
-        total = w.w.sum()
+            raise InvalidInput(f"no exact weighted mean for statistic {stat!r}")
+        total = w.sum()
         if total <= 0:
             raise InvalidInput("total weight must be positive")
-        return float((w.w * x).sum() / total)
+        return float((w * x).sum() / total)
 
     return ModelBundle(
         model="normal_mean",
@@ -448,11 +458,11 @@ def _run_beta_binomial(config: BetaBinomialConfig) -> ModelBundle:
         hess = np.mean(x / q_hat**2 + (N - x) / (1 - q_hat) ** 2)
         scores = ScoreMatrix(values=s.reshape(-1, 1), hessian_sum=np.array([[hess]]))
 
-    def exact_mean(w: WeightVector, stat: str = "q_mean") -> float:
+    def exact_mean(w: np.ndarray, stat: str = "q_mean") -> float:
         if stat not in ("q_mean",):
-            raise Unsupported(f"no exact weighted mean for statistic {stat!r}")
-        num = a_prior + float((w.w * x).sum())
-        den = a_prior + b_prior + float((w.w * N).sum())
+            raise InvalidInput(f"no exact weighted mean for statistic {stat!r}")
+        num = a_prior + float((w * x).sum())
+        den = a_prior + b_prior + float((w * N).sum())
         return num / den
 
     return ModelBundle(
@@ -666,13 +676,19 @@ def run_model(config) -> ModelBundle:
 # ---------------------------------------------------------------------------
 
 
-def exact_weighted_mean(bundle: ModelBundle, w: WeightVector, stat: str) -> float:
-    """Exact posterior mean under reweighted observations (conjugate only)."""
+def exact_weighted_mean(bundle: ModelBundle, w, stat: str) -> float:
+    """Exact posterior mean of ``stat`` under the observation weights ``w``,
+    a 1-D array of n_obs finite entries (w = 1 is the unperturbed posterior;
+    conjugate models only)."""
     if bundle.exact_weighted_mean is None:
-        raise Unsupported(f"model {bundle.model!r} has no exact reweighted posterior")
-    if w.n_obs != bundle.n_obs:
+        raise InvalidInput(f"model {bundle.model!r} has no exact reweighted posterior")
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1:
+        raise InvalidInput(f"weight vector must be 1-D, got {w.ndim}-D")
+    _require_finite(w, "weight vector")
+    if w.shape[0] != bundle.n_obs:
         raise InvalidInput(
-            f"weight vector has {w.n_obs} entries, model has {bundle.n_obs}"
+            f"weight vector has {w.shape[0]} entries, model has {bundle.n_obs}"
         )
     return bundle.exact_weighted_mean(w, stat)
 
@@ -684,7 +700,7 @@ def predictive_tail_stat(bundle: ModelBundle, threshold: float) -> np.ndarray:
     statistic column for the tail-probability estimator.
     """
     if bundle.model != "weibull":
-        raise Unsupported("predictive tail statistic requires a Weibull bundle")
+        raise InvalidInput("predictive tail statistic requires a Weibull bundle")
     if threshold < 0:
         raise InvalidInput("threshold must be nonnegative")
     gamma = bundle.draws[:, 0]
@@ -695,7 +711,7 @@ def predictive_tail_stat(bundle: ModelBundle, threshold: float) -> np.ndarray:
 def curve_stats(bundle: ModelBundle, grid) -> StatMatrix:
     """Posterior draws of the fitted polynomial evaluated on a grid."""
     if bundle.model != "regression":
-        raise Unsupported("curve statistics require a regression bundle")
+        raise InvalidInput("curve statistics require a regression bundle")
     grid = np.asarray(grid, dtype=float)
     k_beta = sum(1 for name in bundle.param_names if name.startswith("beta_"))
     design = _design_matrix(grid, k_beta - 1)

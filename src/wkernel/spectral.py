@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogLikMatrix, WeightVector, _freeze, _frozen, _stream
-from .errors import InvalidInput, NotPSD
+from .core import LogLikMatrix, _freeze, _frozen, _stream
+from .errors import InvalidInput, NumericalFailure
 from .kernels import (
     CenteredLogLik,
     WMatrix,
@@ -175,8 +175,6 @@ class RepresentativeSet:
 
 
 def _as_eta(eta, n: int) -> np.ndarray:
-    if isinstance(eta, WeightVector):
-        eta = eta.eta
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (n,):
         raise InvalidInput(f"perturbation must have shape ({n},), got {eta.shape}")
@@ -224,7 +222,7 @@ def incomplete_cholesky(
 
     trace_w = w.trace
     if trace_w < -1e-10 * max(abs(trace_w), 1.0):
-        raise NotPSD("matrix has negative trace")
+        raise NumericalFailure("matrix has negative trace")
     # residual diagonal; pivoted entries are held at exactly zero
     d = w.diagonal()
     free = np.ones(n, dtype=bool)
@@ -237,7 +235,7 @@ def incomplete_cholesky(
     # a degenerate zero matrix gives an empty factor rather than an error
     while trace_w > 0.0:
         if np.min(d) < -1e-10 * trace_w:
-            raise NotPSD(
+            raise NumericalFailure(
                 f"residual diagonal fell to {np.min(d):.3e} "
                 f"(limit {-1e-10 * trace_w:.3e}); input is not PSD"
             )
@@ -347,11 +345,8 @@ def project_loglik(
 
 
 def project_perturbation(eta, basis: SpectralBasis, a_M: int | None = None) -> np.ndarray:
-    """Coordinates of a perturbation vector in the leading a_M directions.
-
-    Accepts either a raw perturbation vector or a WeightVector (whose
-    w - 1 is used).
-    """
+    """Coordinates of a perturbation vector eta = w - 1 in the leading a_M
+    directions."""
     return basis.vectors[:, : _rank(a_M, basis.rank_retained)].T @ _as_eta(eta, basis.n)
 
 

@@ -20,7 +20,7 @@ from wkernel.bootstrap import (
     replicate_rng,
     summarize_bootstrap,
 )
-from wkernel.core import LogLikMatrix, StatMatrix, WeightVector
+from wkernel.core import LogLikMatrix, StatMatrix
 from wkernel.errors import InvalidInput
 from wkernel.freq_eval import freq_cov, sensitivity_first
 from wkernel.kernels import build_w, center_loglik
@@ -517,14 +517,14 @@ class TestBootGold:
         np.testing.assert_array_equal(np.vstack(seen), want[:300])
 
     def test_conjugate_gold_correlates_with_first_order(self):
-        from wkernel.models import BetaBinomialConfig, run_model
+        from wkernel.models import BetaBinomialConfig, exact_weighted_mean, run_model
 
         bundle = run_model(BetaBinomialConfig(seed=24, m_draws=20000))
         stats = bundle.default_stats()
         resamples = draw_resamples(bundle.n_obs, 400, seed=25)
 
         def refit(counts):
-            return [bundle.exact_weighted_mean(WeightVector(counts.astype(float)), "q_mean")]
+            return [exact_weighted_mean(bundle, counts.astype(float), "q_mean")]
 
         gold = boot_gold(refit, resamples)
         first = boot_first(stats, bundle.loglik, resamples)

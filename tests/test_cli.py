@@ -385,6 +385,27 @@ class TestCommands:
         assert main(argv + ["--out", str(out)]) == 0
         assert "tic_penalty" in (out / "penalties.csv").read_text()
 
+    @pytest.mark.parametrize(
+        "hessian, code, message",
+        [
+            (np.eye(3), 2, "--hessian is 3 x 3, --scores has 2 columns"),
+            (np.eye(2)[:1], 2, "--hessian is 1 x 2, --scores has 2 columns"),
+            (np.zeros((2, 2)), 4, "numerical failure: J_hat is not positive definite"),
+        ],
+        ids=["too_big", "not_square", "singular"],
+    )
+    def test_diag_bad_hessian(self, tmp_path, capsys, hessian, code, message):
+        ll, st, out = tmp_path / "ll.csv", tmp_path / "st.csv", tmp_path / "out"
+        make_loglik_csv(ll, m=40, n=6)
+        make_stats_csv(st, m=40)
+        scores, hess = tmp_path / "scores.csv", tmp_path / "hess.csv"
+        save_matrix(scores, np.random.default_rng(4).standard_normal((6, 2)))
+        save_matrix(hess, hessian)
+        argv = ["diag", str(ll), str(st), "--scores", str(scores), "--hessian", str(hess)]
+        assert main(argv + ["--out", str(out)]) == code
+        assert capsys.readouterr().err == f"wkernel: {message}\n"
+        assert not (out / "penalties.csv").exists()
+
     @staticmethod
     def _zmat(tmp_path, arr):
         """Run zmat on ``arr``; return the duality report and Z's eigenvalues."""
@@ -727,10 +748,28 @@ class TestCommands:
         assert proc.stderr.startswith("wkernel: out of memory: ")
         assert "Traceback" not in proc.stderr
 
-    def test_numeric_failure_exit_code(self, tmp_path):
+    def test_numeric_failure_exit_code(self, tmp_path, capsys):
         w = tmp_path / "w.csv"
         write(w, "1,2\n2,1\n")  # indefinite
         assert main(["eigen", str(w), "--matrix", "w"]) == 4
+        assert capsys.readouterr().err == (
+            "wkernel: numerical failure: residual diagonal fell to -3.000e+00 "
+            "(limit -2.000e-10); input is not PSD\n"
+        )
+
+    @pytest.mark.parametrize("matrix", ["loglik", "w"])
+    @pytest.mark.parametrize("command", ["eigen", "rep"])
+    def test_max_rank_above_n_names_the_flag(self, tmp_path, capsys, command, matrix):
+        path = tmp_path / "ll.csv"
+        arr = make_loglik_csv(path, m=60, n=6)
+        if matrix == "w":
+            path = tmp_path / "w.csv"
+            save_matrix(path, np.cov(arr, rowvar=False, bias=True))
+        argv = [command, str(path), "--matrix", matrix, "--max-rank", "100"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "wkernel: --max-rank 100 is above the 6 observations\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -880,10 +919,11 @@ class TestOptionTable:
             flag = ["--" + name.replace("_", "-")] + ([] if kind is bool else [value])
             cfg = tmp_path / f"{name}.cfg"
             write(cfg, f"{name} = {value}\n")
-            by_flag = cli._run_config(parser.parse_args(base + flag))
-            by_file = cli._run_config(parser.parse_args(base + ["--config", str(cfg)]))
-            assert by_flag.options == by_file.options, name
-            assert by_flag.options[name] != default, name
+            by_flag = cli._resolve_options(command, parser.parse_args(base + flag), {})
+            args = parser.parse_args(base + ["--config", str(cfg)])
+            by_file = cli._resolve_options(command, args, load_config(args.config))
+            assert by_flag == by_file, name
+            assert by_flag[name] != default, name
 
     @pytest.mark.parametrize(
         "argv, text, key",
@@ -917,13 +957,28 @@ class TestOptionTable:
 
 
 class TestDemoConfig:
-    def test_nan_model_parameter_exits_2(self, tmp_path, capsys):
+    # one field of each model's config class
+    @pytest.mark.parametrize(
+        "model, text, message",
+        [
+            ("betabinom", "prior_weight = nan", "prior_weight must be in [0, inf), got nan"),
+            ("weibull", "n = 1", "n must be at least 3, got 1"),
+            ("normal_mean", "m_draws = 1", "m_draws must be at least 2, got 1"),
+            (
+                "regression",
+                "sigma_lik = nan",
+                "sigma_lik must be positive and finite, got nan",
+            ),
+        ],
+        ids=["betabinom", "weibull", "normal_mean", "regression"],
+    )
+    def test_nan_model_parameter_exits_2(self, tmp_path, capsys, model, text, message):
         cfg = tmp_path / "run.cfg"
-        write(cfg, "prior_weight = nan\n")
+        write(cfg, text + "\n")
         out = tmp_path / "o"
-        argv = ["demo", "betabinom", "--config", str(cfg), "--out", str(out)]
+        argv = ["demo", model, "--config", str(cfg), "--out", str(out)]
         assert main(argv) == 2
-        assert "bad prior configuration" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"wkernel: {message}\n"
         assert not out.exists()
 
     def test_weibull_shape_mle_outside_bracket_exits_4(self, tmp_path, capsys):

@@ -14,7 +14,6 @@ from wkernel.bootstrap import BootstrapRun
 from wkernel.core import (
     LogLikMatrix,
     StatMatrix,
-    WeightVector,
     centered_cov_star,
     empirical_cov_over_obs,
     posterior_cov,
@@ -70,10 +69,6 @@ class TestContainers:
     def test_stat_vector_promoted_to_column(self):
         s = StatMatrix(np.arange(3.0))
         assert s.values.shape == (3, 1)
-
-    def test_weight_vector_eta(self):
-        w = WeightVector(np.array([1.0, 2.0, 0.0]))
-        np.testing.assert_allclose(w.eta, [0.0, 1.0, -1.0])
 
 
 # container -> the array it holds, built from a 2-D array

@@ -18,7 +18,6 @@ from wkernel.core import (
     LogLikMatrix,
     LogPriorVector,
     StatMatrix,
-    WeightVector,
     posterior_var,
 )
 from wkernel.errors import InvalidInput
@@ -31,7 +30,7 @@ from wkernel.freq_eval import (
     sensitivity_second,
 )
 from wkernel.kernels import ScoreMatrix, build_info_matrices, build_w, center_loglik
-from wkernel.models import BetaBinomialConfig, run_model
+from wkernel.models import BetaBinomialConfig, exact_weighted_mean, run_model
 from wkernel.spectral import SpectralBasis, full_eigen
 
 
@@ -52,7 +51,7 @@ def betabinom_exact_weighted_mean(bundle):
     """Closed-form reweighted posterior mean of q, as a function of weights."""
 
     def f(w):
-        return bundle.exact_weighted_mean(WeightVector(w), "q_mean")
+        return exact_weighted_mean(bundle, w, "q_mean")
 
     return f
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wkernel.core import LogLikMatrix, StatMatrix, posterior_cov
-from wkernel.errors import InvalidInput, SingularInformation
+from wkernel.errors import InvalidInput, NumericalFailure
 from wkernel.freq_eval import freq_cov
 from wkernel.kernels import (
     ScoreMatrix,
@@ -328,9 +328,9 @@ class TestGramProductsAreExactlySymmetric:
             assert _exactly_symmetric(freq_cov(stats, ll, estimator=estimator))
         k = min(n, 4)
         scores = ScoreMatrix(values=arr[:, :k].copy(order="K"), hessian_sum=np.eye(k))
-        assert _exactly_symmetric(build_info_matrices(scores).I_hat)
+        assert _exactly_symmetric(build_info_matrices(scores)[0])
         shifted = build_info_matrices(scores, prior_score=np.ones(k), prior_weight=0.5)
-        assert _exactly_symmetric(shifted.I_hat)
+        assert _exactly_symmetric(shifted[0])
 
 
 class TestInfoMatrices:
@@ -338,16 +338,16 @@ class TestInfoMatrices:
         x, _, _ = normal_mean_setup(300, 10, seed=2)
         xbar = x.mean()
         scores = ScoreMatrix(values=(x - xbar).reshape(-1, 1), hessian_sum=np.array([[1.0]]))
-        info = build_info_matrices(scores)
+        i_hat, j_hat, sandwich = build_info_matrices(scores)
         sample_var = np.mean((x - xbar) ** 2)
-        assert info.J_hat[0, 0] == pytest.approx(1.0)
-        assert info.I_hat[0, 0] == pytest.approx(sample_var, rel=1e-12)
-        assert info.sandwich[0, 0] == pytest.approx(sample_var, rel=1e-12)
+        assert j_hat[0, 0] == pytest.approx(1.0)
+        assert i_hat[0, 0] == pytest.approx(sample_var, rel=1e-12)
+        assert sandwich[0, 0] == pytest.approx(sample_var, rel=1e-12)
 
     def test_zero_scores(self):
         scores = ScoreMatrix(values=np.zeros((5, 2)), hessian_sum=np.eye(2))
-        info = build_info_matrices(scores)
-        np.testing.assert_allclose(info.I_hat, 0.0)
+        i_hat, _, _ = build_info_matrices(scores)
+        np.testing.assert_allclose(i_hat, 0.0)
 
     def test_well_specified_sandwich_near_identity(self):
         x, _, _ = normal_mean_setup(4000, 10, seed=3)
@@ -355,8 +355,8 @@ class TestInfoMatrices:
         scores = ScoreMatrix(
             values=(x - xbar).reshape(-1, 1), hessian_sum=np.array([[1.0]])
         )
-        info = build_info_matrices(scores)
-        assert abs(info.sandwich[0, 0] - 1.0) < 0.1
+        _, _, sandwich = build_info_matrices(scores)
+        assert abs(sandwich[0, 0] - 1.0) < 0.1
 
     def test_prior_adjustment_shifts_scores(self):
         rng = np.random.default_rng(6)
@@ -364,10 +364,12 @@ class TestInfoMatrices:
         scores = ScoreMatrix(values=s, hessian_sum=np.eye(2))
         ps = np.array([0.5, -1.0])
         ph = -np.eye(2)  # log-concave prior curvature
-        info = build_info_matrices(scores, prior_score=ps, prior_weight=0.3, prior_hessian=ph)
+        i_hat, j_hat, _ = build_info_matrices(
+            scores, prior_score=ps, prior_weight=0.3, prior_hessian=ph
+        )
         shifted = s + 0.3 * ps
-        np.testing.assert_allclose(info.I_hat, shifted.T @ shifted / 40, atol=1e-12)
-        np.testing.assert_allclose(info.J_hat, np.eye(2) * 1.3, atol=1e-12)
+        np.testing.assert_allclose(i_hat, shifted.T @ shifted / 40, atol=1e-12)
+        np.testing.assert_allclose(j_hat, np.eye(2) * 1.3, atol=1e-12)
 
     def test_prior_weight_requires_score(self):
         scores = ScoreMatrix(values=np.ones((4, 1)), hessian_sum=np.eye(1))
@@ -376,8 +378,35 @@ class TestInfoMatrices:
 
     def test_singular_curvature_rejected(self):
         scores = ScoreMatrix(values=np.ones((4, 2)), hessian_sum=np.zeros((2, 2)))
-        with pytest.raises(SingularInformation):
+        with pytest.raises(NumericalFailure, match="J_hat is not positive definite"):
             build_info_matrices(scores)
+
+    def test_triple_is_read_only(self):
+        scores = ScoreMatrix(values=np.ones((4, 2)), hessian_sum=np.eye(2))
+        for mat in build_info_matrices(scores):
+            assert mat.shape == (2, 2) and not mat.flags.writeable
+
+    def test_overflowing_information_is_refused(self):
+        scores = ScoreMatrix(values=np.full((4, 2), 1e200), hessian_sum=np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInput, match="I_hat contains non-finite entries"):
+                build_info_matrices(scores)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prior_score_is_refused(self, bad):
+        scores = ScoreMatrix(values=np.ones((4, 2)), hessian_sum=np.eye(2))
+        with pytest.raises(InvalidInput, match="prior_score contains non-finite entries"):
+            build_info_matrices(scores, prior_score=np.array([0.0, bad]), prior_weight=0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prior_hessian_is_refused(self, bad):
+        scores = ScoreMatrix(values=np.ones((4, 2)), hessian_sum=np.eye(2))
+        ph = -np.eye(2)
+        ph[0, 1] = ph[1, 0] = bad
+        with pytest.raises(InvalidInput, match="prior_hessian contains non-finite entries"):
+            build_info_matrices(
+                scores, prior_score=np.zeros(2), prior_weight=0.5, prior_hessian=ph
+            )
 
 
 class TestSymmetricRoots:
@@ -460,7 +489,7 @@ class TestFeatureMatrix:
         kernel = s @ j_inv @ s.T
         np.testing.assert_allclose(phi @ phi.T / n, kernel / n, atol=1e-10)
         # sandwich reproduction
-        np.testing.assert_allclose(phi.T @ phi / n, info.sandwich, atol=1e-10)
+        np.testing.assert_allclose(phi.T @ phi / n, info[2], atol=1e-10)
 
     def test_normal_mean_feature_is_centered_data(self):
         x, _, _ = normal_mean_setup(40, 10, seed=33)
@@ -494,9 +523,9 @@ class TestEmbedding:
         scores = ScoreMatrix(
             values=(x - xbar).reshape(-1, 1), hessian_sum=np.array([[1.0]])
         )
-        info = build_info_matrices(scores)
+        _, _, sandwich = build_info_matrices(scores)
         emb = build_embedding(theta.reshape(-1, 1), np.array([xbar]), np.eye(1), n=200)
-        _, duality = embedding_report(emb, 200, z=z, sandwich=info.sandwich)
+        _, duality = embedding_report(emb, 200, z=z, sandwich=sandwich)
         # scaled Z is rank-one dominated with norm ~ 1; the conjugated
         # sandwich must capture it up to sampling error
         assert duality is not None

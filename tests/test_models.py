@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from wkernel.core import LogPriorVector, WeightVector, _stream
-from wkernel.errors import ConvergenceWarning, InvalidInput, NumericalFailure, Unsupported
+from wkernel.core import LogPriorVector, _stream
+from wkernel.errors import ConvergenceWarning, InvalidInput, NumericalFailure
 from wkernel.models import (
     BetaBinomialConfig,
     McmcConfig,
@@ -312,6 +312,37 @@ class TestConfigRanges:
         with pytest.raises(InvalidInput):
             cls(**{name: value})
 
+    @pytest.mark.parametrize(
+        "cls, name, value, message",
+        [
+            (McmcConfig, "chains", 0, "chains must be at least 1, got 0"),
+            (McmcConfig, "iters", 1, "iters must be at least 2, got 1"),
+            (McmcConfig, "burn_in", 4000, "burn_in must be in [0, iters = 4000), got 4000"),
+            (McmcConfig, "burn_in", -1, "burn_in must be in [0, iters = 4000), got -1"),
+            (McmcConfig, "step_size", 0.0, "step_size must be positive and finite, got 0.0"),
+            (NormalMeanConfig, "sigma", np.inf, "sigma must be positive and finite, got inf"),
+            (NormalMeanConfig, "n", 1, "n must be at least 2, got 1"),
+            (NormalMeanConfig, "m_draws", 1, "m_draws must be at least 2, got 1"),
+            (NormalMeanConfig, "mu", np.nan, "mu must be finite, got nan"),
+            (BetaBinomialConfig, "N", 0, "N must be at least 1, got 0"),
+            (BetaBinomialConfig, "n", 0, "n must be at least 1, got 0"),
+            (BetaBinomialConfig, "m_draws", 1, "m_draws must be at least 2, got 1"),
+            (BetaBinomialConfig, "alpha", 0.0, "alpha must be positive and finite, got 0.0"),
+            (BetaBinomialConfig, "beta", np.inf, "beta must be positive and finite, got inf"),
+            (BetaBinomialConfig, "prior_weight", -0.5, "prior_weight must be in [0, inf), got -0.5"),
+            (WeibullConfig, "gamma", np.nan, "gamma must be positive and finite, got nan"),
+            (WeibullConfig, "lam", -1.0, "lam must be positive and finite, got -1.0"),
+            (WeibullConfig, "n", 2, "n must be at least 3, got 2"),
+            (RegressionConfig, "sigma_true", 0.0, "sigma_true must be positive and finite, got 0.0"),
+            (RegressionConfig, "sigma_lik", np.nan, "sigma_lik must be positive and finite, got nan"),
+            (RegressionConfig, "student_df", np.inf, "student_df must be positive and finite, got inf"),
+        ],
+    )
+    def test_refusal_names_the_field_and_its_value(self, cls, name, value, message):
+        with pytest.raises(InvalidInput) as info:
+            cls(**{name: value})
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("value", [0.0, 1.0])
     def test_target_acceptance_inside_zero_one(self, value):
         with pytest.raises(InvalidInput, match=r"target_acceptance must be in \(0, 1\)"):
@@ -407,7 +438,7 @@ class TestExactWeightedMean:
         x = bundle.data
         a = 1.0 + x.sum()
         b = 1.0 + cfg.n * cfg.N - x.sum()
-        w = WeightVector(np.ones(cfg.n))
+        w = np.ones(cfg.n)
         assert exact_weighted_mean(bundle, w, "q_mean") == pytest.approx(a / (a + b))
 
     def test_case_deletion(self):
@@ -416,7 +447,7 @@ class TestExactWeightedMean:
         x = bundle.data
         w = np.ones(cfg.n)
         w[3] = 0.0
-        got = exact_weighted_mean(bundle, WeightVector(w), "q_mean")
+        got = exact_weighted_mean(bundle, w, "q_mean")
         num = 1.0 + x.sum() - x[3]
         den = 2.0 + (cfg.n - 1) * cfg.N
         assert got == pytest.approx(num / den, rel=1e-12)
@@ -427,14 +458,26 @@ class TestExactWeightedMean:
         x = bundle.data
         w = np.ones(cfg.n)
         w[5] = 2.0
-        got = exact_weighted_mean(bundle, WeightVector(w), "q_mean")
+        got = exact_weighted_mean(bundle, w, "q_mean")
         a = 1.0 + x.sum() + x[5]
         b = 1.0 + (cfg.n + 1) * cfg.N - (x.sum() + x[5])
         assert got == pytest.approx(a / (a + b), rel=1e-12)
 
+    @pytest.mark.parametrize("case", ["2-D", "nan", "inf", "length"])
+    def test_bad_weights_are_refused(self, betabinom_bundle, case):
+        n = betabinom_bundle.n_obs
+        w, text = {
+            "2-D": (np.ones((1, n)), "must be 1-D, got 2-D"),
+            "nan": (np.r_[np.ones(n - 1), np.nan], "contains non-finite entries"),
+            "inf": (np.r_[np.ones(n - 1), np.inf], "contains non-finite entries"),
+            "length": (np.ones(n + 1), f"has {n + 1} entries, model has {n}"),
+        }[case]
+        with pytest.raises(InvalidInput, match=f"^weight vector {text}$"):
+            exact_weighted_mean(betabinom_bundle, w, "q_mean")
+
     def test_unsupported_for_mcmc_models(self, weibull_bundle):
-        w = WeightVector(np.ones(weibull_bundle.n_obs))
-        with pytest.raises(Unsupported):
+        w = np.ones(weibull_bundle.n_obs)
+        with pytest.raises(InvalidInput, match="has no exact reweighted posterior"):
             exact_weighted_mean(weibull_bundle, w, "gamma")
 
 
@@ -464,7 +507,7 @@ class TestPredictiveTail:
         assert np.all(b <= a)
 
     def test_requires_weibull(self, betabinom_bundle):
-        with pytest.raises(Unsupported):
+        with pytest.raises(InvalidInput, match="requires a Weibull bundle"):
             predictive_tail_stat(betabinom_bundle, 40.0)
 
 
@@ -490,7 +533,7 @@ class TestMergeShift:
         w = np.ones(50)
         w[from_i] = 0.0
         w[into_j] = 2.0
-        exact = exact_weighted_mean(bundle, WeightVector(w), "theta_mean") - x.mean()
+        exact = exact_weighted_mean(bundle, w, "theta_mean") - x.mean()
         assert pred == pytest.approx(exact, rel=0.10)
 
     def test_curve_stats_match_design(self, regression_bundle):
