@@ -435,10 +435,12 @@ def build_info_matrices(
     those of the W matrix asymptotically.  With ``prior_weight`` > 0 each
     score is shifted by prior_weight * prior_score and J_hat picks up
     prior_weight times the prior's negative Hessian, giving the
-    prior-adjusted information matrices evaluated at the MAP.  A
-    non-finite prior score or Hessian, or a product that overflows, is
-    refused.
+    prior-adjusted information matrices evaluated at the MAP.  A weight
+    outside [0, inf), a non-finite prior score or Hessian, or a product
+    that overflows, is refused.
     """
+    if not 0.0 <= prior_weight < np.inf:
+        raise InvalidInput(f"prior_weight must be in [0, inf), got {prior_weight}")
     s = scores.values
     j_hat = scores.hessian_sum
     if prior_weight > 0.0:

@@ -147,8 +147,8 @@ class McmcConfig:
         in_run = 0 <= self.burn_in < self.iters
         _check_field(in_run, "burn_in", self.burn_in, f"in [0, iters = {self.iters})")
         _check_positive(self, "step_size")
-        if not 0 < self.target_acceptance < 1:
-            raise InvalidInput("target_acceptance must be in (0, 1)")
+        rate = self.target_acceptance
+        _check_field(0 < rate < 1, "target_acceptance", rate, "in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -191,10 +191,8 @@ class BetaBinomialConfig:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        if not 0 < self.q0 < 1:
-            raise InvalidInput("q0 must be in (0, 1)")
-        if not 0 <= self.rho < 1:
-            raise InvalidInput("rho must be in [0, 1)")
+        _check_field(0 < self.q0 < 1, "q0", self.q0, "in (0, 1)")
+        _check_field(0 <= self.rho < 1, "rho", self.rho, "in [0, 1)")
         _check_field(self.N >= 1, "N", self.N, "at least 1")
         _check_field(self.n >= 1, "n", self.n, "at least 1")
         _check_field(self.m_draws >= 2, "m_draws", self.m_draws, "at least 2")
@@ -249,12 +247,10 @@ class RegressionConfig:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        if self.likelihood not in REGRESSION_LIKELIHOODS:
-            raise InvalidInput(
-                f"likelihood must be one of {REGRESSION_LIKELIHOODS}"
-            )
-        if self.n < self.degree + 2:
-            raise InvalidInput("need n >= degree + 2 observations")
+        known = self.likelihood in REGRESSION_LIKELIHOODS
+        _check_field(known, "likelihood", self.likelihood, f"one of {REGRESSION_LIKELIHOODS}")
+        least = self.degree + 2
+        _check_field(self.n >= least, "n", self.n, f"at least degree + 2 = {least}")
         _check_positive(self, "sigma_true", "sigma_lik", "student_df")
 
 

@@ -1,6 +1,7 @@
 """CSV round trips, config parsing, command artifacts, determinism."""
 
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wkernel import cli, models
+from wkernel import cli, commands, models
 from wkernel.cli import main
 from wkernel.core import LogLikMatrix
 from wkernel.errors import InvalidInput, ParseError
@@ -571,7 +572,7 @@ class TestCommands:
         def refuse(*args, **kwargs):
             raise AssertionError("projection built before the draw-count check")
 
-        monkeypatch.setattr("wkernel.cli._projection", refuse)
+        monkeypatch.setattr("wkernel.commands._projection", refuse)
         argv = ["freqcov", str(ll), str(st), "--estimator", "projected"]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         assert "statistics have 59 draws, log-likelihoods have 60" in capsys.readouterr().err
@@ -702,7 +703,7 @@ class TestCommands:
             ll = tmp_path / f"ll{m}.csv"
             make_loglik_csv(ll, m=m, n=300)
             try:
-                held = cli._load_loglik(str(ll))
+                held = commands._load_loglik(str(ll))
                 used.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -910,7 +911,7 @@ def sample_value(kind, default):
 class TestOptionTable:
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_flag_and_config_key_resolve_alike(self, tmp_path, command):
-        _, inputs, options, _, _ = cli._COMMANDS[command]
+        _, inputs, options, _ = cli._COMMANDS[command]
         base = [command] + [SAMPLE_INPUTS[name] for name in inputs]
         parser = cli._build_parser()
         for name in options:
@@ -969,8 +970,10 @@ class TestDemoConfig:
                 "sigma_lik = nan",
                 "sigma_lik must be positive and finite, got nan",
             ),
+            # a finite value out of range is refused the same way
+            ("betabinom", "q0 = 1.5", "q0 must be in (0, 1), got 1.5"),
         ],
-        ids=["betabinom", "weibull", "normal_mean", "regression"],
+        ids=["betabinom", "weibull", "normal_mean", "regression", "betabinom_q0"],
     )
     def test_nan_model_parameter_exits_2(self, tmp_path, capsys, model, text, message):
         cfg = tmp_path / "run.cfg"
@@ -1078,6 +1081,11 @@ _REFUSED_BY_OPTIONS = [
     (["eigen", "{ll}", "--rel-tol", "1"], "--rel-tol must be in (0, 1)"),
     (["rep", "{ll}", "--rel-tol", "nan"], "--rel-tol must be in (0, 1)"),
     (["rep", "{ll}", "--max-rank", "0"], "--max-rank must be at least 1"),
+    (
+        ["freqcov", "{ll}", "{st}", "--estimator", "projected", "--rank", "0"],
+        "--rank must be at least 1, got 0",
+    ),
+    (["boot", "{ll}", "{st}", "--rank", "-2"], "--rank must be at least 1, got -2"),
     (["boot", "{ll}", "{st}", "--method", "importance", "--rank", "2"], "--rank applies only"),
     (["eigen", "{ll}", "--matrix", "w", "--kind", "double_centered"], "--kind applies only"),
     (["rep", "{ll}", "--matrix", "w", "--kind", "raw"], "--kind applies only"),
@@ -1102,11 +1110,22 @@ class TestUsageBeforeLoading:
 
 
 class TestOptionRules:
+    def test_each_command_has_a_handler_of_its_name(self):
+        # run_command calls the function of wkernel.commands named as the command
+        handlers = {
+            name
+            for name, value in vars(commands).items()
+            if inspect.isfunction(value)
+            and value.__module__ == commands.__name__
+            and not name.startswith("_")
+        }
+        assert handlers == set(cli._COMMANDS)
+
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_rules_name_options_and_choices_of_their_command(self, command):
         # a typo in a rule would otherwise turn it off without a word
         options = cli._COMMANDS[command][2]
-        for name, values, verb, other, allowed in cli._COMMANDS[command][4]:
+        for name, values, verb, other, allowed in cli._COMMANDS[command][3]:
             assert verb in ("applies only with", "requires")
             for option, chosen in ((name, values), (other, allowed)):
                 assert option in options
@@ -1144,16 +1163,17 @@ class TestRank:
         out = tmp_path / "o"
         argv = argv[:1] + inputs + argv[1:] + ["--rank", rank, "--out", str(out)]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert f"--rank {rank}" in err and "retained rank 8" in err
-        assert not out.exists() or not any(out.iterdir())
+        assert capsys.readouterr().err == f"wkernel: --rank must be at least 1, got {rank}\n"
+        assert not out.exists()
 
     def test_rank_zero_from_config_file_is_refused(self, tmp_path, capsys, inputs):
         cfg = tmp_path / "run.cfg"
         write(cfg, "rank = 0\n")
         argv = ["freqcov", *inputs, "--estimator", "projected", "--config", str(cfg)]
-        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
-        assert "--rank 0" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == "wkernel: --rank must be at least 1, got 0\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -376,6 +376,21 @@ class TestInfoMatrices:
         with pytest.raises(InvalidInput):
             build_info_matrices(scores, prior_weight=0.5)
 
+    @pytest.mark.parametrize("weight", [-0.5, np.nan, np.inf])
+    def test_prior_weight_outside_zero_inf_is_refused(self, weight):
+        scores = ScoreMatrix(values=np.ones((4, 2)), hessian_sum=np.eye(2))
+        with pytest.raises(InvalidInput) as info:
+            build_info_matrices(scores, prior_score=np.ones(2), prior_weight=weight)
+        assert str(info.value) == f"prior_weight must be in [0, inf), got {weight}"
+
+    def test_zero_prior_weight_is_unadjusted(self):
+        s = np.arange(8.0).reshape(4, 2)
+        scores = ScoreMatrix(values=s, hessian_sum=np.eye(2))
+        plain = build_info_matrices(scores)
+        zero = build_info_matrices(scores, prior_score=np.ones(2), prior_weight=0.0)
+        for a, b in zip(plain, zero):
+            assert np.array_equal(a, b)
+
     def test_singular_curvature_rejected(self):
         scores = ScoreMatrix(values=np.ones((4, 2)), hessian_sum=np.zeros((2, 2)))
         with pytest.raises(NumericalFailure, match="J_hat is not positive definite"):

@@ -320,10 +320,13 @@ class TestConfigRanges:
             (McmcConfig, "burn_in", 4000, "burn_in must be in [0, iters = 4000), got 4000"),
             (McmcConfig, "burn_in", -1, "burn_in must be in [0, iters = 4000), got -1"),
             (McmcConfig, "step_size", 0.0, "step_size must be positive and finite, got 0.0"),
+            (McmcConfig, "target_acceptance", 1.0, "target_acceptance must be in (0, 1), got 1.0"),
             (NormalMeanConfig, "sigma", np.inf, "sigma must be positive and finite, got inf"),
             (NormalMeanConfig, "n", 1, "n must be at least 2, got 1"),
             (NormalMeanConfig, "m_draws", 1, "m_draws must be at least 2, got 1"),
             (NormalMeanConfig, "mu", np.nan, "mu must be finite, got nan"),
+            (BetaBinomialConfig, "q0", 1.5, "q0 must be in (0, 1), got 1.5"),
+            (BetaBinomialConfig, "rho", 1.0, "rho must be in [0, 1), got 1.0"),
             (BetaBinomialConfig, "N", 0, "N must be at least 1, got 0"),
             (BetaBinomialConfig, "n", 0, "n must be at least 1, got 0"),
             (BetaBinomialConfig, "m_draws", 1, "m_draws must be at least 2, got 1"),
@@ -336,6 +339,14 @@ class TestConfigRanges:
             (RegressionConfig, "sigma_true", 0.0, "sigma_true must be positive and finite, got 0.0"),
             (RegressionConfig, "sigma_lik", np.nan, "sigma_lik must be positive and finite, got nan"),
             (RegressionConfig, "student_df", np.inf, "student_df must be positive and finite, got inf"),
+            (
+                RegressionConfig,
+                "likelihood",
+                "cauchy",
+                "likelihood must be one of ('normal_known_sigma', 'normal_est_sigma', "
+                "'student_t'), got cauchy",
+            ),
+            (RegressionConfig, "n", 4, "n must be at least degree + 2 = 5, got 4"),
         ],
     )
     def test_refusal_names_the_field_and_its_value(self, cls, name, value, message):
