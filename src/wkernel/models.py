@@ -18,6 +18,7 @@ Models:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -72,38 +73,36 @@ def weibull_logpdf(x, gamma, lam):
     return out if out.ndim else float(out)
 
 
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) of scalars a, b > 0."""
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+def _log_binom(N: int, x) -> np.ndarray:
+    """log C(N, x) of integer counts x in [0, N], from one lgamma per count."""
+    lg = np.array([math.lgamma(k + 1) for k in range(N + 1)])
+    return (lg[N] - lg - lg[::-1])[x]
+
+
 def betabinom_logpmf(x, N: int, q0: float, rho: float):
     """Log pmf of the beta-binomial with mean q0 and overdispersion rho.
 
     Parameterized so that E[X]/N = q0; the underlying Beta mixing
     parameters are a = q0 (1 - rho)/rho and b = (1 - q0)(1 - rho)/rho.
     """
-    if not 0 < rho < 1:
-        raise InvalidInput("rho must be in (0, 1)")
-    if not 0 < q0 < 1:
-        raise InvalidInput("q0 must be in (0, 1)")
-    if N < 1:
-        raise InvalidInput("N must be a positive integer")
+    _check_field(0 < rho < 1, "rho", rho, "in (0, 1)")
+    _check_field(0 < q0 < 1, "q0", q0, "in (0, 1)")
+    _check_field(isinstance(N, (int, np.integer)) and N >= 1, "N", N, "a positive integer")
     x = np.asarray(x)
-    if np.any(x < 0) or np.any(x > N) or not np.issubdtype(x.dtype, np.integer):
-        raise InvalidInput(f"x must be an integer in [0, {N}]")
-    from scipy.special import betaln, gammaln
+    _check_field(np.issubdtype(x.dtype, np.integer), "x", x.dtype, "of an integer dtype")
+    outside = np.unique(x[(x < 0) | (x > N)])
+    _check_field(outside.size == 0, "x", outside, f"in [0, {N}]")
 
     a = q0 * (1.0 - rho) / rho
     b = (1.0 - q0) * (1.0 - rho) / rho
-    comb = gammaln(N + 1) - gammaln(x + 1) - gammaln(N - x + 1)
-    out = comb + betaln(x + a, N - x + b) - betaln(a, b)
+    mixed = np.array([_log_beta(k + a, N - k + b) for k in range(N + 1)])
+    out = _log_binom(N, x) + mixed[x] - _log_beta(a, b)
     return out if out.ndim else float(out)
-
-
-def _binom_loglik(x, N, q):
-    """Binomial log-likelihood matrix: draws of q (M,) by data x (n,)."""
-    from scipy.special import gammaln
-
-    q = np.asarray(q, dtype=float).reshape(-1, 1)
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    comb = gammaln(N + 1) - gammaln(x + 1) - gammaln(N - x + 1)
-    return comb + x * np.log(q) + (N - x) * np.log1p(-q)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +111,8 @@ def _binom_loglik(x, N, q):
 
 
 def _check_field(ok: bool, name: str, value, rule: str) -> None:
-    """Refuse a configuration field that breaks its rule, naming the field
-    and its value."""
+    """Refuse a configuration field or an argument that breaks its rule,
+    naming it and its value."""
     if not ok:
         raise InvalidInput(f"{name} must be {rule}, got {value}")
 
@@ -199,6 +198,17 @@ class BetaBinomialConfig:
         _check_positive(self, "alpha", "beta")
         weight = self.prior_weight
         _check_field(0 <= weight < np.inf, "prior_weight", weight, "in [0, inf)")
+        for name, effective in zip(("alpha", "beta"), self._prior_beta()):
+            parameter = f"the scaled prior's Beta parameter 1 + n * prior_weight * ({name} - 1)"
+            value = f"{getattr(self, name)}, which gives {effective:g}"
+            _check_field(effective > 0, name, value, f"large enough that {parameter} > 0")
+
+    def _prior_beta(self) -> tuple:
+        """The prior's Beta parameters; Beta(alpha, beta) to a power stays conjugate."""
+        scale = self.n * self.prior_weight
+        if scale > 0:
+            return 1.0 + scale * (self.alpha - 1.0), 1.0 + scale * (self.beta - 1.0)
+        return self.alpha, self.beta
 
 
 @dataclass(frozen=True)
@@ -403,8 +413,6 @@ def _run_normal_mean(config: NormalMeanConfig) -> ModelBundle:
 
 
 def _run_beta_binomial(config: BetaBinomialConfig) -> ModelBundle:
-    from scipy.special import betaln
-
     rng = _stream(config.seed)
     n, N = config.n, config.N
     if config.rho > 0:
@@ -416,28 +424,21 @@ def _run_beta_binomial(config: BetaBinomialConfig) -> ModelBundle:
         x = rng.binomial(N, config.q0, size=n)
 
     lam = config.prior_weight
-    if lam > 0:
-        # scaled prior on a uniform base: Beta(alpha, beta) density to the
-        # power n * lam stays conjugate
-        a_prior = 1.0 + n * lam * (config.alpha - 1.0)
-        b_prior = 1.0 + n * lam * (config.beta - 1.0)
-    else:
-        a_prior = config.alpha
-        b_prior = config.beta
-    if a_prior <= 0 or b_prior <= 0:
-        raise InvalidInput("scaled prior is improper: effective Beta parameters <= 0")
+    a_prior, b_prior = config._prior_beta()
     a_post = a_prior + x.sum()
     b_post = b_prior + (N * n - x.sum())
     q = rng.beta(a_post, b_post, size=config.m_draws)
 
     def loglik_fn(draws_, data_):
-        return _binom_loglik(data_, N, np.asarray(draws_).ravel())
+        q_ = np.asarray(draws_, dtype=float).reshape(-1, 1)
+        counts = np.asarray(data_, dtype=float)
+        return _log_binom(N, data_) + counts * np.log(q_) + (N - counts) * np.log1p(-q_)
 
     draws = q.reshape(-1, 1)
     loglik = LogLikMatrix(values=_frozen(loglik_fn(draws, x)))
 
     base = (config.alpha - 1.0) * np.log(q) + (config.beta - 1.0) * np.log1p(-q)
-    base = base - betaln(config.alpha, config.beta)
+    base = base - _log_beta(config.alpha, config.beta)
     logprior = LogPriorVector(values=(n * lam * base) if lam > 0 else base)
 
     # point estimate: MLE for the unscaled case, MAP of the scaled prior else
@@ -557,12 +558,10 @@ def _design_matrix(z: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _student_logpdf(resid, sigma, df):
-    from scipy.special import gammaln
-
     r = resid / sigma
     return (
-        gammaln((df + 1) / 2)
-        - gammaln(df / 2)
+        math.lgamma((df + 1) / 2)
+        - math.lgamma(df / 2)
         - 0.5 * np.log(df * np.pi)
         - np.log(sigma)
         - ((df + 1) / 2) * np.log1p(r**2 / df)

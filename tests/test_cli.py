@@ -972,8 +972,22 @@ class TestDemoConfig:
             ),
             # a finite value out of range is refused the same way
             ("betabinom", "q0 = 1.5", "q0 must be in (0, 1), got 1.5"),
+            # as is a scaled prior that is improper, before any draw
+            (
+                "betabinom",
+                "alpha = 0.5\nprior_weight = 1\nn = 20",
+                "alpha must be large enough that the scaled prior's Beta parameter "
+                "1 + n * prior_weight * (alpha - 1) > 0, got 0.5, which gives -9",
+            ),
         ],
-        ids=["betabinom", "weibull", "normal_mean", "regression", "betabinom_q0"],
+        ids=[
+            "betabinom",
+            "weibull",
+            "normal_mean",
+            "regression",
+            "betabinom_q0",
+            "betabinom_improper_prior",
+        ],
     )
     def test_nan_model_parameter_exits_2(self, tmp_path, capsys, model, text, message):
         cfg = tmp_path / "run.cfg"

@@ -1,7 +1,11 @@
 """Toy-model densities, samplers, and conjugate oracles."""
 
 import dataclasses
+import functools
+import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import betaln, gammaln
 
+from wkernel import cli
 from wkernel.core import LogPriorVector, _stream
 from wkernel.errors import ConvergenceWarning, InvalidInput, NumericalFailure
 from wkernel.models import (
@@ -24,6 +30,8 @@ from wkernel.models import (
     RegressionConfig,
     WeibullConfig,
     _adaptive_rwm,
+    _log_beta,
+    _log_binom,
     _weibull_mle,
     betabinom_logpmf,
     curve_stats,
@@ -168,22 +176,62 @@ class TestWeibullMle:
             _weibull_mle(x)
 
 
-def test_weibull_path_loads_no_scipy():
-    script = (
-        "import sys, warnings\n"
-        "from wkernel.models import McmcConfig, WeibullConfig, run_model\n"
-        "warnings.simplefilter('ignore')\n"
-        "run_model(WeibullConfig(mcmc=McmcConfig(chains=2, iters=60, burn_in=20)))\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-    )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# A child process in which scipy cannot be imported: it runs the script
+# named by its first argument as __main__, with the rest as its arguments.
+_WITHOUT_SCIPY = """
+import importlib.abc, runpy, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy.special
+except ModuleNotFoundError:
+    pass
+else:
+    sys.exit("scipy was imported past the blocker")
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def test_no_command_needs_scipy(tmp_path):
+    """Each golden case exits 0 without scipy and writes the bytes it
+    writes with it; the cases run every command and every demo model."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "golden", "manifest.json"), encoding="utf-8") as fh:
+        argvs = [entry["argv"] for entry in json.load(fh).values()]
+    assert {argv[0] for argv in argvs} == set(cli._COMMANDS)
+    assert {argv[1] for argv in argvs if argv[0] == "demo"} == set(cli._DEMO)
     env = dict(os.environ)
+    src = os.path.join(os.path.dirname(here), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    digests = []
+    for blocker in (["-c", _WITHOUT_SCIPY], []):
+        proc = subprocess.run(
+            [sys.executable, *blocker, os.path.join(here, "golden", "run_golden.py"),
+             str(tmp_path / str(len(digests)))],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads(proc.stdout))
+    assert digests[0] == digests[1]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    test_extra = project["optional-dependencies"]["test"]
+    assert "scipy" in [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in test_extra]
 
 
 def _per_chain_rwm(logpost, x0, k, mcmc, seed):
@@ -268,10 +316,62 @@ class TestBetaBinomialDensity:
         assert (x * pmf).sum() == pytest.approx(5 * 0.25, abs=1e-8)
 
     def test_domain_validation(self):
-        with pytest.raises(InvalidInput):
-            betabinom_logpmf(6, 5, 0.25, 0.65)
-        with pytest.raises(InvalidInput):
-            betabinom_logpmf(2, 5, 0.25, 1.5)
+        for args, message in [
+            ((2, 5, 0.25, 1.5), "rho must be in (0, 1), got 1.5"),
+            ((2, 5, 0.25, np.nan), "rho must be in (0, 1), got nan"),
+            ((2, 5, 0.0, 0.65), "q0 must be in (0, 1), got 0.0"),
+            ((2, 0, 0.25, 0.65), "N must be a positive integer, got 0"),
+            ((2, 5.0, 0.25, 0.65), "N must be a positive integer, got 5.0"),
+            ((2.0, 5, 0.25, 0.65), "x must be of an integer dtype, got float64"),
+            ((6, 5, 0.25, 0.65), "x must be in [0, 5], got [6]"),
+            (([7, 2, -1, 7], 5, 0.25, 0.65), "x must be in [0, 5], got [-1  7]"),
+        ]:
+            with pytest.raises(InvalidInput) as info:
+                betabinom_logpmf(*args)
+            assert str(info.value) == message
+
+
+class TestLogGammaHelpers:
+    """The stdlib log-gamma helpers against scipy.special, at the arguments
+    the models give them.  math.lgamma is good to about one ulp of
+    max(|value|, 1): relative far from its roots at 1 and 2, absolute near
+    them.  The log binomial coefficient and log-beta add up three
+    log-gammas, so their error scales with those terms, not with the
+    (possibly much smaller) result.  Each value is held to 8 ulps of the
+    sum of its terms' max(|term|, 1)."""
+
+    @staticmethod
+    def tolerance(*terms):
+        return 8 * np.finfo(float).eps * sum(np.maximum(np.abs(t), 1.0) for t in terms)
+
+    @pytest.mark.parametrize("N", [1, 5, 7, 60, 1000])
+    def test_log_gamma_of_counts_and_log_binomial(self, N):
+        counts = np.arange(1, N + 2)
+        lg = np.array([math.lgamma(k) for k in counts])
+        assert np.all(np.abs(lg - gammaln(counts)) <= self.tolerance(gammaln(counts)))
+        x = np.arange(N + 1)
+        terms = gammaln(N + 1), gammaln(x + 1), gammaln(N - x + 1)
+        expected = terms[0] - terms[1] - terms[2]
+        assert np.all(np.abs(_log_binom(N, x) - expected) <= self.tolerance(*terms))
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 4.0, 5.0, 30.0, 1e6])
+    def test_log_gamma_of_student_halves(self, df):
+        for arg in ((df + 1) / 2, df / 2):
+            assert abs(math.lgamma(arg) - gammaln(arg)) <= self.tolerance(gammaln(arg))
+
+    @pytest.mark.parametrize("q0", [0.05, 0.25, 0.5, 0.95])
+    def test_log_beta_over_rho(self, q0):
+        N = 5
+        for rho in np.geomspace(1e-6, 0.99, 40):
+            a = q0 * (1.0 - rho) / rho
+            b = (1.0 - q0) * (1.0 - rho) / rho
+            # the mixing Beta's parameters, and those betabinom_logpmf shifts by a count
+            for p, q in [(a, b)] + [(k + a, N - k + b) for k in range(N + 1)]:
+                tol = self.tolerance(gammaln(p), gammaln(q), gammaln(p + q))
+                assert abs(_log_beta(p, q) - betaln(p, q)) <= tol, (q0, rho, p, q)
+
+    def test_log_beta_of_the_uniform_prior(self):
+        assert _log_beta(1.0, 1.0) == betaln(1.0, 1.0) == 0.0
 
 
 class TestSeeds:
@@ -333,6 +433,14 @@ class TestConfigRanges:
             (BetaBinomialConfig, "alpha", 0.0, "alpha must be positive and finite, got 0.0"),
             (BetaBinomialConfig, "beta", np.inf, "beta must be positive and finite, got inf"),
             (BetaBinomialConfig, "prior_weight", -0.5, "prior_weight must be in [0, inf), got -0.5"),
+            pytest.param(
+                functools.partial(BetaBinomialConfig, prior_weight=1.0, n=20),
+                "alpha",
+                0.5,
+                "alpha must be large enough that the scaled prior's Beta parameter "
+                "1 + n * prior_weight * (alpha - 1) > 0, got 0.5, which gives -9",
+                id="BetaBinomialConfig-alpha-improper-scaled-prior",
+            ),
             (WeibullConfig, "gamma", np.nan, "gamma must be positive and finite, got nan"),
             (WeibullConfig, "lam", -1.0, "lam must be positive and finite, got -1.0"),
             (WeibullConfig, "n", 2, "n must be at least 3, got 2"),
