@@ -78,10 +78,16 @@ def _log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
+def _per_count(f, x) -> np.ndarray:
+    """f(k) for each distinct count k of x, one call each, spread over x's shape."""
+    counts, where = np.unique(x, return_inverse=True)
+    return np.array([f(k) for k in counts])[where].reshape(np.shape(x))
+
+
 def _log_binom(N: int, x) -> np.ndarray:
-    """log C(N, x) of integer counts x in [0, N], from one lgamma per count."""
-    lg = np.array([math.lgamma(k + 1) for k in range(N + 1)])
-    return (lg[N] - lg - lg[::-1])[x]
+    """log C(N, x) of counts x in [0, N], one lgamma triple per distinct count."""
+    top = math.lgamma(N + 1)
+    return _per_count(lambda k: top - math.lgamma(k + 1) - math.lgamma(N - k + 1), x)
 
 
 def betabinom_logpmf(x, N: int, q0: float, rho: float):
@@ -100,8 +106,8 @@ def betabinom_logpmf(x, N: int, q0: float, rho: float):
 
     a = q0 * (1.0 - rho) / rho
     b = (1.0 - q0) * (1.0 - rho) / rho
-    mixed = np.array([_log_beta(k + a, N - k + b) for k in range(N + 1)])
-    out = _log_binom(N, x) + mixed[x] - _log_beta(a, b)
+    mixed = _per_count(lambda k: _log_beta(k + a, N - k + b), x)
+    out = _log_binom(N, x) + mixed - _log_beta(a, b)
     return out if out.ndim else float(out)
 
 
@@ -192,6 +198,7 @@ class BetaBinomialConfig:
         _check_seed(self.seed)
         _check_field(0 < self.q0 < 1, "q0", self.q0, "in (0, 1)")
         _check_field(0 <= self.rho < 1, "rho", self.rho, "in [0, 1)")
+        _check_field(isinstance(self.N, (int, np.integer)), "N", self.N, "an integer")
         _check_field(self.N >= 1, "N", self.N, "at least 1")
         _check_field(self.n >= 1, "n", self.n, "at least 1")
         _check_field(self.m_draws >= 2, "m_draws", self.m_draws, "at least 2")
@@ -553,10 +560,6 @@ def _run_weibull(config: WeibullConfig) -> ModelBundle:
     )
 
 
-def _design_matrix(z: np.ndarray, degree: int) -> np.ndarray:
-    return np.vander(z, degree + 1, increasing=True)
-
-
 def _student_logpdf(resid, sigma, df):
     r = resid / sigma
     return (
@@ -573,7 +576,7 @@ def _run_regression(config: RegressionConfig) -> ModelBundle:
     n = config.n
     z = np.linspace(-1.0, 1.0, n)
     x = np.sin(np.pi * z) + config.sigma_true * rng.standard_t(4, size=n)
-    design = _design_matrix(z, config.degree)
+    design = np.vander(z, config.degree + 1, increasing=True)
     k_beta = config.degree + 1
     beta_ols, *_ = np.linalg.lstsq(design, x, rcond=None)
     resid = x - design @ beta_ols
@@ -628,11 +631,7 @@ def _run_regression(config: RegressionConfig) -> ModelBundle:
         h_bb = (design.T @ design) / sigma_mle**2
         h_bs = 2.0 * (design * (r / sigma_mle)[:, None]).sum(axis=0)
         h_ss = 2.0 * np.sum(r**2)
-        hess = np.zeros((k, k))
-        hess[:k_beta, :k_beta] = h_bb
-        hess[:k_beta, k_beta] = h_bs
-        hess[k_beta, :k_beta] = h_bs
-        hess[k_beta, k_beta] = h_ss
+        hess = np.block([[h_bb, h_bs[:, None]], [h_bs, h_ss]])
         scores = ScoreMatrix(values=s_vals, hessian_sum=hess / n)
     else:
         theta_hat = np.concatenate([beta_ols, [sigma_mle]])
@@ -709,11 +708,8 @@ def curve_stats(bundle: ModelBundle, grid) -> StatMatrix:
         raise InvalidInput("curve statistics require a regression bundle")
     grid = np.asarray(grid, dtype=float)
     k_beta = sum(1 for name in bundle.param_names if name.startswith("beta_"))
-    design = _design_matrix(grid, k_beta - 1)
-    values = bundle.draws[:, :k_beta] @ design.T
-    return StatMatrix(
-        values=values, names=tuple(f"curve_at_{g:g}" for g in grid)
-    )
+    values = bundle.draws[:, :k_beta] @ np.vander(grid, k_beta, increasing=True).T
+    return StatMatrix(values=values, names=tuple(f"curve_at_{g:g}" for g in grid))
 
 
 def merge_shift_experiment(bundle: ModelBundle, from_i: int, into_j: int, grid=None):

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import betaln, gammaln
 
-from wkernel import cli
+from wkernel import cli, models
 from wkernel.core import LogPriorVector, _stream
 from wkernel.errors import ConvergenceWarning, InvalidInput, NumericalFailure
 from wkernel.models import (
@@ -199,28 +200,27 @@ runpy.run_path(sys.argv[0], run_name="__main__")
 
 
 def test_no_command_needs_scipy(tmp_path):
-    """Each golden case exits 0 without scipy and writes the bytes it
-    writes with it; the cases run every command and every demo model."""
+    """Each golden case exits 0 without scipy and writes the bytes its
+    manifest records, which test_golden checks with scipy importable; the
+    cases run every command and every demo model."""
     here = os.path.dirname(os.path.abspath(__file__))
     with open(os.path.join(here, "golden", "manifest.json"), encoding="utf-8") as fh:
-        argvs = [entry["argv"] for entry in json.load(fh).values()]
+        manifest = json.load(fh)
+    argvs = [entry["argv"] for entry in manifest.values()]
     assert {argv[0] for argv in argvs} == set(cli._COMMANDS)
     assert {argv[1] for argv in argvs if argv[0] == "demo"} == set(cli._DEMO)
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(here), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    digests = []
-    for blocker in (["-c", _WITHOUT_SCIPY], []):
-        proc = subprocess.run(
-            [sys.executable, *blocker, os.path.join(here, "golden", "run_golden.py"),
-             str(tmp_path / str(len(digests)))],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        digests.append(json.loads(proc.stdout))
-    assert digests[0] == digests[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, os.path.join(here, "golden", "run_golden.py"),
+         str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {case: entry["files"] for case, entry in manifest.items()}
 
 
 def test_numpy_is_the_only_runtime_dependency():
@@ -373,6 +373,32 @@ class TestLogGammaHelpers:
     def test_log_beta_of_the_uniform_prior(self):
         assert _log_beta(1.0, 1.0) == betaln(1.0, 1.0) == 0.0
 
+    def test_large_N_costs_lgamma_per_distinct_count(self, monkeypatch):
+        """N = 10^9 with n = 20: a table over every count 0..N would make
+        10^9 lgamma calls, so the budget stops it at once."""
+        calls = 0
+
+        def lgamma(v):
+            nonlocal calls
+            calls += 1
+            assert calls <= 200, "lgamma called once per possible count"
+            return math.lgamma(v)
+
+        monkeypatch.setattr(models, "math", types.SimpleNamespace(lgamma=lgamma))
+        N = 10**9
+        bundle = run_model(BetaBinomialConfig(N=N, n=20, m_draws=10))
+        x = bundle.data
+        distinct = np.unique(x).size
+        # log C(N, k) per distinct k, plus the prior's log-beta
+        assert calls == 1 + 2 * distinct + 3
+        assert bundle.loglik_gap() == 0.0
+        calls = 0
+        betabinom_logpmf(x, N, 0.25, 0.65)
+        assert calls == (1 + 2 * distinct) + 3 * distinct + 3
+        terms = gammaln(N + 1), gammaln(x + 1), gammaln(N - x + 1)
+        expected = terms[0] - terms[1] - terms[2]
+        assert np.all(np.abs(_log_binom(N, x) - expected) <= self.tolerance(*terms))
+
 
 class TestSeeds:
     @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, None])
@@ -428,6 +454,7 @@ class TestConfigRanges:
             (BetaBinomialConfig, "q0", 1.5, "q0 must be in (0, 1), got 1.5"),
             (BetaBinomialConfig, "rho", 1.0, "rho must be in [0, 1), got 1.0"),
             (BetaBinomialConfig, "N", 0, "N must be at least 1, got 0"),
+            (BetaBinomialConfig, "N", 5.0, "N must be an integer, got 5.0"),
             (BetaBinomialConfig, "n", 0, "n must be at least 1, got 0"),
             (BetaBinomialConfig, "m_draws", 1, "m_draws must be at least 2, got 1"),
             (BetaBinomialConfig, "alpha", 0.0, "alpha must be positive and finite, got 0.0"),
@@ -500,6 +527,11 @@ class TestRunModelConjugate:
         for cfg in (NormalMeanConfig(n=20, m_draws=50, seed=1), BetaBinomialConfig(seed=2, m_draws=50)):
             bundle = run_model(cfg)
             assert bundle.loglik_gap() <= 1e-10
+
+    def test_betabinom_loglik_takes_float_counts(self):
+        bundle = run_model(BetaBinomialConfig(seed=2, m_draws=50))
+        fresh = bundle.loglik_fn(bundle.draws, bundle.data.astype(float))
+        np.testing.assert_array_equal(fresh, bundle.loglik.values)
 
 
 class TestRunModelMcmc:
