@@ -161,7 +161,7 @@ class BootstrapRun:
 
     def __post_init__(self):
         what = None if self.method == "importance" else "replicate estimates"
-        _freeze(self, "estimates", ndim=2, what=what)
+        _freeze(self, "estimates", shape=(None, None), what=what)
         if self.method not in _METHODS:
             raise InvalidInput(f"unknown method {self.method!r}")
 

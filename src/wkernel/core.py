@@ -55,10 +55,32 @@ def _require_finite(arr: np.ndarray, what: str) -> float:
     return float(max(hi, -lo))
 
 
-def _freeze(obj, *names, dtype=float, ndim=None, what=None) -> float:
+def _check_shape(arr: np.ndarray, what: str, shape: tuple) -> None:
+    """Refuse ``arr`` unless its shape is ``shape``, where a None entry
+    matches any length; a shape of None entries alone is worded as a
+    dimension count."""
+    if arr.ndim == len(shape) and all(s is None or s == t for s, t in zip(shape, arr.shape)):
+        return
+    if all(s is None for s in shape):
+        raise InvalidInput(f"{what} must be {len(shape)}-D, got {arr.ndim}-D")
+    dims = ", ".join("*" if s is None else str(s) for s in shape) + "," * (len(shape) == 1)
+    raise InvalidInput(f"{what} must have shape ({dims}), got {arr.shape}")
+
+
+def _as_array(x, what: str, shape: tuple) -> np.ndarray:
+    """``x`` as a float array, not copied if it is one already: the intake
+    rule of every array argument, refused with InvalidInput naming
+    ``what`` unless it has ``shape`` (``_check_shape``) and finite entries."""
+    arr = np.asarray(x, dtype=float)
+    _check_shape(arr, what, shape)
+    _require_finite(arr, what)
+    return arr
+
+
+def _freeze(obj, *names, dtype=float, shape=None, what=None) -> float:
     """Store each named field of ``obj`` (None stays None) through
-    ``_readonly``; with ``ndim``, refuse another dimension count, and with
-    ``what``, a non-finite entry, naming the array ``what`` in both
+    ``_readonly``; with ``shape``, refuse another (``_check_shape``), and
+    with ``what``, a non-finite entry, naming the array ``what`` in both
     messages and returning the largest magnitude checked."""
     scale = 0.0
     for name in names:
@@ -66,8 +88,8 @@ def _freeze(obj, *names, dtype=float, ndim=None, what=None) -> float:
         if value is None:
             continue
         arr = _readonly(value, dtype)
-        if ndim is not None and arr.ndim != ndim:
-            raise InvalidInput(f"{what or name} must be {ndim}-D, got {arr.ndim}-D")
+        if shape is not None:
+            _check_shape(arr, what or name, shape)
         if what is not None:
             scale = max(scale, _require_finite(arr, what))
         object.__setattr__(obj, name, arr)
@@ -77,8 +99,7 @@ def _freeze(obj, *names, dtype=float, ndim=None, what=None) -> float:
 def _check_loglik(arr: np.ndarray) -> None:
     """The rules of a log-likelihood matrix: 2-D and finite, with at least
     2 draws and 1 observation."""
-    if arr.ndim != 2:
-        raise InvalidInput(f"log-likelihood matrix must be 2-D, got {arr.ndim}-D")
+    _check_shape(arr, "log-likelihood matrix", (None, None))
     _require_finite(arr, "log-likelihood matrix")
     if arr.shape[0] < 2:
         raise InvalidInput(f"need at least 2 posterior draws, got {arr.shape[0]}")
@@ -151,7 +172,7 @@ class StatMatrix:
     def __post_init__(self):
         if np.ndim(self.values) == 1:
             object.__setattr__(self, "values", np.reshape(self.values, (-1, 1)))
-        _freeze(self, "values", ndim=2, what="statistic matrix")
+        _freeze(self, "values", shape=(None, None), what="statistic matrix")
         if self.n_draws < 1:
             raise InvalidInput("statistic matrix has no rows")
         names = tuple(self.names) or tuple(f"stat_{j}" for j in range(self.n_stats))
@@ -177,7 +198,7 @@ class LogPriorVector:
     values: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, "values", ndim=1, what="log-prior vector")
+        _freeze(self, "values", shape=(None,), what="log-prior vector")
 
     @property
     def n_draws(self) -> int:
@@ -194,24 +215,14 @@ def posterior_mean(stats: StatMatrix) -> np.ndarray:
     return stats.values.mean(axis=0)
 
 
-def _as_draw_vector(x, name="input") -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidInput(f"{name} must be a 1-D vector of draw values")
-    _require_finite(arr, name)
-    return arr
-
-
 def posterior_cov(a, b) -> float:
     """Posterior covariance of two draw vectors, divisor 1/M.
 
     Two-pass evaluation: subtract the means, then average the product
     of the centered values.
     """
-    a = _as_draw_vector(a, "first argument")
-    b = _as_draw_vector(b, "second argument")
-    if a.shape != b.shape:
-        raise InvalidInput(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
+    a = _as_array(a, "first argument", (None,))
+    b = _as_array(b, "second argument", a.shape)
     if a.shape[0] < 2:
         raise InvalidInput("posterior covariance needs at least 2 draws")
     ac = a - a.mean()
@@ -232,12 +243,8 @@ def posterior_cov_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     of ``b``.  This is the bulk primitive behind sensitivity grids and
     the W matrix.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise InvalidInput("covariance grid needs 2-D draw matrices")
-    if a.shape[0] != b.shape[0]:
-        raise InvalidInput(f"draw count mismatch: {a.shape[0]} vs {b.shape[0]}")
+    a = _as_array(a, "first argument", (None, None))
+    b = _as_array(b, "second argument", (a.shape[0], None))
     if a.shape[0] < 2:
         raise InvalidInput("posterior covariance needs at least 2 draws")
     ac = a - a.mean(axis=0)
@@ -252,17 +259,10 @@ def centered_cov_star(stats_col, loglik: LogLikMatrix, i: int) -> float:
     all observations j.  The centered values sum to zero over i; the
     centering only matters under strong priors.
     """
-    a = _as_draw_vector(stats_col, "statistic column")
-    if a.shape[0] != loglik.n_draws:
-        raise InvalidInput(
-            f"statistic column has {a.shape[0]} draws, log-likelihood matrix has "
-            f"{loglik.n_draws}"
-        )
+    a = _as_array(stats_col, "statistic column", (loglik.n_draws,))
     if not 0 <= i < loglik.n_obs:
         raise InvalidInput(f"observation index {i} out of range [0, {loglik.n_obs})")
-    from .freq_eval import sensitivity_first  # which imports this module
-
-    grid = sensitivity_first(StatMatrix(a), loglik)[0]
+    grid = posterior_cov_grid(a[:, None], loglik.values)[0]
     return float(grid[i] - grid.mean())
 
 
@@ -273,13 +273,9 @@ def third_cumulant(a, b, c) -> float:
     symmetric under any permutation of the arguments and invariant to
     shifting any argument by a constant.
     """
-    a = _as_draw_vector(a, "first argument")
-    b = _as_draw_vector(b, "second argument")
-    c = _as_draw_vector(c, "third argument")
-    if not (a.shape == b.shape == c.shape):
-        raise InvalidInput(
-            f"length mismatch: {a.shape[0]}, {b.shape[0]}, {c.shape[0]}"
-        )
+    a = _as_array(a, "first argument", (None,))
+    b = _as_array(b, "second argument", a.shape)
+    c = _as_array(c, "third argument", a.shape)
     if a.shape[0] < 3:
         raise InvalidInput("third cumulant needs at least 3 draws")
     ac = a - a.mean()
@@ -294,14 +290,7 @@ def third_cumulant_grid(stats: StatMatrix, funcs: np.ndarray) -> np.ndarray:
     ``funcs`` is an (M, a) matrix of draw values; entry (j, alpha, beta)
     is the third cumulant of statistic j with functions alpha and beta.
     """
-    f = np.asarray(funcs, dtype=float)
-    if f.ndim != 2:
-        raise InvalidInput("function matrix must be 2-D (draws x functions)")
-    _require_finite(f, "function matrix")
-    if f.shape[0] != stats.n_draws:
-        raise InvalidInput(
-            f"function matrix has {f.shape[0]} draws, statistics have {stats.n_draws}"
-        )
+    f = _as_array(funcs, "function matrix", (stats.n_draws, None))
     return _cumulant_tensor(stats, f - f.mean(axis=0))
 
 
@@ -320,14 +309,8 @@ def _cumulant_tensor(stats: StatMatrix, fc: np.ndarray) -> np.ndarray:
 
 def empirical_cov_over_obs(f, g) -> float:
     """Empirical covariance over observations, divisor 1/n."""
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.ndim != 1 or g.ndim != 1:
-        raise InvalidInput("empirical covariance needs 1-D vectors")
-    _require_finite(f, "first argument")
-    _require_finite(g, "second argument")
-    if f.shape != g.shape:
-        raise InvalidInput(f"length mismatch: {f.shape[0]} vs {g.shape[0]}")
+    f = _as_array(f, "first argument", (None,))
+    g = _as_array(g, "second argument", f.shape)
     if f.shape[0] < 1:
         raise InvalidInput("empty vectors")
     fc = f - f.mean()

@@ -26,6 +26,7 @@ from .core import (
     LogLikMatrix,
     LogPriorVector,
     StatMatrix,
+    _as_array,
     _check_draws,
     _frozen,
     posterior_cov_grid,
@@ -33,7 +34,7 @@ from .core import (
 )
 from .errors import InvalidInput
 from .kernels import WMatrix, centered
-from .spectral import SpectralBasis, _as_eta, _vectors
+from .spectral import SpectralBasis, _vectors
 
 _ESTIMATORS = ("plain", "centered", "prior_adjusted", "projected")
 
@@ -140,7 +141,7 @@ def kl_quadratic(w_matrix: WMatrix, eta) -> float:
     approximates the KL divergence from the unperturbed posterior to the
     one with observation weights 1 + eta.
     """
-    eta = _as_eta(eta, w_matrix.n)
+    eta = _as_array(eta, "perturbation", (w_matrix.n,))
     return 0.5 * float(eta @ w_matrix.values @ eta)
 
 

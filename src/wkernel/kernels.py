@@ -28,7 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogLikMatrix, _check_loglik, _freeze, _frozen, _require_finite, posterior_cov
+from .core import (
+    LogLikMatrix,
+    _as_array,
+    _check_loglik,
+    _check_shape,
+    _freeze,
+    _frozen,
+    _require_finite,
+    posterior_cov,
+)
 from .errors import InvalidInput, NumericalFailure, RankOutOfRange
 
 _W_KINDS = ("raw", "double_centered")
@@ -39,7 +48,7 @@ _RANK_DROP = 1e-14
 def _symmetric(obj, name: str) -> None:
     """Freeze ``obj.values``, checked finite, square and symmetric to 1e-12
     of its largest entry with one temporary; ``name`` is its letter."""
-    scale = _freeze(obj, "values", ndim=2, what=f"{name} matrix")
+    scale = _freeze(obj, "values", shape=(None, None), what=f"{name} matrix")
     arr = obj.values
     if arr.shape[0] != arr.shape[1]:
         raise InvalidInput(f"{name} must be square, got shape {arr.shape}")
@@ -160,7 +169,7 @@ class CenteredLogLik:
     kind: str = "raw"
 
     def __post_init__(self):
-        _freeze(self, "values", ndim=2, what="centered log-likelihood matrix")
+        _freeze(self, "values", shape=(None, None), what="centered log-likelihood matrix")
 
     @property
     def n_draws(self) -> int:
@@ -228,7 +237,7 @@ class CenteredDeviationMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        scale = _freeze(self, "values", ndim=2, what="deviation matrix")
+        scale = _freeze(self, "values", shape=(None, None), what="deviation matrix")
         arr, tol = self.values, 1e-9 * max(scale, 1.0)
         if np.max(np.abs(arr.sum(axis=0)), initial=0.0) > tol * arr.shape[0]:
             raise InvalidInput("deviation matrix columns do not sum to zero")
@@ -251,13 +260,8 @@ class ScoreMatrix:
     hessian_sum: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, "values", ndim=2, what="score matrix")
-        _freeze(self, "hessian_sum", what="hessian sum")
-        k = self.n_params
-        if self.hessian_sum.shape != (k, k):
-            raise InvalidInput(
-                f"hessian_sum shape {self.hessian_sum.shape} does not match {k} parameters"
-            )
+        _freeze(self, "values", shape=(None, None), what="score matrix")
+        _freeze(self, "hessian_sum", shape=(self.n_params,) * 2, what="hessian sum")
 
     @property
     def n_obs(self) -> int:
@@ -389,16 +393,15 @@ def _sym_eig_psd(mat: np.ndarray, what: str):
 
     Eigenvalues at or below the clamp (1e-12 of the largest) mean the
     matrix is numerically singular, which the metric-based kernels must
-    refuse rather than silently regularize.
+    refuse rather than silently regularize.  The eigenvalues are returned
+    ascending, as numpy computes them, so the roots keep their rounding.
     """
-    mat = np.asarray(mat, dtype=float)
-    try:
-        evals, evecs = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"{what}: eigendecomposition failed") from exc
-    if evals[-1] <= 0 or evals[0] <= _EIG_CLAMP * evals[-1]:
+    mat = _as_array(mat, what, (None, None))
+    _check_shape(mat, what, (mat.shape[0],) * 2)
+    evals, evecs = _eigh_descending(mat, f"{what} eigendecomposition")
+    if evals[0] <= 0 or evals[-1] <= _EIG_CLAMP * evals[0]:
         raise NumericalFailure(f"{what} is not positive definite")
-    return evals, evecs
+    return evals[::-1], evecs[:, ::-1]
 
 
 def sym_sqrt(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -446,19 +449,9 @@ def build_info_matrices(
     if prior_weight > 0.0:
         if prior_score is None:
             raise InvalidInput("prior_weight > 0 requires prior_score")
-        ps = np.asarray(prior_score, dtype=float)
-        if ps.shape != (scores.n_params,):
-            raise InvalidInput(
-                f"prior_score shape {ps.shape} does not match {scores.n_params} parameters"
-            )
-        _require_finite(ps, "prior_score")
-        s = s + prior_weight * ps
+        s = s + prior_weight * _as_array(prior_score, "prior_score", (scores.n_params,))
         if prior_hessian is not None:
-            ph = np.asarray(prior_hessian, dtype=float)
-            if ph.shape != j_hat.shape:
-                raise InvalidInput("prior_hessian shape mismatch")
-            _require_finite(ph, "prior_hessian")
-            j_hat = j_hat - prior_weight * ph
+            j_hat = j_hat - prior_weight * _as_array(prior_hessian, "prior_hessian", j_hat.shape)
     i_hat = (s.T @ s) / scores.n_obs
     j_hat = (j_hat + j_hat.T) / 2.0
     j_inv_sqrt = sym_inv_sqrt(j_hat, "J_hat")
@@ -482,11 +475,8 @@ def eval_score_kernel(scores: ScoreMatrix, metric: str, x_score, y_score) -> flo
     """
     if metric not in _METRICS:
         raise InvalidInput(f"metric must be one of {_METRICS}, got {metric!r}")
-    x = np.asarray(x_score, dtype=float)
-    y = np.asarray(y_score, dtype=float)
-    k = scores.n_params
-    if x.shape != (k,) or y.shape != (k,):
-        raise InvalidInput(f"score vectors must have shape ({k},)")
+    x = _as_array(x_score, "x_score", (scores.n_params,))
+    y = _as_array(y_score, "y_score", (scores.n_params,))
     if metric == "plain":
         return float(x @ y)
     if metric == "fisher":
@@ -516,25 +506,20 @@ def mf_feature_matrix(scores: ScoreMatrix, info: tuple) -> np.ndarray:
 def build_embedding(draws, theta_hat, j_hat, n: int) -> np.ndarray:
     """Whitened embedding of posterior draws around the point estimate.
 
-    draws is M x k; the result is sqrt(n/M) J^{1/2} (draws - theta_hat)^T,
-    a read-only k x M matrix whose Gram matrix approaches the identity when
-    the draws come from a well-behaved posterior with weak prior.
+    draws is M x k, theta_hat a k-vector and j_hat k x k; the result is
+    sqrt(n/M) J^{1/2} (draws - theta_hat)^T, a read-only k x M matrix whose
+    Gram matrix approaches the identity when the draws come from a
+    well-behaved posterior with weak prior.
     Asymptotically it embeds parameter space orthogonally into draw space
     and conjugates the sandwich matrix into (n/M) Z.  Non-finite draws, or
     a product that overflows, are refused.
     """
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim == 1:
-        draws = draws.reshape(-1, 1)
-    theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
+    draws = _as_array(draws, "draws", (None, None))
     m, k = draws.shape
-    if theta_hat.shape != (k,):
-        raise InvalidInput(f"theta_hat shape {theta_hat.shape} does not match k={k}")
+    theta_hat = _as_array(theta_hat, "theta_hat", (k,))
     if n < 1:
         raise InvalidInput("observation count n must be positive")
-    j_hat = np.atleast_2d(np.asarray(j_hat, dtype=float))
-    if j_hat.shape != (k, k):
-        raise InvalidInput(f"J_hat shape {j_hat.shape} does not match k={k}")
+    j_hat = _as_array(j_hat, "J_hat", (k, k))
     root = sym_sqrt(j_hat, "J_hat")
     with np.errstate(invalid="ignore", over="ignore"):  # refused just below
         emb = np.sqrt(n / m) * (root @ (draws - theta_hat).T)
@@ -561,7 +546,7 @@ def embedding_report(
             raise InvalidInput("duality gap needs both z and sandwich")
         if z.M != m:
             raise InvalidInput(f"Z has {z.M} draws, embedding has {m}")
-        sandwich = np.atleast_2d(np.asarray(sandwich, dtype=float))
+        sandwich = _as_array(sandwich, "sandwich", (k, k))
         conj = emb.T @ sandwich @ emb
         duality = float(np.linalg.norm((n / m) * z.values - conj))
     return float(np.linalg.norm(emb @ emb.T - np.eye(k))), duality

@@ -28,12 +28,13 @@ from .core import (
     LogLikMatrix,
     LogPriorVector,
     StatMatrix,
+    _as_array,
     _check_seed,
     _frozen,
-    _require_finite,
     _stream,
 )
 from .errors import ConvergenceWarning, InvalidInput, NumericalFailure
+from .freq_eval import sensitivity_first
 from .kernels import ScoreMatrix
 
 
@@ -676,15 +677,7 @@ def exact_weighted_mean(bundle: ModelBundle, w, stat: str) -> float:
     conjugate models only)."""
     if bundle.exact_weighted_mean is None:
         raise InvalidInput(f"model {bundle.model!r} has no exact reweighted posterior")
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1:
-        raise InvalidInput(f"weight vector must be 1-D, got {w.ndim}-D")
-    _require_finite(w, "weight vector")
-    if w.shape[0] != bundle.n_obs:
-        raise InvalidInput(
-            f"weight vector has {w.shape[0]} entries, model has {bundle.n_obs}"
-        )
-    return bundle.exact_weighted_mean(w, stat)
+    return bundle.exact_weighted_mean(_as_array(w, "weight vector", (bundle.n_obs,)), stat)
 
 
 def predictive_tail_stat(bundle: ModelBundle, threshold: float) -> np.ndarray:
@@ -706,7 +699,7 @@ def curve_stats(bundle: ModelBundle, grid) -> StatMatrix:
     """Posterior draws of the fitted polynomial evaluated on a grid."""
     if bundle.model != "regression":
         raise InvalidInput("curve statistics require a regression bundle")
-    grid = np.asarray(grid, dtype=float)
+    grid = _as_array(grid, "grid", (None,))
     k_beta = sum(1 for name in bundle.param_names if name.startswith("beta_"))
     values = bundle.draws[:, :k_beta] @ np.vander(grid, k_beta, increasing=True).T
     return StatMatrix(values=values, names=tuple(f"curve_at_{g:g}" for g in grid))
@@ -730,7 +723,5 @@ def merge_shift_experiment(bundle: ModelBundle, from_i: int, into_j: int, grid=N
         stats = curve_stats(bundle, grid)
     else:
         stats = bundle.default_stats()
-    from .freq_eval import sensitivity_first
-
     sens = sensitivity_first(stats, bundle.loglik)
     return sens[:, into_j] - sens[:, from_i]

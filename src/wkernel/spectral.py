@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LogLikMatrix, _freeze, _frozen, _stream
+from .core import LogLikMatrix, _as_array, _freeze, _frozen, _stream
 from .errors import InvalidInput, NumericalFailure
 from .kernels import (
     CenteredLogLik,
@@ -166,19 +166,12 @@ class RepresentativeSet:
 
     def pivot_projection(self, eta) -> np.ndarray:
         """Map a full perturbation vector to values on the pivot set."""
-        return self.eta_map.T @ _as_eta(eta, self.eta_map.shape[0])
+        return self.eta_map.T @ _as_array(eta, "perturbation", (self.eta_map.shape[0],))
 
     def principal_projection(self, eta) -> np.ndarray:
         """Reconstruct the principal-space projection from pivot values."""
         dagger = self.pivot_projection(eta)
         return (self.eigen_link.T @ dagger) / np.sqrt(self.eigenvalues)
-
-
-def _as_eta(eta, n: int) -> np.ndarray:
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (n,):
-        raise InvalidInput(f"perturbation must have shape ({n},), got {eta.shape}")
-    return eta
 
 
 def _vectors(basis: SpectralBasis, n_obs: int) -> np.ndarray:
@@ -347,7 +340,8 @@ def project_loglik(
 def project_perturbation(eta, basis: SpectralBasis, a_M: int | None = None) -> np.ndarray:
     """Coordinates of a perturbation vector eta = w - 1 in the leading a_M
     directions."""
-    return basis.vectors[:, : _rank(a_M, basis.rank_retained)].T @ _as_eta(eta, basis.n)
+    eta = _as_array(eta, "perturbation", (basis.n,))
+    return basis.vectors[:, : _rank(a_M, basis.rank_retained)].T @ eta
 
 
 def representative_set(chol: PivotedCholesky, basis: SpectralBasis) -> RepresentativeSet:

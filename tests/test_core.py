@@ -5,11 +5,16 @@ brute-force double-loop evaluation of the defining formulas, computed
 independently of the vectorized library path.
 """
 
+import ast
+import re
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import wkernel
 from wkernel.bootstrap import BootstrapRun
 from wkernel.core import (
     LogLikMatrix,
@@ -24,6 +29,25 @@ from wkernel.core import (
     third_cumulant_grid,
 )
 from wkernel.errors import InvalidInput
+from wkernel.freq_eval import kl_quadratic
+from wkernel.kernels import (
+    ScoreMatrix,
+    build_embedding,
+    build_info_matrices,
+    build_w,
+    build_z,
+    embedding_report,
+    eval_score_kernel,
+    sym_inv_sqrt,
+    sym_sqrt,
+)
+from wkernel.models import BetaBinomialConfig, curve_stats, exact_weighted_mean, run_model
+from wkernel.spectral import (
+    dual_eigen,
+    incomplete_cholesky,
+    project_perturbation,
+    representative_set,
+)
 
 
 def brute_cov(a, b):
@@ -265,3 +289,168 @@ class TestEmpiricalCov:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInput):
             empirical_cov_over_obs([1.0], [1.0, 2.0])
+
+
+def _spoiled(shape, value=np.nan):
+    """Ones of ``shape`` with the last entry replaced by ``value``."""
+    arr = np.ones(shape)
+    arr.flat[-1] = value
+    return arr
+
+
+@pytest.fixture(scope="module")
+def intake(regression_bundle):
+    """Valid arguments beside the bad one: M = 6 draws, n = 4 observations
+    and k = 2 score parameters; the beta-binomial bundle has 20."""
+    rng = np.random.default_rng(41)
+    ll = LogLikMatrix(rng.standard_normal((6, 4)))
+    w = build_w(ll)
+    chol = incomplete_cholesky(w)
+    basis = dual_eigen(chol)
+    return SimpleNamespace(
+        ll=ll,
+        stats=StatMatrix(rng.standard_normal((6, 2))),
+        w=w,
+        basis=basis,
+        rset=representative_set(chol, basis),
+        scores=ScoreMatrix(values=rng.standard_normal((4, 2)), hessian_sum=np.eye(2)),
+        emb=build_embedding(rng.standard_normal((6, 1)), np.zeros(1), np.eye(1), n=4),
+        z=build_z(ll),
+        betabinom=run_model(BetaBinomialConfig(seed=1, m_draws=100)),
+        regression=regression_bundle,
+    )
+
+
+# (case, call on the intake fixture, the whole InvalidInput message): for
+# each public function, an array argument of the wrong shape and one with
+# a NaN or infinite entry
+_INTAKE = [
+    ("posterior_cov-shape", lambda o: posterior_cov(np.ones(3), np.ones(2)),
+     "second argument must have shape (3,), got (2,)"),
+    ("posterior_cov-nan", lambda o: posterior_cov(_spoiled(3), np.ones(3)),
+     "first argument contains non-finite entries"),
+    ("third_cumulant-shape", lambda o: third_cumulant(np.ones(3), np.ones(3), np.ones((3, 1))),
+     "third argument must have shape (3,), got (3, 1)"),
+    ("third_cumulant-inf", lambda o: third_cumulant(np.ones(3), _spoiled(3, np.inf), np.ones(3)),
+     "second argument contains non-finite entries"),
+    ("centered_cov_star-shape", lambda o: centered_cov_star(np.ones(5), o.ll, 0),
+     "statistic column must have shape (6,), got (5,)"),
+    ("centered_cov_star-nan", lambda o: centered_cov_star(_spoiled(6), o.ll, 0),
+     "statistic column contains non-finite entries"),
+    ("posterior_cov_grid-shape", lambda o: posterior_cov_grid(np.ones((6, 2)), np.ones((5, 2))),
+     "second argument must have shape (6, *), got (5, 2)"),
+    ("posterior_cov_grid-inf", lambda o: posterior_cov_grid([[0.0], [1.0]], [[0.0], [np.inf]]),
+     "second argument contains non-finite entries"),
+    ("third_cumulant_grid-shape", lambda o: third_cumulant_grid(o.stats, np.ones(6)),
+     "function matrix must have shape (6, *), got (6,)"),
+    ("third_cumulant_grid-nan", lambda o: third_cumulant_grid(o.stats, _spoiled((6, 3))),
+     "function matrix contains non-finite entries"),
+    ("empirical_cov_over_obs-shape", lambda o: empirical_cov_over_obs([1.0], [1.0, 2.0]),
+     "second argument must have shape (1,), got (2,)"),
+    ("empirical_cov_over_obs-inf", lambda o: empirical_cov_over_obs(_spoiled(2, -np.inf), [1, 2]),
+     "first argument contains non-finite entries"),
+    ("project_perturbation-shape", lambda o: project_perturbation(np.ones(3), o.basis),
+     "perturbation must have shape (4,), got (3,)"),
+    ("project_perturbation-nan", lambda o: project_perturbation(_spoiled(4), o.basis),
+     "perturbation contains non-finite entries"),
+    ("pivot_projection-shape", lambda o: o.rset.pivot_projection(np.ones((4, 1))),
+     "perturbation must have shape (4,), got (4, 1)"),
+    ("pivot_projection-nan", lambda o: o.rset.pivot_projection(_spoiled(4)),
+     "perturbation contains non-finite entries"),
+    ("principal_projection-shape", lambda o: o.rset.principal_projection(np.ones(5)),
+     "perturbation must have shape (4,), got (5,)"),
+    ("principal_projection-inf", lambda o: o.rset.principal_projection(_spoiled(4, np.inf)),
+     "perturbation contains non-finite entries"),
+    ("kl_quadratic-shape", lambda o: kl_quadratic(o.w, np.ones(3)),
+     "perturbation must have shape (4,), got (3,)"),
+    ("kl_quadratic-nan", lambda o: kl_quadratic(o.w, _spoiled(4)),
+     "perturbation contains non-finite entries"),
+    ("build_info_matrices-shape",
+     lambda o: build_info_matrices(o.scores, prior_score=np.ones(3), prior_weight=0.5),
+     "prior_score must have shape (2,), got (3,)"),
+    ("build_info_matrices-hessian-shape",
+     lambda o: build_info_matrices(
+         o.scores, prior_score=np.ones(2), prior_weight=0.5, prior_hessian=np.eye(3)
+     ),
+     "prior_hessian must have shape (2, 2), got (3, 3)"),
+    ("build_info_matrices-inf",
+     lambda o: build_info_matrices(
+         o.scores, prior_score=np.ones(2), prior_weight=0.5, prior_hessian=_spoiled((2, 2), np.inf)
+     ),
+     "prior_hessian contains non-finite entries"),
+    ("eval_score_kernel-shape",
+     lambda o: eval_score_kernel(o.scores, "modified_fisher", np.ones(3), np.ones(2)),
+     "x_score must have shape (2,), got (3,)"),
+    ("eval_score_kernel-plain-nan",
+     lambda o: eval_score_kernel(o.scores, "plain", [np.nan, 1.0], np.ones(2)),
+     "x_score contains non-finite entries"),
+    ("eval_score_kernel-fisher-nan",
+     lambda o: eval_score_kernel(o.scores, "fisher", np.ones(2), [1.0, np.nan]),
+     "y_score contains non-finite entries"),
+    ("build_embedding-shape",
+     lambda o: build_embedding(np.ones((6, 2)), np.zeros(3), np.eye(2), n=4),
+     "theta_hat must have shape (2,), got (3,)"),
+    ("build_embedding-J_hat-shape",
+     lambda o: build_embedding(np.ones((6, 2)), np.zeros(2), np.eye(3), n=4),
+     "J_hat must have shape (2, 2), got (3, 3)"),
+    ("build_embedding-nan",
+     lambda o: build_embedding(np.ones((6, 2)), np.zeros(2), _spoiled((2, 2)), n=4),
+     "J_hat contains non-finite entries"),
+    ("embedding_report-shape", lambda o: embedding_report(o.emb, 4, z=o.z, sandwich=np.eye(2)),
+     "sandwich must have shape (1, 1), got (2, 2)"),
+    ("embedding_report-nan", lambda o: embedding_report(o.emb, 4, z=o.z, sandwich=[[np.nan]]),
+     "sandwich contains non-finite entries"),
+    ("sym_sqrt-shape", lambda o: sym_sqrt(np.ones((2, 3))),
+     "matrix must have shape (2, 2), got (2, 3)"),
+    ("sym_sqrt-nan", lambda o: sym_sqrt([[np.nan, 0.0], [0.0, 1.0]]),
+     "matrix contains non-finite entries"),
+    ("sym_inv_sqrt-shape", lambda o: sym_inv_sqrt(np.ones(3)),
+     "matrix must be 2-D, got 1-D"),
+    ("sym_inv_sqrt-inf", lambda o: sym_inv_sqrt([[1.0, np.inf], [np.inf, 1.0]], "J_hat"),
+     "J_hat contains non-finite entries"),
+    ("exact_weighted_mean-shape",
+     lambda o: exact_weighted_mean(o.betabinom, np.ones(19), "q_mean"),
+     "weight vector must have shape (20,), got (19,)"),
+    ("exact_weighted_mean-inf",
+     lambda o: exact_weighted_mean(o.betabinom, _spoiled(20, np.inf), "q_mean"),
+     "weight vector contains non-finite entries"),
+    ("curve_stats-shape", lambda o: curve_stats(o.regression, np.ones((2, 2))),
+     "grid must be 1-D, got 2-D"),
+    ("curve_stats-inf", lambda o: curve_stats(o.regression, [0.0, np.inf]),
+     "grid contains non-finite entries"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [case[1:] for case in _INTAKE], ids=[case[0] for case in _INTAKE]
+)
+def test_array_arguments_share_one_intake_rule(intake, call, message):
+    """A wrong shape or a non-finite entry of an array argument is
+    InvalidInput naming the argument, never a NaN result, a numpy error or
+    a NumericalFailure."""
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        call(intake)
+
+
+# the imports the library makes inside a function, as (module, function,
+# name): the CLI loads numpy only after pinning the thread pools, and the
+# handlers and the models only for the commands that use them
+_LATE_IMPORTS = {
+    ("cli", "main", "numpy"),
+    ("cli", "run_command", "commands"),
+    ("cli", "run_command", "load_config"),
+    ("cli", "_demo_config", "models"),
+    ("commands", "demo", "models"),
+}
+
+
+def test_library_modules_import_at_the_top():
+    late = set()
+    for path in Path(wkernel.__file__).parent.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    late |= {(path.stem, func.name, alias.name) for alias in node.names}
+    assert late == _LATE_IMPORTS

@@ -564,7 +564,7 @@ class TestEmbedding:
     def test_non_finite_draws_are_refused(self, bad):
         draws = np.random.default_rng(49).standard_normal((20, 2))
         draws[7, 1] = bad
-        with pytest.raises(InvalidInput, match="embedding matrix contains non-finite"):
+        with pytest.raises(InvalidInput, match="^draws contains non-finite entries$"):
             build_embedding(draws, np.zeros(2), np.eye(2), n=10)
 
     def test_report_refuses_z_without_sandwich_and_a_draw_mismatch(self):

@@ -7,8 +7,11 @@ array bytes and header, or the same ParseError message.
 """
 
 import os
+import re
+import shutil
 import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wkernel import matio
+from wkernel.cli import main
 from wkernel.errors import ParseError
 
 EDGE_VALUES = [
@@ -222,3 +226,17 @@ def test_save_matrix_matches_repr_of_every_row(case, chunk):
             matio.save_matrix(path, arr, header, row_names=names)
         with open(path, encoding="utf-8", newline="") as fh:
             assert fh.read() == _written(header, arr.reshape(len(arr), -1), names)
+
+
+def test_readme_quick_start_runs_on_demo_output(tmp_path, monkeypatch):
+    """The README's library quick start reads the CSVs a demo writes, each
+    with its header: loglik.csv, and draws.csv as stats.csv."""
+    assert main(["demo", "weibull", "--seed", "3", "--out", str(tmp_path)]) == 0
+    shutil.copy(tmp_path / "draws.csv", tmp_path / "stats.csv")
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library quick start\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(compile(block.group(1), "README.md", "exec"), names)
+    assert names["sigma"].shape == (2, 2)
+    assert names["run"].estimates.shape == (1000, 2)

@@ -618,10 +618,10 @@ class TestExactWeightedMean:
     def test_bad_weights_are_refused(self, betabinom_bundle, case):
         n = betabinom_bundle.n_obs
         w, text = {
-            "2-D": (np.ones((1, n)), "must be 1-D, got 2-D"),
+            "2-D": (np.ones((1, n)), rf"must have shape \({n},\), got \(1, {n}\)"),
             "nan": (np.r_[np.ones(n - 1), np.nan], "contains non-finite entries"),
             "inf": (np.r_[np.ones(n - 1), np.inf], "contains non-finite entries"),
-            "length": (np.ones(n + 1), f"has {n + 1} entries, model has {n}"),
+            "length": (np.ones(n + 1), rf"must have shape \({n},\), got \({n + 1},\)"),
         }[case]
         with pytest.raises(InvalidInput, match=f"^weight vector {text}$"):
             exact_weighted_mean(betabinom_bundle, w, "q_mean")
