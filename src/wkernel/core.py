@@ -70,8 +70,12 @@ def _check_shape(arr: np.ndarray, what: str, shape: tuple) -> None:
 def _as_array(x, what: str, shape: tuple) -> np.ndarray:
     """``x`` as a float array, not copied if it is one already: the intake
     rule of every array argument, refused with InvalidInput naming
-    ``what`` unless it has ``shape`` (``_check_shape``) and finite entries."""
-    arr = np.asarray(x, dtype=float)
+    ``what`` unless numpy converts it, it has ``shape`` (``_check_shape``)
+    and its entries are finite."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (ValueError, TypeError) as exc:  # ragged nesting, text, objects
+        raise InvalidInput(f"{what} is not an array of numbers") from exc
     _check_shape(arr, what, shape)
     _require_finite(arr, what)
     return arr

@@ -398,6 +398,8 @@ def _sym_eig_psd(mat: np.ndarray, what: str):
     """
     mat = _as_array(mat, what, (None, None))
     _check_shape(mat, what, (mat.shape[0],) * 2)
+    if not mat.size:
+        raise InvalidInput(f"{what} is empty")
     evals, evecs = _eigh_descending(mat, f"{what} eigendecomposition")
     if evals[0] <= 0 or evals[-1] <= _EIG_CLAMP * evals[0]:
         raise NumericalFailure(f"{what} is not positive definite")

@@ -23,6 +23,7 @@ file read again with the same content is not parsed again.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import os
@@ -37,8 +38,9 @@ try:  # the digest alone: hashlib would load OpenSSL, some 3 MB
 except ImportError:  # an interpreter without CPython's builtin module
     from hashlib import blake2b
 
-# cells converted to Python floats at a time when a matrix is written
-_SAVE_CHUNK_CELLS = 2**16
+# cells formatted at a time when a matrix is written: about 3 MB of the
+# formatter's temporaries
+_SAVE_CHUNK_CELLS = 2**13
 # Personalizes every cache key.  Change it whenever load_matrix's parse
 # rules or the entry layout change, so that no older entry is read.
 _CACHE_FORMAT = b"wkernel-csv-1"
@@ -48,9 +50,147 @@ _CACHE_BYTES = 2**30
 _HASH_CHUNK = 2**16
 
 
-def _fmt(x) -> str:
-    """Shortest decimal string that round-trips to the same float64."""
-    return repr(float(x))
+# ---------------------------------------------------------------------------
+# CSV text of float64 cells, as repr writes them
+# ---------------------------------------------------------------------------
+#
+# _shortest finds a cell's digits exactly, as Ryu does (Adams, PLDI 2018):
+# x is scaled by 10**t into [1e16, 1e17) in integers, and the nearest 15-,
+# 16- and 17-digit decimals are tried, each kept only if it lies strictly
+# within half an ulp of x, the shortest winning.  Its 64-bit integers hold
+# 5**t and the scaled half ulp for 2**-20 <= |x| < 2**56 only.  Any other
+# cell is written by repr, and so is one whose text a tie between two
+# candidates, or a candidate on the half-ulp edge, would decide.
+#
+# A cell's text is then cut from a field of six 8-byte words that holds
+# every character any layout needs: the sign (byte 0), the lead "0.000" of
+# 1e-4 <= |x| < 0.1 (1-5), 17 digits each followed by a point (6-39), the
+# exponent "e+16" (40-43) and the separator (44).  A keep-mask selects the
+# bytes of each layout: fixed notation for 1e-4 <= |x| < 1e16, else
+# "d.ddde+XX".
+
+
+@functools.cache
+def _tables():
+    """The tables of _csv_lines, read-only and made at its first call, not
+    at import: the field's words 0 per leading digit, 1-4 per four digits
+    and 5 per exponent -7..16; the keep-mask of its 48 bytes, the sign's
+    aside, per (exponent, digit count 1..17), flattened to rows; and, for
+    each of the words 1-4, the digit count that four digits there imply."""
+    digit = np.frombuffer(b"0.1.2.3.4.5.6.7.8.9.", dtype=np.uint16)
+    quad = np.stack(np.broadcast_arrays(*np.ix_(digit, digit, digit, digit)), -1)
+    lead = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), dtype=np.uint64)
+    tail = np.frombuffer(b"".join(b"e%+03d,\0\0\0" % e for e in range(-7, 17)), dtype=np.uint64)
+    col = np.arange(48)
+    e = np.arange(-7, 17)[:, None, None]
+    nd = np.arange(1, 18)[:, None]
+    fixed = (-4 <= e) & (e < 16)
+    digits = (6 <= col) & (col < 40) & (col % 2 == 0)
+    i = (col - 6) // 2  # the digit that a digit or point byte belongs to
+    keep = (
+        (0 < col) & (col < 2 - e) & (e < 0) & fixed  # "0." and -e - 1 zeros
+        | digits & (i <= e + 1) & fixed  # the integer part and a fraction digit
+        | (col == 7 + 2 * e) & (e >= 0) & fixed
+        | (40 <= col) & (col < 44) & ~fixed
+        | (col == 44)
+    ) | digits & (i < nd) | (col == 7) & (nd > 1) & ~fixed
+    # the position of the last nonzero digit of 0000..9999, 0 for 0000
+    last = np.zeros(1, dtype=np.uint8)
+    for j in range(1, 5):
+        last = np.where(np.arange(10) > 0, np.uint8(j), last[:, None]).ravel()
+    counts = (last + np.arange(1, 14, 4, dtype=np.uint8)[:, None]) * (last > 0)
+    tables = lead, quad.view(np.uint64).ravel(), tail, keep.reshape(-1, 48), counts
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _shortest(mag):
+    """Digits and decimal exponent of repr's text for the magnitudes whose
+    bits are ``mag``, all in [2**-20, 2**56): (D, E, exact), the value being
+    D * 10**(E - 16) with D in [1e16, 1e17).  Where ``exact`` is False
+    the text is repr's to give."""
+    m = mag & 2**52 - 1 | 2**52
+    e2 = (mag >> 52).astype(np.int64)
+    # x < 2**(e2 - 1022) < 10**(17 - t), so x * 10**t is in [1e15, 1e17)
+    t = 16 - ((e2 - 1022) * 78913 >> 18)  # 78913 / 2**18 ~ log10(2)
+    k = 1075 - e2 - t
+    kr, kl = np.maximum([k, -k], 0).astype(np.uint64)
+    # x * 10**t = m * 5**t * 2**-k: the product in two 64-bit limbs from
+    # 32-bit partial products, then shifted (by 64 in two steps)
+    p = 5 ** t.astype(np.uint64)
+    ml, mh, pl, ph = m & 2**32 - 1, m >> 32, p & 2**32 - 1, p >> 32
+    mid = ml * ph + mh * pl
+    lo = ml * pl + (mid << 32)
+    hi = mh * ph + (mid >> 32) + (lo < ml * pl)
+    whole = (lo >> kr | hi << 1 << 63 - kr) << kl
+    unit = 1 << kr
+    rem = lo & unit - 1
+    # below 1e16, one more digit: x * 10**(t + 1) = whole + rem / unit
+    short = whole < 10**16
+    ten = short.astype(np.uint64) * 9 + 1
+    whole, rem = whole * ten + (rem * ten >> kr), rem * ten & unit - 1
+    ulp2 = (p << kl) * ten  # twice the half ulp, in units of 1 / unit
+    # the nearest 17 digits are always within half an ulp
+    digits = whole + (rem << 1 > unit)
+    exact = rem << 1 != unit
+    for step in (10, 100):  # 16 digits, then 15, the shorter winning
+        head = whole // step
+        below = (whole - head * step << kr) + rem
+        above = (step << kr) - below
+        # each candidate's distance against the half ulp: within it, the
+        # candidate reads back as x; on its edge, repr is to decide.  A power
+        # of two has only half that below it, but none of the 76 in the
+        # domain has a candidate in the difference (the tests try them all)
+        near_down, near_up = below << 1 <= ulp2, above << 1 <= ulp2
+        near = near_down | near_up
+        pick_up = near_up & ~(near_down & (below <= above))
+        tie = near_down & near_up & (below == above)
+        exact = np.where(near, (np.where(pick_up, above, below) << 1 != ulp2) & ~tie, exact)
+        digits = np.where(near, (head + pick_up) * step, digits)
+    carry = digits >= 10**17  # 9.99...95 rounded up to 10
+    digits[carry] = 10**16
+    return digits, 16 - t - short + carry, exact
+
+
+def _csv_lines(block):
+    """The CSV lines of the rows of the 2-D float64 ``block`` as one bytes
+    object, and the end offset of each line; every cell reads as ``repr``
+    writes it."""
+    rows, cols = block.shape
+    if not cols:
+        return b"\n" * rows, np.arange(1, rows + 1)
+    lead, quad_words, tail, keep_rows, counts = _tables()
+    bits = np.ascontiguousarray(block).reshape(-1).view(np.uint64)
+    mag = bits & 2**63 - 1
+    exact = (1003 <= mag >> 52) & (mag >> 52 < 1079)  # 2**-20 <= |x| < 2**56
+    if 2 * np.count_nonzero(exact | (mag == 0)) < mag.size:  # mostly repr's cells
+        text = "".join([",".join(map(repr, row)) + "\n" for row in block.tolist()]).encode()
+        return text, np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n")) + 1
+    digits, e10, found = _shortest(np.where(exact, mag, 1023 << 52))  # the rest as 1.0
+    exact &= found
+    digits[mag == 0] = 0  # 0.0, with 1.0's exponent 0
+    words = np.empty((mag.size, 6), dtype=np.uint64)
+    count = np.ones(mag.shape, dtype=np.intp)
+    for j in (4, 3, 2, 1):
+        head = digits // 10**4
+        quad = digits - head * 10**4
+        words[:, j] = quad_words[quad]
+        np.maximum(count, counts[j - 1][quad], out=count)
+        digits = head
+    words[:, 0] = lead[digits]
+    words[:, 5] = tail[e10 + 7]
+    field = words.view(np.uint8)
+    field[cols - 1 :: cols, 44] = ord("\n")
+    keep = keep_rows[(e10 + 7) * 17 + count - 1]
+    keep[:, 0] = bits >> 63
+    # the other cells' text is repr's, padded with NUL bytes
+    slow = np.flatnonzero(~exact & (mag != 0))
+    texts = np.array(list(map(repr, bits[slow].view(np.float64).tolist())), dtype="S44")
+    field[slow, :44] = texts.view(np.uint8).reshape(-1, 44)
+    keep[slow] = field[slow] != 0
+    text = np.compress(keep.reshape(-1), field.reshape(-1))
+    return text.tobytes(), np.flatnonzero(text == ord("\n")) + 1
 
 
 def _parse_cell(cell: str):
@@ -306,12 +446,12 @@ def load_vector(path):
 def save_matrix(path, arr, header=None, row_names=None) -> None:
     """Write a matrix (or vector as one column) with a header row.
 
-    With ``row_names``, each row starts with its name in a text column,
-    which ``header`` names too.  Rows are converted to Python floats
-    about _SAVE_CHUNK_CELLS cells at a time, never the whole matrix at
-    once, and each row is written with its own call.  A row equal bit for
-    bit to the row before it (``-0.0`` after ``0.0`` is not) is neither
-    converted nor formatted: its lead is followed by that row's text.
+    Each number is written as ``repr`` writes it.  With ``row_names``, each
+    row starts with its name in a text column, which ``header`` names too.
+    Rows are formatted about _SAVE_CHUNK_CELLS cells at a time
+    (``_csv_lines``), never the whole matrix at once.  A row equal bit for
+    bit to the row before it (``-0.0`` after ``0.0`` is not) is not
+    formatted: its lead is followed by that row's text.
     """
     arr = np.asarray(arr, dtype=float)
     if arr.ndim == 1:
@@ -324,30 +464,27 @@ def save_matrix(path, arr, header=None, row_names=None) -> None:
     if len(header) != width:
         raise InvalidInput(f"{len(header)} header names for {width} columns")
     if row_names is None:
-        leads = [""] * arr.shape[0]
+        leads = [b""] * arr.shape[0]
     elif len(row_names) == arr.shape[0]:
-        leads = [f"{name}," for name in row_names]
+        leads = [f"{name},".encode("utf-8") for name in row_names]
     else:
         raise InvalidInput(f"{len(row_names)} row names for {arr.shape[0]} rows")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(str(h) for h in header) + "\n")
-        step = max(1, _SAVE_CHUNK_CELLS // max(1, arr.shape[1]))
-        last = text = None  # the bits and text of the row before this chunk
+    bits = arr.view(np.uint64)
+    step = max(1, _SAVE_CHUNK_CELLS // max(1, arr.shape[1]))
+    lines = [b""]  # ends with the text of the row before this chunk
+    with open(path, "wb") as fh:
+        fh.write((",".join(str(h) for h in header) + "\n").encode("utf-8"))
         for start in range(0, arr.shape[0], step):
-            block = arr[start : start + step]
-            bits = block.view(np.uint64)
+            block = bits[start : start + step]
             # a row whose bits equal the row before it reuses that row's text
-            repeat = np.empty(bits.shape[0], dtype=bool)
-            repeat[0] = last is not None and np.array_equal(bits[0], last)
-            np.all(bits[1:] == bits[:-1], axis=1, out=repeat[1:])
-            # repr of a Python float is _fmt's shortest round-trip form
-            rows = iter((block[~repeat] if repeat.any() else block).tolist())
-            for lead, same in zip(leads[start : start + step], repeat.tolist()):
-                if not same:
-                    text = ",".join(map(repr, next(rows))) + "\n"
-                fh.write(lead + text)
-            last = bits[-1]
-            del rows  # free this chunk's floats before the next is made
+            repeat = np.empty(len(block), dtype=bool)
+            repeat[0] = start > 0 and np.array_equal(block[0], bits[start - 1])
+            np.all(block[1:] == block[:-1], axis=1, out=repeat[1:])
+            text, ends = _csv_lines(arr[start : start + step][~repeat])
+            ends = ends.tolist()
+            lines = lines[-1:] + [text[a:b] for a, b in zip([0] + ends, ends)]
+            picks = np.cumsum(~repeat).tolist()
+            fh.write(b"".join([leads[r] + lines[k] for r, k in enumerate(picks, start)]))
 
 
 def save_keyvalue(path, pairs) -> None:
@@ -356,7 +493,7 @@ def save_keyvalue(path, pairs) -> None:
         fh.write("key,value\n")
         for key, value in pairs:
             if isinstance(value, float):
-                value = _fmt(value)
+                value = repr(float(value))  # np.float64's repr names its type
             fh.write(f"{key},{value}\n")
 
 

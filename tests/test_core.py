@@ -418,6 +418,21 @@ _INTAKE = [
      "grid must be 1-D, got 2-D"),
     ("curve_stats-inf", lambda o: curve_stats(o.regression, [0.0, np.inf]),
      "grid contains non-finite entries"),
+    # what numpy cannot convert to a float array, and an empty matrix root
+    ("posterior_cov-ragged", lambda o: posterior_cov([[1, 2], [3]], [1, 2]),
+     "first argument is not an array of numbers"),
+    ("posterior_cov-text", lambda o: posterior_cov("ab", "cd"),
+     "first argument is not an array of numbers"),
+    ("kl_quadratic-object", lambda o: kl_quadratic(o.w, [object()] * 4),
+     "perturbation is not an array of numbers"),
+    ("sym_sqrt-empty", lambda o: sym_sqrt(np.zeros((0, 0))), "matrix is empty"),
+    ("sym_inv_sqrt-empty", lambda o: sym_inv_sqrt(np.zeros((0, 0)), "J_hat"), "J_hat is empty"),
+    ("build_info_matrices-k0",
+     lambda o: build_info_matrices(ScoreMatrix(values=np.zeros((4, 0)), hessian_sum=np.zeros((0, 0)))),
+     "J_hat is empty"),
+    ("build_embedding-k0",
+     lambda o: build_embedding(np.ones((6, 0)), np.zeros(0), np.zeros((0, 0)), n=4),
+     "J_hat is empty"),
 ]
 
 
@@ -425,9 +440,9 @@ _INTAKE = [
     "call, message", [case[1:] for case in _INTAKE], ids=[case[0] for case in _INTAKE]
 )
 def test_array_arguments_share_one_intake_rule(intake, call, message):
-    """A wrong shape or a non-finite entry of an array argument is
-    InvalidInput naming the argument, never a NaN result, a numpy error or
-    a NumericalFailure."""
+    """A wrong shape, a non-finite entry, an input numpy cannot convert or
+    an empty matrix to take the root of is InvalidInput naming the
+    argument, never a NaN result, a numpy error or a NumericalFailure."""
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         call(intake)
 

@@ -173,11 +173,122 @@ def test_save_matrix_formats_a_repeated_row_once(tmp_path):
     # 0.0 then -0.0 differ in their bits, so the third row is formatted anew
     arr = np.array([[1.5, 0.0], [1.5, 0.0], [1.5, -0.0], [1.5, -0.0], [1.5, -0.0]])
     with mock.patch.object(matio, "_SAVE_CHUNK_CELLS", 4), mock.patch.object(
-        matio, "repr", create=True, side_effect=repr
-    ) as formatted:
+        matio, "_csv_lines", wraps=matio._csv_lines
+    ) as formatter:
         matio.save_matrix(tmp_path / "m.csv", arr, ["a", "b"])
-    assert formatted.call_count == 4
+    assert sum(len(call.args[0]) for call in formatter.call_args_list) == 2
     assert (tmp_path / "m.csv").read_text(encoding="utf-8") == _written(["a", "b"], arr)
+
+
+def _repr_lines(block):
+    return "".join([",".join(map(repr, row)) + "\n" for row in block.tolist()]).encode()
+
+
+def _check_csv_lines(values, cols):
+    """_csv_lines on ``values`` in rows of ``cols`` cells, in blocks of
+    about 2**13 cells as save_matrix hands them over, against a row-by-row
+    ``repr``."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    values = np.concatenate([values, np.zeros(-len(values) % cols)]).reshape(-1, cols)
+    for start in range(0, len(values), 2**13 // cols):
+        block = values[start : start + 2**13 // cols]
+        want = _repr_lines(block)
+        text, ends = matio._csv_lines(block)
+        assert text == want
+        assert ends.tolist() == np.cumsum(list(map(len, want.splitlines(True)))).tolist()
+
+
+def _halfway(rng, digits, exponents):
+    """The floats nearest the decimals halfway between two of ``digits``
+    significant digits, at each of ``exponents``."""
+    heads = rng.integers(10 ** (digits - 1), 10**digits, 400).tolist()
+    return [float(f"{head}5e{e}") for head in heads for e in exponents]
+
+
+def _bits(rng, n):
+    return rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+
+
+def _ints(rng):
+    ints = rng.integers(-(2**60), 2**60, 100_000)
+    return np.concatenate([ints, ints >> 7, ints >> 20, ints >> 45])
+
+
+def _near_tens(rng):
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)]).view(np.uint64)
+    near = (tens[:, None] + np.arange(-3, 4).astype(np.uint64)).view(np.float64)
+    return near[np.isfinite(near)]
+
+
+def _ties(rng):
+    """Floats that are decimals ending in 5, so that two candidates tie."""
+    return np.concatenate([
+        rng.integers(2**50, 2**52, 50_000) + rng.integers(1, 4, 50_000) / 4,
+        rng.integers(1, 2**30, 50_000) / 2.0 ** rng.integers(1, 40, 50_000),
+    ])
+
+
+# name -> (the set's values from a generator, cells per row)
+_ORACLE_SETS = {
+    "random bits": (lambda rng: _bits(rng, 300_000), 7),
+    "normals at scales 1e-12 to 1e20": (
+        lambda rng: np.outer(10.0 ** np.arange(-12, 21), rng.standard_normal(20_000)),
+        5,
+    ),
+    "integers up to 2**60": (_ints, 4),
+    "powers of two": (lambda rng: np.ldexp([[1.0], [-1.0]], np.arange(-1074, 1024)), 8),
+    "powers of ten and 3 ulps around": (_near_tens, 7),
+    "15-, 16- and 17-digit halfway decimals": (
+        lambda rng: [
+            *_halfway(rng, 15, range(-24, 2)),
+            *_halfway(rng, 16, range(-25, 1)),
+            *_halfway(rng, 17, range(-26, 0)),
+        ],
+        6,
+    ),
+    "exact ties": (_ties, 5),
+    "specials": (
+        lambda rng: [
+            0.0, -0.0, np.nan, -np.nan, np.uint64(0x7FF8000000000001).view(np.float64),
+            np.uint64(0xFFF0000000000001).view(np.float64), np.inf, -np.inf,
+            1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308,
+            -2.2250738585072014e-308, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1e-4, 0.1,
+        ],
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_SETS))
+def test_csv_lines_writes_what_repr_writes(name):
+    # 2.1 M cells in all: each set as it comes, and its first 40,000 values
+    # each beside two cells of the exact domain, so that no chunk is left
+    # to repr for lying mostly outside it and repr's text is spliced in
+    make, cols = _ORACLE_SETS[name]
+    rng = np.random.default_rng(list(_ORACLE_SETS).index(name))
+    values = np.asarray(make(rng), dtype=float).reshape(-1)
+    beside = np.column_stack([values[:40_000], *rng.standard_normal((2, len(values[:40_000])))])
+    with np.errstate(all="raise"):  # cli.main runs under np.errstate(over="raise")
+        _check_csv_lines(values, cols)
+        _check_csv_lines(beside, 3)
+
+
+def test_csv_lines_calls_repr_only_outside_the_exact_domain():
+    rng = np.random.default_rng(7)
+    exact = np.concatenate([
+        # below 1, where no two candidates tie
+        rng.uniform(1, 10, 4000) * 10.0 ** rng.integers(-6, 0, 4000),
+        np.arange(-500, 500),  # integer-valued, as an index column
+        rng.integers(-(2**53), 2**53, 1000),
+        np.ldexp(1.0, np.arange(-20, 56)),  # a narrower interval below
+        [0.0, -0.0, -1e-6, 2.0**53 - 1, 1e16],
+    ])
+    with mock.patch.object(matio, "repr", create=True, side_effect=repr) as texts:
+        _check_csv_lines(exact, 5)
+        assert texts.call_count == 0
+        # a tie, out of the domain, non-finite: repr's text, cell by cell
+        _check_csv_lines([1234567890123456.75, 9e-7, 1e17, 5e-324, np.nan, -np.inf] + [1.5] * 7, 13)
+        assert texts.call_count == 6
 
 
 # values whose rows look alike: signed zeros, two NaN payloads, infinities
