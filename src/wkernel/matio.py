@@ -164,9 +164,6 @@ def _csv_lines(block):
     bits = np.ascontiguousarray(block).reshape(-1).view(np.uint64)
     mag = bits & 2**63 - 1
     exact = (1003 <= mag >> 52) & (mag >> 52 < 1079)  # 2**-20 <= |x| < 2**56
-    if 2 * np.count_nonzero(exact | (mag == 0)) < mag.size:  # mostly repr's cells
-        text = "".join([",".join(map(repr, row)) + "\n" for row in block.tolist()]).encode()
-        return text, np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n")) + 1
     digits, e10, found = _shortest(np.where(exact, mag, 1023 << 52))  # the rest as 1.0
     exact &= found
     digits[mag == 0] = 0  # 0.0, with 1.0's exponent 0
