@@ -155,11 +155,10 @@ def _shortest(mag):
 
 def _csv_lines(block):
     """The CSV lines of the rows of the 2-D float64 ``block`` as one bytes
-    object, and the end offset of each line; every cell reads as ``repr``
-    writes it."""
+    object; every cell reads as ``repr`` writes it."""
     rows, cols = block.shape
     if not cols:
-        return b"\n" * rows, np.arange(1, rows + 1)
+        return b"\n" * rows
     lead, quad_words, tail, keep_rows, counts = _tables()
     bits = np.ascontiguousarray(block).reshape(-1).view(np.uint64)
     mag = bits & 2**63 - 1
@@ -186,8 +185,7 @@ def _csv_lines(block):
     texts = np.array(list(map(repr, bits[slow].view(np.float64).tolist())), dtype="S44")
     field[slow, :44] = texts.view(np.uint8).reshape(-1, 44)
     keep[slow] = field[slow] != 0
-    text = np.compress(keep.reshape(-1), field.reshape(-1))
-    return text.tobytes(), np.flatnonzero(text == ord("\n")) + 1
+    return np.compress(keep.reshape(-1), field.reshape(-1)).tobytes()
 
 
 def _parse_cell(cell: str):
@@ -460,11 +458,7 @@ def save_matrix(path, arr, header=None, row_names=None) -> None:
         header = [f"col_{j}" for j in range(width)]
     if len(header) != width:
         raise InvalidInput(f"{len(header)} header names for {width} columns")
-    if row_names is None:
-        leads = [b""] * arr.shape[0]
-    elif len(row_names) == arr.shape[0]:
-        leads = [f"{name},".encode("utf-8") for name in row_names]
-    else:
+    if row_names is not None and len(row_names) != arr.shape[0]:
         raise InvalidInput(f"{len(row_names)} row names for {arr.shape[0]} rows")
     bits = arr.view(np.uint64)
     step = max(1, _SAVE_CHUNK_CELLS // max(1, arr.shape[1]))
@@ -477,11 +471,13 @@ def save_matrix(path, arr, header=None, row_names=None) -> None:
             repeat = np.empty(len(block), dtype=bool)
             repeat[0] = start > 0 and np.array_equal(block[0], bits[start - 1])
             np.all(block[1:] == block[:-1], axis=1, out=repeat[1:])
-            text, ends = _csv_lines(arr[start : start + step][~repeat])
-            ends = ends.tolist()
-            lines = lines[-1:] + [text[a:b] for a, b in zip([0] + ends, ends)]
-            picks = np.cumsum(~repeat).tolist()
-            fh.write(b"".join([leads[r] + lines[k] for r, k in enumerate(picks, start)]))
+            text = _csv_lines(arr[start : start + step][~repeat])
+            lines = lines[-1:] + text.splitlines(keepends=True)  # the text has no \r
+            rows = map(lines.__getitem__, np.cumsum(~repeat).tolist())
+            if row_names is not None:
+                names = row_names[start : start + step]
+                rows = map(bytes.__add__, [f"{name},".encode("utf-8") for name in names], rows)
+            fh.write(b"".join(rows))
 
 
 def save_keyvalue(path, pairs) -> None:
