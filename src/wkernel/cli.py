@@ -264,6 +264,10 @@ def main(argv=None) -> int:
     except InvalidInput as exc:
         print(f"wkernel: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # reads raise ParseError, so an output file failed
+        where = "" if exc.filename is None else f" {exc.filename}"
+        print(f"wkernel: cannot write{where}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     except MemoryError as exc:
         print(f"wkernel: out of memory: {exc}", file=sys.stderr)
         return 2

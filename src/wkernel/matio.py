@@ -12,9 +12,9 @@ rows first, streamed from the open file; when it refuses them, or reads
 a value that is not finite, a cell-by-cell parser reads the file again.
 That parser alone decides what a ParseError says and where it points,
 and it accepts the cells Python's ``float`` takes but numpy does not,
-such as ``1_0``.
-Both readers round through ``PyOS_string_to_double``, so they give the
-same bits for every cell both accept.
+such as ``1_0``.  Both readers round through ``PyOS_string_to_double``,
+so they give the same bits for every cell both accept.  Inputs and
+config files are UTF-8, a byte-order mark at the start skipped.
 
 ``load_matrix_cached`` reads a file through an on-disk cache, so that a
 file read again with the same content is not parsed again.
@@ -43,7 +43,7 @@ except ImportError:  # an interpreter without CPython's builtin module
 _SAVE_CHUNK_CELLS = 2**13
 # Personalizes every cache key.  Change it whenever load_matrix's parse
 # rules or the entry layout change, so that no older entry is read.
-_CACHE_FORMAT = b"wkernel-csv-1"
+_CACHE_FORMAT = b"wkernel-csv-2"
 # the cache's size bound; the least recently used entries are removed first
 _CACHE_BYTES = 2**30
 # bytes of the source file hashed at a time
@@ -213,7 +213,7 @@ def load_matrix(path):
     offending location (1-based, counting non-blank lines).
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = _data_lines(fh)
             first = next(lines, None)
             if first is None:
@@ -238,7 +238,7 @@ def load_matrix(path):
         rows = None
         if arr is None or not np.isfinite(arr).all():
             # the slow path holds every line, as its Python floats outweigh them
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 rows = list(_data_lines(fh))[header is not None :]
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read file: {exc}", path=path) from exc
@@ -494,7 +494,7 @@ def load_config(path) -> dict:
     """Flat ``key = value`` config file; # starts a comment line."""
     out = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config: {exc}", path=path) from exc

@@ -1,6 +1,7 @@
 """CSV round trips, config parsing, command artifacts, determinism."""
 
 import dataclasses
+import errno
 import inspect
 import os
 import subprocess
@@ -148,6 +149,17 @@ class TestConfigFile:
         assert rc == 0
         est, _ = load_matrix(out / "estimates.csv")
         assert est.shape[0] == 9  # flag wins over the file's 7
+
+
+    def test_byte_order_mark_does_not_hide_the_first_key(self, tmp_path):
+        ll, stats, cfgfile = tmp_path / "ll.csv", tmp_path / "st.csv", tmp_path / "run.cfg"
+        make_loglik_csv(ll)
+        make_stats_csv(stats)
+        cfgfile.write_bytes(b"\xef\xbb\xbfn_b = 7\n")
+        out = tmp_path / "out"
+        assert main(["boot", str(ll), str(stats), "--config", str(cfgfile), "--out", str(out)]) == 0
+        est, _ = load_matrix(out / "estimates.csv")
+        assert est.shape[0] == 7
 
 
 class TestScreeSvg:
@@ -829,6 +841,37 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("wkernel: cannot make the output directory ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [
+            ("freqcov", "sigma.csv"),  # save_matrix
+            ("freqcov", "freqcov_meta.csv"),  # save_keyvalue
+            ("eigen", "scree.svg"),  # write_scree_svg
+        ],
+    )
+    def test_output_file_that_cannot_be_written_is_usage_error(
+        self, tmp_path, capsys, command, blocked
+    ):
+        ll, st, out = tmp_path / "ll.csv", tmp_path / "st.csv", tmp_path / "o"
+        make_loglik_csv(ll)
+        make_stats_csv(st)
+        (out / blocked).mkdir(parents=True)
+        inputs = [str(ll), str(st)] if command == "freqcov" else [str(ll)]
+        assert main([command, *inputs, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"wkernel: cannot write {out / blocked}: {os.strerror(errno.EISDIR)}\n"
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_output_device_that_is_full_is_usage_error(self, tmp_path, capsys):
+        # the open succeeds and the write fails, with no file name to report
+        ll, out = tmp_path / "ll.csv", tmp_path / "o"
+        make_loglik_csv(ll)
+        out.mkdir()
+        (out / "eigenvalues.csv").symlink_to("/dev/full")
+        assert main(["eigen", str(ll), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"wkernel: cannot write: {os.strerror(errno.ENOSPC)}\n"
 
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         ll = tmp_path / "ll.csv"

@@ -127,6 +127,19 @@ def test_mixed_first_row_is_data_not_header(tmp_path):
         matio.load_matrix(path)
 
 
+@pytest.mark.parametrize("text", ["a,b\n-0.0373,2\n3,4\n", "-0.0373,2\n3,4\n"])
+@pytest.mark.parametrize("load", [matio.load_matrix, matio.load_matrix_cached])
+def test_byte_order_mark_is_skipped(tmp_path, load, text):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for _ in range(2):  # through the cache, a miss and then a hit
+        arr, header = load(marked)
+        want, want_header = matio.load_matrix(plain)
+        assert arr.tobytes() == want.tobytes() and arr.shape == want.shape
+        assert header == want_header
+
+
 def test_load_matrix_holds_little_beyond_the_array(tmp_path):
     # the data rows stream from the file: no list of lines, no second copy
     arr = np.random.default_rng(6).standard_normal((500, 800))
