@@ -446,7 +446,7 @@ def save_matrix(path, arr, header=None, row_names=None) -> None:
     Rows are formatted about _SAVE_CHUNK_CELLS cells at a time
     (``_csv_lines``), never the whole matrix at once.  A row equal bit for
     bit to the row before it (``-0.0`` after ``0.0`` is not) is not
-    formatted: its lead is followed by that row's text.
+    formatted: its name, if any, is followed by that row's text.
     """
     arr = np.asarray(arr, dtype=float)
     if arr.ndim == 1:

@@ -150,7 +150,6 @@ class TestConfigFile:
         est, _ = load_matrix(out / "estimates.csv")
         assert est.shape[0] == 9  # flag wins over the file's 7
 
-
     def test_byte_order_mark_does_not_hide_the_first_key(self, tmp_path):
         ll, stats, cfgfile = tmp_path / "ll.csv", tmp_path / "st.csv", tmp_path / "run.cfg"
         make_loglik_csv(ll)
